@@ -14,8 +14,8 @@ import numpy as np
 
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import WINDOW, state_window
-from .errors import SchemaMismatchError, TrainingDivergenceError, UndefinedMetricError
-from .numcore import (Adam, Mlp, MlpSpec, load_checkpoint, nll_loss, rmse_loss,
+from .errors import SchemaMismatchError, UndefinedMetricError
+from .numcore import (Adam, Mlp, MlpSpec, fit, load_checkpoint, nll_loss, rmse_loss,
                       save_checkpoint, softmax)
 from .preprocess import N_ACTIONS, ActionBinning, NormStats
 
@@ -105,29 +105,10 @@ def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
     opt = Adam(mlp.params().values(), lr=hp.lr)
     loss_fn = nll_loss if mode == "classification" else rmse_loss
 
-    best = (np.inf, None, -1)
-    history = []
-    n = len(X)
-    for epoch in range(hp.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, hp.batch):
-            idx = order[start:start + hp.batch]
-            out = mlp.forward(X[idx], train=True)
-            loss, grad = loss_fn(out, Y[idx])
-            if not np.isfinite(loss):
-                raise TrainingDivergenceError(f"BC loss diverged at epoch {epoch}")
-            mlp.backward(grad)
-            opt.step()
-            total += loss * len(idx)
-        val_loss, _ = loss_fn(mlp.forward(Xv, train=False), Yv)
-        history.append({"epoch": epoch, "train_loss": total / n, "val_loss": val_loss})
-        if val_loss < best[0]:
-            best = (val_loss, mlp.copy_values(), epoch)
-        elif epoch - best[2] >= hp.patience:
-            break
-    if best[1] is not None:
-        mlp.load_state(best[1])
+    losses = fit(mlp, opt, loss_fn, X, Y, Xv, Yv, epochs=hp.epochs, batch=hp.batch,
+                 rng=rng, patience=hp.patience)
+    history = [{"epoch": epoch, "train_loss": train, "val_loss": val}
+               for epoch, (train, val) in enumerate(losses)]
     T = data.trajectories[0].T if hp.full_encounter else None
     return BcPolicy(mode=mode, mlp=mlp, n_features=cohort.schema.n_features,
                     source_subgroup=subgroup, norm_stats=cohort.norm_stats,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 Every command writes its fully-resolved configuration next to its outputs
-so a run can be reproduced bit-exactly (at --threads 1).
+so a run can be reproduced bit-exactly.
 """
 
 from __future__ import annotations
@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cfpolicy",
         description="Counterfactual treatment-policy estimation for septic cohorts")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap; determinism is guaranteed at 1")
+                        help="accepted for compatibility and otherwise ignored; "
+                             "every command runs single-process")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")

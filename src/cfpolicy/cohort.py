@@ -140,9 +140,6 @@ class CohortDataset:
             raise ValueError(f"unknown split tag {tag!r}")
         return [tr for tr in self.trajectories if self.split[tr.id] == tag]
 
-    def attribute_values(self, attribute: str):
-        return sorted({tr.attributes[attribute] for tr in self.trajectories})
-
 
 def _parse_float(cell: str, line_no: int, col: str) -> float:
     if cell == "":
@@ -157,8 +154,10 @@ def load_cohort(path, schema: FeatureSchema,
                 allow_negative_actions: bool = False) -> CohortDataset:
     """Parse a cohort CSV into grouped, timestep-sorted trajectories.
 
-    Raw doses must be nonnegative; pass ``allow_negative_actions=True`` for
-    cohorts whose actions were already z-normalized.
+    Each encounter's timesteps must run 0..T-1 without gaps, in any row
+    order. Raw doses must be nonnegative; pass
+    ``allow_negative_actions=True`` for cohorts whose actions were already
+    z-normalized.
     """
     path = Path(path)
     attrs = list(schema.attributes)
@@ -166,7 +165,7 @@ def load_cohort(path, schema: FeatureSchema,
     expected = ["id", "timestep"] + attrs + feat_cols + [
         "action_fluid", "action_vaso", "mortality_step", "outcome_alive"]
 
-    rows = {}  # id -> {t: (attr dict, state vec, action pair, mort, alive, bin)}
+    rows = {}  # id -> {t: (attr dict, state vec, action pair, mort, alive, bin, line)}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -211,11 +210,15 @@ def load_cohort(path, schema: FeatureSchema,
             per = rows.setdefault(tid, {})
             if t in per:
                 raise IntegrityError(f"duplicate (id={tid}, timestep={t})")
-            per[t] = (attr_vals, state, action, mort, alive, abin)
+            per[t] = (attr_vals, state, action, mort, alive, abin, line_no)
 
     trajectories = []
     for tid, per in rows.items():
         ts = sorted(per)
+        gap = next((k for k, t in enumerate(ts) if t != k), None)
+        if gap is not None:
+            raise ParseError(per[ts[gap]][6],
+                             f"trajectory {tid}: expected timestep {gap}, got {ts[gap]}")
         attrs0 = per[ts[0]][0]
         states = np.stack([per[t][1] for t in ts])
         actions = np.stack([per[t][2] for t in ts])

@@ -9,34 +9,17 @@ compounding-error blowups.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from .cohort import CohortDataset, FeatureSchema, PatientTrajectory
-from .errors import RolloutBlowupError, TrainingDivergenceError
-from .numcore import Adam, RecurrentRegressor, load_checkpoint, mse_loss, save_checkpoint
+from .cohort import CohortDataset
+from .errors import RolloutBlowupError
+from .numcore import Adam, RecurrentRegressor, fit, load_checkpoint, mse_loss, save_checkpoint
 
 WINDOW = 3
 STATE_CLIP = 8.0
-
-
-@dataclass
-class HistoryWindow:
-    states: np.ndarray   # (3, M), oldest -> newest
-    actions: np.ndarray  # (3, 2), oldest -> newest
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.states, self.actions], axis=1)
-
-
-def make_window(traj: PatientTrajectory, t: int) -> HistoryWindow:
-    if not 0 <= t < traj.T:
-        raise IndexError(f"t={t} outside trajectory of length {traj.T}")
-    return HistoryWindow(*window_arrays(traj.states, traj.actions, t))
 
 
 def window_arrays(states: np.ndarray, actions: np.ndarray, t: int):
@@ -108,27 +91,10 @@ def train_dynamics(cohort: CohortDataset, hp: DynHyperParams = DynHyperParams())
 
     net = RecurrentRegressor(M + 2, hp.hidden, M, rng)
     opt = Adam(net.params().values(), lr=hp.lr)
-    best = (np.inf, None)
-    history = []
-    n = len(X)
-    for epoch in range(hp.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, hp.batch):
-            idx = order[start:start + hp.batch]
-            pred = net.forward(X[idx], train=True)
-            loss, grad = mse_loss(pred, Y[idx])
-            if not np.isfinite(loss):
-                raise TrainingDivergenceError(f"dynamics loss diverged at epoch {epoch}")
-            net.backward(grad)
-            opt.step()
-            total += loss * len(idx)
-        val_loss, _ = mse_loss(net.forward(Xv, train=False), Yv)
-        history.append({"epoch": epoch, "train_mse": total / n, "val_mse": val_loss})
-        if val_loss < best[0]:
-            best = (val_loss, {k: v.copy() for k, v in net.state().items()})
-    if best[1] is not None:
-        net.load_state(best[1])
+    losses = fit(net, opt, mse_loss, X, Y, Xv, Yv, epochs=hp.epochs, batch=hp.batch,
+                 rng=rng)
+    history = [{"epoch": epoch, "train_mse": train, "val_mse": val}
+               for epoch, (train, val) in enumerate(losses)]
     return TransitionModel(net=net, n_features=M, history=history)
 
 
@@ -190,23 +156,3 @@ def load_dynamics(path) -> TransitionModel:
     return TransitionModel(net=net, n_features=meta["n_features"],
                            history=meta["history"])
 
-
-def write_rollouts(path, schema: FeatureSchema, rollouts: list) -> None:
-    """Serialize rollout traces in the cohort CSV layout plus a reward column.
-
-    ``rollouts`` is a list of dicts with keys id, attributes, transitions.
-    """
-    path = Path(path)
-    attrs = list(schema.attributes)
-    header = (["id", "timestep"] + attrs + list(schema.names)
-              + ["action_fluid", "action_vaso", "reward"])
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for ep in rollouts:
-            for t, (s, a, r, _s_next) in enumerate(ep["transitions"]):
-                row = [ep["id"], str(t)]
-                row += [ep["attributes"][k] for k in attrs]
-                row += [repr(float(v)) for v in s]
-                row += [repr(float(a[0])), repr(float(a[1])), repr(float(r))]
-                writer.writerow(row)

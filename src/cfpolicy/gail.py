@@ -21,7 +21,7 @@ from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import TransitionModel, rollout, state_window
 from .errors import TrainingDivergenceError
 from .kernels import discounted_returns
-from .numcore import Adam, Mlp, MlpSpec, ParamTensor, load_checkpoint, save_checkpoint, softmax
+from .numcore import Adam, Mlp, MlpSpec, load_checkpoint, save_checkpoint, sigmoid, softmax
 from .preprocess import N_ACTIONS, action_index_to_doses, normalize_actions
 
 D_CLAMP = 1e-6
@@ -63,10 +63,6 @@ class GailConfig:
                 for k, v in ((f, getattr(self, f)) for f in self.__dataclass_fields__)}
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 class Discriminator:
     """Feed-forward scorer D(s, a) in (0, 1), output clamped away from 0/1."""
 
@@ -78,7 +74,7 @@ class Discriminator:
         return self.mlp.forward(x, train=False)[:, 0]
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(_sigmoid(self.logits(x)), D_CLAMP, 1.0 - D_CLAMP)
+        return np.clip(sigmoid(self.logits(x)), D_CLAMP, 1.0 - D_CLAMP)
 
     def params(self):
         return self.mlp.params()
@@ -101,7 +97,7 @@ def disc_update(disc: Discriminator, expert: np.ndarray, generated: np.ndarray,
                         np.full(len(generated), 1.0 - expert_label)])
     logit = disc.mlp.forward(x, train=True)[:, 0]
     # stable BCE on logits: softplus(z) - y z
-    p = _sigmoid(logit)
+    p = sigmoid(logit)
     weights = np.concatenate([np.full(len(expert), 1.0 / len(expert)),
                               np.full(len(generated), 1.0 / len(generated))])
     dlogit = (p - y) * weights
@@ -131,21 +127,15 @@ def policy_reward(disc: Discriminator, obs: np.ndarray, action_onehot: np.ndarra
 
 
 class StochasticPolicy:
-    """Categorical policy over the 25 discrete actions (default), with an
-    optional diagonal-Gaussian continuous head."""
+    """Categorical policy over the 25 discrete actions."""
 
     def __init__(self, obs_dim: int, rng: np.random.Generator,
-                 n_actions: int = N_ACTIONS, hidden: tuple = (200, 200),
-                 continuous: bool = False):
+                 n_actions: int = N_ACTIONS, hidden: tuple = (200, 200)):
         self.obs_dim = obs_dim
         self.n_actions = n_actions
-        self.continuous = continuous
-        n_out = 2 if continuous else n_actions
-        spec = MlpSpec(widths=(obs_dim,) + tuple(hidden) + (n_out,), batch_norm=False)
+        spec = MlpSpec(widths=(obs_dim,) + tuple(hidden) + (n_actions,), batch_norm=False)
         self.mlp = Mlp(spec, rng)
-        self.log_std = ParamTensor(np.zeros(2)) if continuous else None
 
-    # -- discrete head -----------------------------------------------------
     def probs(self, obs: np.ndarray) -> np.ndarray:
         return softmax(self.mlp.forward(np.atleast_2d(obs), train=False))
 
@@ -157,36 +147,17 @@ class StochasticPolicy:
         p = self.probs(obs)
         return float(np.mean(-np.sum(p * np.log(np.clip(p, 1e-300, None)), axis=1)))
 
-    # -- continuous head ---------------------------------------------------
-    def gauss_params(self, obs: np.ndarray):
-        mean = self.mlp.forward(np.atleast_2d(obs), train=False)
-        return mean, np.exp(self.log_std.value)
-
-    def sample_continuous(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        mean, std = self.gauss_params(obs)
-        return mean[0] + std * rng.standard_normal(2)
-
-    # -- shared ------------------------------------------------------------
     def params(self) -> dict:
-        out = dict(self.mlp.params())
-        if self.log_std is not None:
-            out["log_std"] = self.log_std
-        return out
+        return self.mlp.params()
 
     def state(self) -> dict:
-        arrays = dict(self.mlp.state())
-        if self.log_std is not None:
-            arrays["log_std"] = self.log_std.value
-        return arrays
+        return self.mlp.state()
 
     def snapshot(self) -> dict:
         return {k: v.copy() for k, v in self.state().items()}
 
     def load_state(self, arrays: dict) -> None:
-        self.mlp.load_state({k: v for k, v in arrays.items() if k != "log_std"})
-        if self.log_std is not None and "log_std" in arrays:
-            self.log_std.value = np.array(arrays["log_std"], dtype=np.float64)
-            self.log_std.grad = np.zeros_like(self.log_std.value)
+        self.mlp.load_state(arrays)
 
 
 def categorical_kl(p_old: np.ndarray, p_new: np.ndarray) -> float:
@@ -213,7 +184,7 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
 
     p_old = policy.probs(obs)
     param_snap = policy.snapshot()
-    opt_snap = ([m.copy() for m in opt.m], [v.copy() for v in opt.v], opt.t)
+    opt_snap = opt.state()
     onehot = np.zeros((n, policy.n_actions))
     onehot[np.arange(n), actions] = 1.0
 
@@ -238,9 +209,7 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
         if kl <= config.kl_target or attempt == 8:
             break
         policy.load_state(param_snap)
-        opt.m = [m.copy() for m in opt_snap[0]]
-        opt.v = [v.copy() for v in opt_snap[1]]
-        opt.t = opt_snap[2]
+        opt.load_state(opt_snap)
         lr_scale *= 0.5
 
     if kl > config.kl_target * 1.5:

@@ -1,37 +1,22 @@
-"""Hot numeric kernels.
-
-Each kernel has a pure-numpy implementation and a numba ``@njit`` version.
-The njit path is the default; set ``CFPOLICY_NO_NUMBA=1`` to force the
-numpy fallback (useful on platforms without a working numba, and as the
-reference side of the benchmark in ``benchmarks/bench_kernels.py``).
-"""
-
-import os
+"""Hot numeric kernels: RBF MMD², series imputation, discounted returns."""
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("CFPOLICY_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
 __all__ = [
-    "USE_NUMBA",
     "rbf_mmd2_biased",
     "fill_series",
     "discounted_returns",
 ]
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-
-
-def _rbf_mmd2_biased_np(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
+def rbf_mmd2_biased(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
     """Biased (V-statistic) squared MMD with RBF kernel exp(-d^2 / (2 sigma^2))."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if y.ndim == 1:
+        y = y[:, None]
     gamma = 1.0 / (2.0 * sigma * sigma)
 
     def gram(a, b):
@@ -44,7 +29,7 @@ def _rbf_mmd2_biased_np(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
     return float(kxx + kyy - 2.0 * kxy)
 
 
-def _fill_series_np(values: np.ndarray, fallback: float) -> np.ndarray:
+def fill_series(values: np.ndarray, fallback: float) -> np.ndarray:
     """Impute one feature series in place of NaNs.
 
     Gaps between two observations get linear interpolation, positions after
@@ -52,137 +37,21 @@ def _fill_series_np(values: np.ndarray, fallback: float) -> np.ndarray:
     `fallback` (the train-split feature mean), and an all-NaN series becomes
     all `fallback`.
     """
-    out = values.copy()
-    obs = np.flatnonzero(~np.isnan(out))
+    values = np.asarray(values, dtype=np.float64)
+    obs = np.flatnonzero(~np.isnan(values))
     if obs.size == 0:
-        out[:] = fallback
-        return out
-    first, last = obs[0], obs[-1]
-    out[:first] = fallback
-    out[last + 1:] = out[last]
-    for k in range(obs.size - 1):
-        i, j = obs[k], obs[k + 1]
-        if j > i + 1:
-            step = (out[j] - out[i]) / (j - i)
-            for t in range(i + 1, j):
-                out[t] = out[i] + step * (t - i)
-    return out
+        return np.full_like(values, float(fallback))
+    return np.interp(np.arange(values.size), obs, values[obs],
+                     left=float(fallback), right=values[obs[-1]])
 
 
-def _discounted_returns_np(rewards: np.ndarray, gamma: float) -> np.ndarray:
+def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     """Suffix sums G_t = sum_{k>=t} gamma^(k-t) r_k."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    gamma = float(gamma)
     out = np.empty_like(rewards)
     acc = 0.0
     for t in range(rewards.size - 1, -1, -1):
         acc = rewards[t] + gamma * acc
         out[t] = acc
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba-compiled versions
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _rbf_mmd2_biased_nb(x, y, sigma):  # pragma: no cover - compiled
-        gamma = 1.0 / (2.0 * sigma * sigma)
-        n, m = x.shape[0], y.shape[0]
-        d = x.shape[1]
-        kxx = 0.0
-        for i in range(n):
-            for j in range(n):
-                s = 0.0
-                for c in range(d):
-                    diff = x[i, c] - x[j, c]
-                    s += diff * diff
-                kxx += np.exp(-gamma * s)
-        kyy = 0.0
-        for i in range(m):
-            for j in range(m):
-                s = 0.0
-                for c in range(d):
-                    diff = y[i, c] - y[j, c]
-                    s += diff * diff
-                kyy += np.exp(-gamma * s)
-        kxy = 0.0
-        for i in range(n):
-            for j in range(m):
-                s = 0.0
-                for c in range(d):
-                    diff = x[i, c] - y[j, c]
-                    s += diff * diff
-                kxy += np.exp(-gamma * s)
-        return kxx / (n * n) + kyy / (m * m) - 2.0 * kxy / (n * m)
-
-    @njit(cache=True)
-    def _fill_series_nb(values, fallback):  # pragma: no cover - compiled
-        out = values.copy()
-        n = out.size
-        first = -1
-        last = -1
-        for t in range(n):
-            if not np.isnan(out[t]):
-                if first < 0:
-                    first = t
-                last = t
-        if first < 0:
-            for t in range(n):
-                out[t] = fallback
-            return out
-        for t in range(first):
-            out[t] = fallback
-        for t in range(last + 1, n):
-            out[t] = out[last]
-        i = first
-        while i < last:
-            j = i + 1
-            while np.isnan(out[j]):
-                j += 1
-            if j > i + 1:
-                step = (out[j] - out[i]) / (j - i)
-                for t in range(i + 1, j):
-                    out[t] = out[i] + step * (t - i)
-            i = j
-        return out
-
-    @njit(cache=True)
-    def _discounted_returns_nb(rewards, gamma):  # pragma: no cover - compiled
-        out = np.empty_like(rewards)
-        acc = 0.0
-        for t in range(rewards.size - 1, -1, -1):
-            acc = rewards[t] + gamma * acc
-            out[t] = acc
-        return out
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-
-
-def rbf_mmd2_biased(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
-    x = np.ascontiguousarray(x)
-    y = np.ascontiguousarray(y)
-    if USE_NUMBA:
-        return float(_rbf_mmd2_biased_nb(x, y, sigma))
-    return _rbf_mmd2_biased_np(x, y, sigma)
-
-
-def fill_series(values: np.ndarray, fallback: float) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if USE_NUMBA:
-        return _fill_series_nb(values, float(fallback))
-    return _fill_series_np(values, float(fallback))
-
-
-def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if USE_NUMBA:
-        return _discounted_returns_nb(rewards, float(gamma))
-    return _discounted_returns_np(rewards, float(gamma))

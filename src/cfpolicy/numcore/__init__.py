@@ -1,15 +1,16 @@
 """Minimal differentiable computation for the fixed architectures used here."""
 
 from .layers import BatchNorm, Dense, Mlp, MlpSpec, ParamTensor, Relu
-from .losses import mse_loss, nll_loss, rmse_loss, softmax
+from .losses import mse_loss, nll_loss, rmse_loss, sigmoid, softmax
 from .lstm import RecurrentRegressor
-from .optim import Adam, Sgd
+from .optim import Adam
+from .training import fit
 from .gradcheck import finite_difference_check
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "ParamTensor", "Dense", "BatchNorm", "Relu", "Mlp", "MlpSpec",
-    "RecurrentRegressor", "softmax", "rmse_loss", "nll_loss", "mse_loss",
-    "Adam", "Sgd", "finite_difference_check",
+    "RecurrentRegressor", "sigmoid", "softmax", "rmse_loss", "nll_loss", "mse_loss",
+    "Adam", "fit", "finite_difference_check",
     "save_checkpoint", "load_checkpoint",
 ]

@@ -115,15 +115,12 @@ class MlpSpec:
     """Layer widths (input first, output last) and head configuration."""
 
     widths: tuple
-    activation: str = "relu"
     batch_norm: bool = True
     output_head: str = "linear"  # 'linear' | 'softmax'
 
     def __post_init__(self):
         if len(self.widths) < 2 or any(w <= 0 for w in self.widths):
             raise ValueError("widths must list >=2 positive integers")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if self.output_head not in ("linear", "softmax"):
             raise ValueError(f"unsupported head {self.output_head!r}")
 
@@ -183,6 +180,3 @@ class Mlp:
             if isinstance(layer, BatchNorm):
                 layer.running_mean = np.array(arrays[f"layer{i}.running_mean"])
                 layer.running_var = np.array(arrays[f"layer{i}.running_var"])
-
-    def copy_values(self) -> dict:
-        return {k: v.copy() for k, v in self.state().items()}

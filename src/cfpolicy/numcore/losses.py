@@ -1,8 +1,13 @@
-"""Loss functions; each returns (scalar loss, gradient w.r.t. predictions)."""
+"""Output squashing functions and losses; each loss returns (scalar loss,
+gradient w.r.t. predictions)."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

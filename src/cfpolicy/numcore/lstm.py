@@ -6,10 +6,7 @@ import numpy as np
 
 from ..errors import SchemaMismatchError
 from .layers import Dense, ParamTensor
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+from .losses import sigmoid
 
 
 class RecurrentRegressor:
@@ -44,10 +41,10 @@ class RecurrentRegressor:
         steps = []
         for t in range(self.WINDOW):
             z = x[:, t, :] @ self.Wx.value + h @ self.Wh.value + self.b.value
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H:2 * H])
+            i = sigmoid(z[:, :H])
+            f = sigmoid(z[:, H:2 * H])
             g = np.tanh(z[:, 2 * H:3 * H])
-            o = _sigmoid(z[:, 3 * H:])
+            o = sigmoid(z[:, 3 * H:])
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
             h_new = o * tanh_c

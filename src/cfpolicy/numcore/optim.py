@@ -1,4 +1,4 @@
-"""Stochastic-gradient optimizers over ParamTensor collections."""
+"""Adam optimizer over ParamTensor collections."""
 
 from __future__ import annotations
 
@@ -36,19 +36,13 @@ class Adam:
             vhat = v / (1 - self.beta2 ** self.t)
             p.value -= lr * mhat / (np.sqrt(vhat) + self.eps)
 
+    def state(self) -> dict:
+        """Copy of the moment estimates and step count."""
+        return {"m": [m.copy() for m in self.m], "v": [v.copy() for v in self.v],
+                "t": self.t}
 
-class Sgd:
-    """Plain gradient descent, kept as a configuration option."""
+    def load_state(self, state: dict) -> None:
+        self.m = [m.copy() for m in state["m"]]
+        self.v = [v.copy() for v in state["v"]]
+        self.t = state["t"]
 
-    def __init__(self, params, lr: float = 3e-4):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        self.params = list(params)
-        self.lr = lr
-
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                raise TrainingDivergenceError("non-finite gradient")
-            p.value -= lr * p.grad

@@ -98,7 +98,3 @@ def trajectory_return(fn: RewardFn, traj: PatientTrajectory,
     rewards = trajectory_rewards(fn, traj, schema, stats)
     return float(discounted_returns(rewards, gamma)[0])
 
-
-def discounted_sum(rewards, gamma: float) -> float:
-    """Discounted sum of an explicit reward sequence."""
-    return float(discounted_returns(np.asarray(rewards, dtype=np.float64), gamma)[0])

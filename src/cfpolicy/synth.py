@@ -16,12 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import CohortDataset, FeatureSchema, PatientTrajectory
+from .numcore import sigmoid
 
 MIN_FEATURES = 8
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -34,7 +31,7 @@ class PolicyParams:
     floor: float  # propensity below this yields a zero dose
 
     def dose(self, severity, logit_offset: float = 0.0):
-        q = _sigmoid(self.slope * (np.asarray(severity) - self.center) + logit_offset)
+        q = sigmoid(self.slope * (np.asarray(severity) - self.center) + logit_offset)
         return np.where(q >= self.floor, self.max_dose * q, 0.0)
 
 
@@ -230,7 +227,7 @@ def generate(config: SynthConfig):
                 states[:, j] = (a + amp * np.sin(omega * t_grid + phase)
                                 + rng.normal(0, s_n, T))
 
-        p_death = float(_sigmoid(config.mortality_slope
+        p_death = float(sigmoid(config.mortality_slope
                                  * (sev[-1] - config.mortality_threshold)))
         alive = rng.random() >= p_death
         mortality_step = None

@@ -93,6 +93,22 @@ def test_duplicate_timestep_rejected(tmp_path):
         load_cohort(path, SCHEMA)
 
 
+def test_timestep_gap_is_parse_error(tmp_path):
+    header = "id,timestep,gender,hr,lact,action_fluid,action_vaso,mortality_step,outcome_alive\n"
+    path = tmp_path / "gap.csv"
+    path.write_text(header + "".join(
+        f"a,{t},M,70,1.0,10,0.1,,1\n" for t in (0, 1, 3, 4)))
+    with pytest.raises(ParseError, match="expected timestep 2, got 3") as exc:
+        load_cohort(path, SCHEMA)
+    assert exc.value.line_no == 4  # the first row after the gap
+    # an encounter that does not start at timestep 0 has a gap at its first row
+    path.write_text(header + "a,1,M,70,1.0,10,0.1,,1\na,0,M,70,1.0,10,0.1,,1\n"
+                    "b,2,F,70,1.0,10,0.1,,1\n")
+    with pytest.raises(ParseError, match="expected timestep 0, got 2") as exc:
+        load_cohort(path, SCHEMA)
+    assert exc.value.line_no == 4
+
+
 def test_unknown_attribute_value_rejected(tmp_path):
     path = tmp_path / "attr.csv"
     path.write_text(

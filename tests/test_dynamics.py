@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cfpolicy.dynamics import (STATE_CLIP, DynHyperParams, TransitionModel,
-                               eval_dynamics_mse, load_dynamics, make_window,
-                               rollout, save_dynamics, state_window,
-                               train_dynamics, window_arrays, write_rollouts)
+                               eval_dynamics_mse, load_dynamics, rollout,
+                               save_dynamics, state_window, train_dynamics,
+                               window_arrays)
 from cfpolicy.errors import RolloutBlowupError
 
 
@@ -32,14 +32,6 @@ def test_state_window_matches_window_arrays(rng):
     for t in range(5):
         s, _ = window_arrays(states, np.zeros((5, 2)), t)
         assert np.array_equal(state_window(states, t), s)
-
-
-def test_make_window_bounds(proc_cohort):
-    tr = proc_cohort.trajectories[0]
-    w = make_window(tr, 0)
-    assert w.stacked().shape == (3, proc_cohort.schema.n_features + 2)
-    with pytest.raises(IndexError):
-        make_window(tr, tr.T)
 
 
 @pytest.fixture(scope="module")
@@ -100,13 +92,3 @@ def test_dynamics_save_load_round_trip(tmp_path, tiny_dyn, rng):
     assert np.array_equal(back.predict_delta(x), tiny_dyn.predict_delta(x))
     assert back.history == tiny_dyn.history
 
-
-def test_write_rollouts_csv(tmp_path, tiny_dyn, proc_cohort):
-    tr = proc_cohort.by_split("test")[0]
-    steps = rollout(tiny_dyn, lambda w: np.zeros(2), [tr.states[0]] * 3, horizon=3)
-    out = tmp_path / "rollouts.csv"
-    write_rollouts(out, proc_cohort.schema,
-                   [{"id": "ep0", "attributes": tr.attributes, "transitions": steps}])
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 4  # header + 3 transitions
-    assert lines[0].startswith("id,timestep,") and lines[0].endswith(",reward")

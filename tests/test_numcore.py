@@ -1,11 +1,12 @@
-"""Hand-written neural-network core: gradients, optimizers, checkpoints."""
+"""Hand-written neural-network core: gradients, optimizers, training loop,
+checkpoints."""
 
 import numpy as np
 import pytest
 
 from cfpolicy.errors import SchemaMismatchError, TrainingDivergenceError
 from cfpolicy.numcore import (Adam, BatchNorm, Mlp, MlpSpec, ParamTensor,
-                              RecurrentRegressor, Sgd, finite_difference_check,
+                              RecurrentRegressor, finite_difference_check, fit,
                               load_checkpoint, mse_loss, nll_loss, rmse_loss,
                               save_checkpoint, softmax)
 
@@ -170,12 +171,26 @@ def test_adam_rejects_nonfinite_gradient():
         opt.step()
 
 
-def test_sgd_step():
-    p = ParamTensor(np.array([1.0]))
-    opt = Sgd([p], lr=0.5)
-    p.grad = np.array([2.0])
+def test_adam_restore_then_step_equals_first_step(rng):
+    p = ParamTensor(rng.normal(size=3))
+    opt = Adam([p], lr=0.1)
+    p.grad = rng.normal(size=3)
+    opt.step()  # nonzero moments before the snapshot
+    value, snap = p.value.copy(), opt.state()
+    g = rng.normal(size=3)
+    p.grad = g.copy()
     opt.step()
-    assert p.value[0] == 0.0
+    first = p.value.copy()
+    for _ in range(3):  # move params and moments away from the snapshot
+        p.grad = rng.normal(size=3)
+        opt.step()
+    for _ in range(2):  # a second restore must not see the first one's steps
+        p.value = value.copy()
+        opt.load_state(snap)
+        p.grad = g.copy()
+        opt.step()
+        assert np.array_equal(p.value, first)
+        assert opt.t == 2
 
 
 def test_adam_lr_override():
@@ -184,6 +199,54 @@ def test_adam_lr_override():
     p.grad = np.array([1.0])
     opt.step(lr=0.0)
     assert p.value[0] == 0.0  # zero lr moves nothing
+
+
+class _ScriptedModel:
+    """Stand-in model whose validation loss follows a fixed script."""
+
+    def __init__(self, val_losses):
+        self.val_losses = list(val_losses)
+        self.epoch = -1
+        self.loaded = None
+
+    def forward(self, x, train=False):
+        if train:
+            return np.zeros((len(x), 1))
+        self.epoch += 1
+        return np.full((1, 1), self.val_losses[self.epoch])
+
+    def backward(self, grad):
+        pass
+
+    def state(self):
+        return {"epoch": np.array(self.epoch)}
+
+    def load_state(self, arrays):
+        self.loaded = int(arrays["epoch"])
+
+
+class _NoOpOptimizer:
+    def step(self):
+        pass
+
+
+@pytest.mark.parametrize("patience,epochs_run,best", [(3, 5, 1), (None, 6, 5)])
+def test_fit_patience_and_best_snapshot(patience, epochs_run, best):
+    model = _ScriptedModel([3.0, 2.0, 2.5, 2.4, 2.6, 1.0])
+    X = np.zeros((5, 1))
+    history = fit(model, _NoOpOptimizer(), lambda pred, y: (float(pred[0, 0]), pred * 0),
+                  X, X, X[:1], X[:1], epochs=6, batch=2,
+                  rng=np.random.default_rng(0), patience=patience)
+    assert [val for _, val in history] == model.val_losses[:epochs_run]
+    assert model.loaded == best
+
+
+def test_fit_rejects_nonfinite_loss():
+    model = _ScriptedModel([1.0])
+    X = np.zeros((2, 1))
+    with pytest.raises(TrainingDivergenceError):
+        fit(model, _NoOpOptimizer(), lambda pred, y: (float("nan"), pred * 0),
+            X, X, X, X, epochs=1, batch=2, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

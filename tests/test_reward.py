@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cfpolicy.cohort import PatientTrajectory
-from cfpolicy.reward import (RewardFn, discounted_sum, step_reward,
-                             trajectory_return, trajectory_rewards)
+from cfpolicy.reward import (RewardFn, step_reward, trajectory_return,
+                             trajectory_rewards)
 from cfpolicy.synth import make_schema
 
 FN = RewardFn()
@@ -83,7 +83,6 @@ def test_trajectory_rewards_and_return():
                                 abs=1e-12)
 
 
-def test_discounted_sum_matches_manual():
-    assert discounted_sum([1.0, 1.0, 1.0], 0.5) == pytest.approx(1.75)
+def test_trajectory_return_rejects_bad_gamma():
     with pytest.raises(ValueError):
         trajectory_return(FN, _make_traj([70.0], [120.0], 8), 0.0, make_schema(8))
