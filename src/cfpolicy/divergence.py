@@ -20,9 +20,9 @@ import numpy as np
 
 from .bc import BcPolicy, predict
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
-from .dynamics import state_window
+from .dynamics import state_windows
 from .errors import EmptySubgroupError
-from .kernels import rbf_mmd2_biased
+from .kernels import median_pairwise_distance, rbf_mmd2_biased
 from .preprocess import N_ACTIONS, action_index_to_doses, denormalize_actions
 
 DEFAULT_EPS = 1e-6
@@ -52,11 +52,14 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * kl_divergence(p, m, eps=0.0) + 0.5 * kl_divergence(q, m, eps=0.0)
 
 
-def mmd_rbf(x, y, bandwidth: Optional[float] = None) -> float:
+def mmd_rbf(x, y, bandwidth: Optional[float] = None, *,
+            info: Optional[dict] = None) -> float:
     """RBF-kernel MMD (biased V-statistic, square-rooted).
 
-    Bandwidth defaults to the median pairwise distance of the pooled
-    samples, falling back to 1.0 when that median is zero.
+    Bandwidth defaults to the exact median pairwise distance of the pooled
+    samples, falling back to 1.0 (with a warning) when that median is zero.
+    Memory use does not grow with the sample sizes. A dict passed as
+    ``info`` receives the bandwidth used and whether the fallback was taken.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -66,16 +69,15 @@ def mmd_rbf(x, y, bandwidth: Optional[float] = None) -> float:
         y = y[:, None]
     if len(x) < 2 or len(y) < 2:
         raise ValueError("mmd_rbf needs at least 2 samples per side")
+    fallback = False
     if bandwidth is None:
-        pooled = np.concatenate([x, y], axis=0)
-        d2 = (np.sum(pooled**2, axis=1)[:, None] + np.sum(pooled**2, axis=1)[None, :]
-              - 2.0 * pooled @ pooled.T)
-        iu = np.triu_indices(len(pooled), k=1)
-        bandwidth = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+        bandwidth = median_pairwise_distance(np.concatenate([x, y], axis=0))
         if bandwidth == 0.0:
             warnings.warn("zero median pairwise distance; falling back to bandwidth 1.0",
                           stacklevel=2)
-            bandwidth = 1.0
+            bandwidth, fallback = 1.0, True
+    if info is not None:
+        info.update(bandwidth=float(bandwidth), fallback=fallback)
     mmd2 = rbf_mmd2_biased(x, y, bandwidth)
     return float(np.sqrt(max(mmd2, 0.0)))
 
@@ -123,39 +125,47 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
 
     With ``policy=None`` the realized distribution of recorded expert
     actions is returned; otherwise the policy's predictions on the same
-    states. Doses are reported in raw units.
+    states. Doses are reported in raw units. Trajectories may differ in
+    length: the pooled distribution takes every timestep of each, and entry
+    t of the per-timestep list (t below the longest length) takes the
+    trajectories that reach t.
     """
     trajs = cohort.by_split(split) if cohort.split is not None else cohort.trajectories
     if not trajs:
         raise EmptySubgroupError(f"no trajectories in split {split!r}")
     stats = cohort.norm_stats
-    binning = cohort.binning
-    T = trajs[0].T
+    t_rows = np.concatenate([np.arange(tr.T) for tr in trajs])
+    if policy is None:
+        labels = np.concatenate([tr.action_bins for tr in trajs])
+        doses = denormalize_actions(stats, np.concatenate([tr.actions for tr in trajs]))
+    else:
+        windows = np.concatenate([state_windows(tr.states).reshape(tr.T, -1)
+                                  for tr in trajs])
 
-    def dist_at(ts) -> ActionDistribution:
+    def dist(rows) -> ActionDistribution:
         if policy is None:
-            labels = np.concatenate([tr.action_bins[ts] for tr in trajs])
-            doses = np.concatenate([denormalize_actions(stats, tr.actions[ts])
-                                    for tr in trajs], axis=0)
-            h = _histogram(labels)
-            return ActionDistribution(probs=h, n=labels.size, probs_argmax=h,
-                                      fluid=doses[:, 0], vaso=doses[:, 1])
-        windows = np.stack([state_window(tr.states, t).reshape(-1)
-                            for tr in trajs for t in np.atleast_1d(ts)])
-        out = predict(policy, windows)
+            h = _histogram(labels[rows])
+            return ActionDistribution(probs=h, n=rows.size, probs_argmax=h,
+                                      fluid=doses[rows, 0], vaso=doses[rows, 1])
+        # one prediction call per group: BLAS rounding of a row can depend on
+        # the rows batched with it, so a single call over all rows would move
+        # the per-timestep values in their last digits
+        out = predict(policy, windows[rows])
         if policy.mode == "classification":
-            labels = np.argmax(out, axis=1)
-            doses = action_index_to_doses(labels, binning)
+            labels_cf = np.argmax(out, axis=1)
+            doses_cf = action_index_to_doses(labels_cf, cohort.binning)
             return ActionDistribution(
-                probs=out.mean(axis=0), n=len(out), probs_argmax=_histogram(labels),
-                fluid=doses[:, 0], vaso=doses[:, 1])
-        doses = denormalize_actions(stats, out)
+                probs=out.mean(axis=0), n=rows.size, probs_argmax=_histogram(labels_cf),
+                fluid=doses_cf[:, 0], vaso=doses_cf[:, 1])
+        doses_cf = denormalize_actions(stats, out)
         return ActionDistribution(probs=np.full(N_ACTIONS, 1.0 / N_ACTIONS),
-                                  n=len(out), fluid=doses[:, 0], vaso=doses[:, 1])
+                                  n=rows.size, fluid=doses_cf[:, 0], vaso=doses_cf[:, 1])
 
     if per_timestep:
-        return [dist_at(np.array([t])) for t in range(T)]
-    return dist_at(np.arange(T))
+        by_t = np.argsort(t_rows, kind="stable")
+        return [dist(rows) for rows in
+                np.split(by_t, np.cumsum(np.bincount(t_rows))[:-1])]
+    return dist(np.arange(t_rows.size))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +230,9 @@ class DiscrepancyReport:
 
 
 def _pair_metrics(realized: ActionDistribution, counterfactual: ActionDistribution,
-                  eps: float) -> dict:
+                  eps: float):
+    """Every discrepancy metric of one pair of distributions, plus the MMD
+    bandwidth record (empty when a side has fewer than 2 samples)."""
     out = {
         "kl": kl_divergence(realized.probs, counterfactual.probs, eps),
         "kl_reverse": kl_divergence(counterfactual.probs, realized.probs, eps),
@@ -230,8 +242,9 @@ def _pair_metrics(realized: ActionDistribution, counterfactual: ActionDistributi
     }
     xa = np.stack([realized.fluid, realized.vaso], axis=1)
     ya = np.stack([counterfactual.fluid, counterfactual.vaso], axis=1)
-    out["mmd"] = mmd_rbf(xa, ya) if len(xa) >= 2 and len(ya) >= 2 else 0.0
-    return out
+    mmd_info = {}
+    out["mmd"] = mmd_rbf(xa, ya, info=mmd_info) if len(xa) >= 2 and len(ya) >= 2 else 0.0
+    return out, mmd_info
 
 
 def counterfactual_report(policy: BcPolicy, cohort: CohortDataset,
@@ -243,34 +256,43 @@ def counterfactual_report(policy: BcPolicy, cohort: CohortDataset,
     target_cohort = filter_subgroup(cohort, target)
     realized = empirical_action_dist(None, target_cohort, "test")
     counterfactual = empirical_action_dist(policy, target_cohort, "test")
-    metrics = _pair_metrics(realized, counterfactual, eps)
+    metrics, mmd_info = _pair_metrics(realized, counterfactual, eps)
+    infos = [mmd_info]
 
-    control = {}
+    control, ctrl_info = {}, {}
     if policy.source_subgroup is not None:
         source_cohort = filter_subgroup(cohort, policy.source_subgroup)
         ctrl_real = empirical_action_dist(None, source_cohort, "test")
         ctrl_cf = empirical_action_dist(policy, source_cohort, "test")
-        control = _pair_metrics(ctrl_real, ctrl_cf, eps)
+        control, ctrl_info = _pair_metrics(ctrl_real, ctrl_cf, eps)
+        infos.append(ctrl_info)
 
     per_t = None
     mean_actions = {}
+    sample_sizes = {"target": realized.n, "counterfactual": counterfactual.n}
     if per_timestep:
         real_t = empirical_action_dist(None, target_cohort, "test", per_timestep=True)
         cf_t = empirical_action_dist(policy, target_cohort, "test", per_timestep=True)
-        per_t = {}
-        for name in ("kl", "kl_reverse", "js", "mmd", "w1_fluid", "w1_vaso"):
-            per_t[name] = [
-                _pair_metrics(r, c, eps)[name] for r, c in zip(real_t, cf_t)]
+        pairs = [_pair_metrics(r, c, eps) for r, c in zip(real_t, cf_t)]
+        per_t = {name: [m[name] for m, _ in pairs]
+                 for name in ("kl", "kl_reverse", "js", "mmd", "w1_fluid", "w1_vaso")}
+        infos.extend(info for _, info in pairs)
+        sample_sizes["per_timestep"] = [d.n for d in real_t]
         mean_actions[f"{target}:realized_fluid"] = [float(d.fluid.mean()) for d in real_t]
         mean_actions[f"{target}:realized_vaso"] = [float(d.vaso.mean()) for d in real_t]
         mean_actions[f"{target}:counterfactual_fluid"] = [float(d.fluid.mean()) for d in cf_t]
         mean_actions[f"{target}:counterfactual_vaso"] = [float(d.vaso.mean()) for d in cf_t]
 
-    return DiscrepancyReport(
+    report = DiscrepancyReport(
         source_subgroup="all" if policy.source_subgroup is None
         else str(policy.source_subgroup),
         target_subgroup=str(target),
         metrics=metrics, control=control, per_timestep=per_t,
-        mean_actions=mean_actions, eps=eps,
-        sample_sizes={"target": realized.n, "counterfactual": counterfactual.n},
-        seed=seed)
+        mean_actions=mean_actions, eps=eps, sample_sizes=sample_sizes, seed=seed)
+    report.conventions["mmd_bandwidth"] = {
+        "method": "exact median of pooled pairwise distances",
+        "aggregate": mmd_info.get("bandwidth"),
+        "control": ctrl_info.get("bandwidth"),
+        "zero_distance_fallbacks": sum(info.get("fallback", False) for info in infos),
+    }
+    return report

@@ -41,6 +41,13 @@ def state_window(states: np.ndarray, t: int) -> np.ndarray:
     return states[idx]
 
 
+def state_windows(states: np.ndarray) -> np.ndarray:
+    """Every states-only window of one trajectory, (T, 3, M); entry t
+    equals ``state_window(states, t)``."""
+    idx = np.maximum(np.arange(len(states))[:, None] + np.arange(1 - WINDOW, 1), 0)
+    return states[idx]
+
+
 @dataclass
 class DynHyperParams:
     epochs: int = 15

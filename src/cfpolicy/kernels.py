@@ -1,32 +1,150 @@
-"""Hot numeric kernels: RBF MMD², series imputation, discounted returns."""
+"""Hot numeric kernels: RBF MMD² and median pairwise distance, series
+imputation, discounted returns."""
 
 import numpy as np
 
 __all__ = [
     "rbf_mmd2_biased",
+    "median_pairwise_distance",
     "fill_series",
     "discounted_returns",
 ]
 
+# Entries in one block of pairwise values. The pairwise kernels hold a few
+# float64 arrays of this size at a time, so their memory does not grow with
+# the number of points.
+BLOCK_ENTRIES = 1 << 18
+# Histogram bins per narrowing pass of the median search.
+_MEDIAN_BINS = 1024
+
+
+def _distinct(a):
+    """Distinct rows of a sample (1-D: one value per row) and how often each
+    occurs, as float64."""
+    a = np.asarray(a, dtype=np.float64)
+    rows, counts = np.unique(a[:, None] if a.ndim == 1 else a, axis=0, return_counts=True)
+    return rows, counts.astype(np.float64)
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances, summed coordinate by
+    coordinate from squared differences (no |a|^2 + |b|^2 - 2ab cancellation)."""
+    d2 = np.zeros((len(a), len(b)))
+    for k in range(a.shape[1]):
+        diff = a[:, k, None] - b[None, :, k]
+        d2 += diff * diff
+    return d2
+
+
+def _kernel_sum(a, wa, b, wb, gamma: float) -> float:
+    """wa^T K(a, b) wb for the RBF kernel, a block of rows of a at a time."""
+    rows = max(1, BLOCK_ENTRIES // len(b))
+    total = 0.0
+    for s in range(0, len(a), rows):
+        k = np.exp(-gamma * _sq_dists(a[s:s + rows], b))
+        total += wa[s:s + rows] @ (k @ wb)
+    return total
+
 
 def rbf_mmd2_biased(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
-    """Biased (V-statistic) squared MMD with RBF kernel exp(-d^2 / (2 sigma^2))."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
+    """Biased (V-statistic) squared MMD with RBF kernel exp(-d^2 / (2 sigma^2)).
+
+    Repeated rows are merged into weights first, so the cost is quadratic in
+    the number of distinct rows, and the Gram matrices are never held whole.
+    """
+    x, wx = _distinct(x)
+    y, wy = _distinct(y)
     gamma = 1.0 / (2.0 * sigma * sigma)
-
-    def gram(a, b):
-        d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-        return np.exp(-gamma * np.maximum(d2, 0.0))
-
-    kxx = gram(x, x).mean()
-    kyy = gram(y, y).mean()
-    kxy = gram(x, y).mean()
+    nx, ny = wx.sum(), wy.sum()
+    kxx = _kernel_sum(x, wx, x, wx, gamma) / (nx * nx)
+    kyy = _kernel_sum(y, wy, y, wy, gamma) / (ny * ny)
+    kxy = _kernel_sum(x, wx, y, wy, gamma) / (nx * ny)
     return float(kxx + kyy - 2.0 * kxy)
+
+
+def _pair_blocks(u: np.ndarray, w: np.ndarray):
+    """Squared distance and weight w_i * w_j of every pair i < j of rows of u,
+    one block of rows at a time."""
+    n = len(u)
+    s = 0
+    while s < n - 1:
+        e = min(n - 1, s + max(1, BLOCK_ENTRIES // (n - s)))
+        upper = np.arange(n - s)[None, :] > np.arange(e - s)[:, None]
+        yield _sq_dists(u[s:e], u[s:])[upper], (w[s:e, None] * w[None, s:])[upper]
+        s = e
+
+
+def _pair_order_stats(u: np.ndarray, w: np.ndarray, ranks) -> dict:
+    """Values at the given 0-based ranks of the weighted multiset of squared
+    distances between distinct rows of u (pair i < j has weight w_i * w_j).
+
+    Each pass over the pairs histograms those inside an interval [lo, hi)
+    and narrows it to the bin that holds the rank, until the pairs inside
+    fit one block; those alone are then sorted.
+    """
+    # Every computed squared distance is <= this bound: each floating-point
+    # step is monotone and the sum runs in the same order as in _sq_dists.
+    bound = 0.0
+    for span in u.max(axis=0) - u.min(axis=0):
+        bound += span * span
+    out = {}
+    for r in ranks:
+        if r in out:
+            continue
+        lo, hi, below = 0.0, np.nextafter(bound, np.inf), 0.0
+        n_inside = len(u) * (len(u) - 1) // 2
+        while n_inside > BLOCK_ENTRIES:
+            edges = np.minimum(np.linspace(lo, hi, _MEDIAN_BINS + 1), hi)
+            weight = np.zeros(_MEDIAN_BINS)
+            count = np.zeros(_MEDIAN_BINS, dtype=np.int64)
+            for d2, pw in _pair_blocks(u, w):
+                inside = (d2 >= lo) & (d2 < hi)
+                b = np.searchsorted(edges, d2[inside], side="right") - 1
+                weight += np.bincount(b, weights=pw[inside], minlength=_MEDIAN_BINS)
+                count += np.bincount(b, minlength=_MEDIAN_BINS)
+            cum = below + np.cumsum(weight)
+            k = int(np.searchsorted(cum, r, side="right"))
+            below = cum[k] - weight[k]
+            lo, hi, n_inside = edges[k], edges[k + 1], int(count[k])
+            if np.nextafter(lo, np.inf) >= hi:  # the bin holds the one value lo
+                for q in ranks:
+                    if below <= q < cum[k]:
+                        out[q] = lo
+                break
+        else:
+            vals, wts = [], []
+            for d2, pw in _pair_blocks(u, w):
+                inside = (d2 >= lo) & (d2 < hi)
+                vals.append(d2[inside])
+                wts.append(pw[inside])
+            vals = np.concatenate(vals)
+            order = np.argsort(vals, kind="stable")
+            vals = vals[order]
+            cum = below + np.cumsum(np.concatenate(wts)[order])
+            for q in ranks:
+                if below <= q < cum[-1]:
+                    out[q] = vals[np.searchsorted(cum, q, side="right")]
+    return out
+
+
+def median_pairwise_distance(points) -> float:
+    """Exact median of the Euclidean distances between all N(N-1)/2 pairs of
+    rows (identical rows count as distance 0). An even number of pairs gives
+    the mean of the two middle values, as ``np.median`` does.
+
+    The memory used does not grow with N: repeated rows become weights and
+    the pairs are visited a block at a time (see ``_pair_order_stats``).
+    """
+    u, w = _distinct(points)
+    n = int(w.sum())
+    if n < 2:
+        raise ValueError("median_pairwise_distance needs at least 2 points")
+    pairs = n * (n - 1) // 2
+    ranks = ((pairs - 1) // 2, pairs // 2)
+    zero = int(np.sum(w * (w - 1.0))) // 2  # pairs of identical rows
+    d2 = _pair_order_stats(u, w, sorted({r - zero for r in ranks if r >= zero}))
+    lo, hi = (np.sqrt(d2[r - zero]) if r >= zero else 0.0 for r in ranks)
+    return float(0.5 * (lo + hi))
 
 
 def fill_series(values: np.ndarray, fallback: float) -> np.ndarray:

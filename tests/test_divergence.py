@@ -2,18 +2,23 @@
 counterfactual discrepancy report."""
 
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfpolicy.bc import BcHyperParams, train_bc
-from cfpolicy.cohort import SubgroupKey
+from cfpolicy import kernels
+from cfpolicy.bc import BcHyperParams, predict, train_bc
+from cfpolicy.cohort import SubgroupKey, filter_subgroup
 from cfpolicy.divergence import (DEFAULT_EPS, DiscrepancyReport,
                                  counterfactual_report, empirical_action_dist,
                                  js_divergence, kl_divergence, mmd_rbf,
                                  wasserstein1)
+from cfpolicy.dynamics import state_window
 
 
 # ---------------------------------------------------------------------------
@@ -32,18 +37,27 @@ def brute_js(p, q):
     return 0.5 * brute_kl(p, m, 0.0) + 0.5 * brute_kl(q, m, 0.0)
 
 
-def brute_mmd(x, y):
-    pooled = list(x) + list(y)
-    dists = sorted(abs(a - b) for i, a in enumerate(pooled)
+def _point(a):
+    return tuple(a) if isinstance(a, (list, tuple)) else (a,)
+
+
+def brute_bandwidth(pooled):
+    """Median of all pairwise distances (mean of the middle two when even),
+    1.0 when that median is zero."""
+    dists = sorted(math.dist(_point(a), _point(b)) for i, a in enumerate(pooled)
                    for b in pooled[i + 1:])
     n = len(dists)
     sigma = (dists[n // 2] if n % 2 == 1
              else 0.5 * (dists[n // 2 - 1] + dists[n // 2]))
-    if sigma == 0:
-        sigma = 1.0
+    return sigma if sigma != 0 else 1.0
+
+
+def brute_mmd(x, y):
+    """x, y: lists of numbers or of equal-length tuples (points)."""
+    sigma = brute_bandwidth(list(x) + list(y))
 
     def k(a, b):
-        return math.exp(-((a - b) ** 2) / (2 * sigma**2))
+        return math.exp(-math.dist(_point(a), _point(b)) ** 2 / (2 * sigma**2))
 
     kxx = sum(k(a, b) for a in x for b in x) / len(x) ** 2
     kyy = sum(k(a, b) for a in y for b in y) / len(y) ** 2
@@ -137,6 +151,75 @@ def test_explicit_bandwidth_is_respected(rng):
     assert mmd_rbf(x, y, bandwidth=0.5) != mmd_rbf(x, y, bandwidth=5.0)
 
 
+def _sample(draw, n, dims, integer):
+    if integer:  # few distinct values: heavy ties, many zero distances
+        cell = st.integers(0, 3).map(float)
+    else:
+        cell = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
+    return draw(st.lists(st.tuples(*[cell] * dims), min_size=n, max_size=n))
+
+
+@st.composite
+def mmd_samples(draw):
+    dims = draw(st.integers(1, 3))
+    integer = draw(st.booleans())
+    x = _sample(draw, draw(st.integers(2, 14)), dims, integer)
+    y = _sample(draw, draw(st.integers(2, 14)), dims, integer)
+    return x, y
+
+
+def _check_against_bruteforce(x, y):
+    xa, ya = np.array(x), np.array(y)
+    info = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        got = mmd_rbf(xa, ya, info=info)
+    assert info["bandwidth"] == pytest.approx(brute_bandwidth(x + y), rel=1e-12)
+    # compared squared: where both samples hold the same points the oracle's
+    # own summation order leaves ~1e-16 in MMD^2, whose square root is ~1e-8
+    assert got**2 == pytest.approx(brute_mmd(x, y) ** 2, abs=1e-12)
+
+
+# N pooled points make N(N-1)/2 pairs: even for N = 4 or 5, odd for N = 6 or 7
+@settings(deadline=None, max_examples=200)
+@given(mmd_samples())
+@example(([(0.0,), (1.0,)], [(1.0,), (0.0,)]))
+@example(([(0.0,), (0.0,)], [(0.0,), (2.0,), (2.0,)]))
+@example(([(1.0, 2.0), (1.0, 2.0)], [(1.0, 2.0), (3.0, 0.0), (3.0, 0.0), (0.5, 1.0)]))
+@example(([(0.0, 0.0, 1.0), (2.0, 0.0, 1.0), (0.0, 0.0, 1.0)],
+          [(0.0, 0.0, 1.0), (1.0, 1.0, 1.0), (2.0, 0.0, 1.0), (0.0, 0.0, 1.0)]))
+def test_mmd_matches_bruteforce_with_ties_in_1_to_3_dims(sample):
+    _check_against_bruteforce(*sample)
+
+
+def test_mmd_blocked_passes_match_bruteforce(monkeypatch, rng):
+    # a budget of a few entries forces many blocks, histogram narrowing of the
+    # median search, and its stop at an interval holding one float value
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 5)
+    for i in range(40):
+        dims, n, m = int(rng.integers(1, 4)), int(rng.integers(2, 30)), int(rng.integers(2, 30))
+        if i % 2:
+            x = rng.integers(0, 4, size=(n, dims)).astype(float)
+            y = rng.integers(0, 4, size=(m, dims)).astype(float)
+        else:
+            x, y = rng.normal(size=(n, dims)), rng.normal(size=(m, dims)) + 0.5
+        _check_against_bruteforce([tuple(p) for p in x], [tuple(p) for p in y])
+
+
+def test_mmd_memory_does_not_grow_with_sample_size(rng):
+    x = rng.normal(size=(4000, 2)) * [300.0, 0.1]
+    levels = rng.normal(size=(25, 2)) * [300.0, 0.1]
+    y = levels[rng.integers(0, 25, size=4000)]
+    tracemalloc.start()
+    try:
+        value = mmd_rbf(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < 2.0
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
 # ---------------------------------------------------------------------------
 # action distributions and the report
 
@@ -170,10 +253,19 @@ def test_per_timestep_distributions(proc_cohort):
     assert len(dists) == T
 
 
+def _pooled_doses(policy, cohort, key):
+    sub = filter_subgroup(cohort, key)
+    dists = [empirical_action_dist(p, sub, "test") for p in (None, policy)]
+    return np.concatenate([np.stack([d.fluid, d.vaso], axis=1) for d in dists])
+
+
 def test_counterfactual_report_structure(subgroup_policy, proc_cohort, tmp_path):
-    report = counterfactual_report(subgroup_policy, proc_cohort,
-                                   SubgroupKey("gender", "F"), seed=7,
-                                   per_timestep=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = counterfactual_report(subgroup_policy, proc_cohort,
+                                       SubgroupKey("gender", "F"), seed=7,
+                                       per_timestep=True)
+    fallbacks = sum("zero median pairwise distance" in str(w.message) for w in caught)
     assert set(report.metrics) == {"kl", "kl_reverse", "js", "w1_fluid",
                                    "w1_vaso", "mmd"}
     assert set(report.control) == set(report.metrics)
@@ -181,6 +273,17 @@ def test_counterfactual_report_structure(subgroup_policy, proc_cohort, tmp_path)
     assert report.target_subgroup == "gender=F"
     assert report.conventions["kl_direction"] == "realized||counterfactual"
     assert all(len(v) > 0 for v in report.per_timestep.values())
+    n_test_f = len(filter_subgroup(proc_cohort, SubgroupKey("gender", "F")).by_split("test"))
+    assert report.sample_sizes["per_timestep"] == [n_test_f] * proc_cohort.trajectories[0].T
+
+    bw = report.conventions["mmd_bandwidth"]
+    assert bw["method"] == "exact median of pooled pairwise distances"
+    assert fallbacks > 0 and bw["zero_distance_fallbacks"] == fallbacks
+    for scope, key in (("aggregate", "F"), ("control", "M")):
+        pooled = _pooled_doses(subgroup_policy, proc_cohort, SubgroupKey("gender", key))
+        iu = np.triu_indices(len(pooled), k=1)
+        dists = np.linalg.norm(pooled[:, None] - pooled[None], axis=-1)[iu]
+        assert bw[scope] == pytest.approx(np.median(dists), rel=1e-12)
 
     json_path = tmp_path / "report.json"
     report.save(json_path)
@@ -201,3 +304,41 @@ def test_disparity_visible_in_report(subgroup_policy, proc_cohort):
     report = counterfactual_report(subgroup_policy, proc_cohort,
                                    SubgroupKey("gender", "F"))
     assert report.metrics["kl"] > report.control["kl"]
+
+
+def _truncated(cohort, rng, shortest, longest):
+    """The cohort with each encounter cut to a random length."""
+    trajs = []
+    for tr in cohort.trajectories:
+        T = int(rng.integers(shortest, longest + 1))
+        death = tr.mortality_step
+        trajs.append(replace(tr, states=tr.states[:T], actions=tr.actions[:T],
+                             action_bins=tr.action_bins[:T],
+                             mortality_step=death if death is not None and death < T else None))
+    return replace(cohort, trajectories=trajs)
+
+
+def test_ragged_cohort_report(subgroup_policy, proc_cohort):
+    key = SubgroupKey("gender", "F")
+    ragged = _truncated(proc_cohort, np.random.default_rng(5), 8, 30)
+    test_trajs = filter_subgroup(ragged, key).by_split("test")
+    lengths = np.array([tr.T for tr in test_trajs])
+    assert lengths.min() < lengths.max()
+
+    report = counterfactual_report(subgroup_policy, ragged, key)
+    assert report.sample_sizes["target"] == report.sample_sizes["counterfactual"] == lengths.sum()
+
+    report = counterfactual_report(subgroup_policy, ragged, key, per_timestep=True)
+    horizon = int(lengths.max())
+    assert report.sample_sizes["per_timestep"] == [int((lengths > t).sum())
+                                                  for t in range(horizon)]
+    assert all(len(v) == horizon for v in report.per_timestep.values())
+    assert all(np.isfinite(v) for series in report.per_timestep.values() for v in series)
+
+    # entry t holds the predictions on the windows of the encounters reaching t
+    cf_t = empirical_action_dist(subgroup_policy, filter_subgroup(ragged, key), "test",
+                                 per_timestep=True)
+    for t in (0, int(lengths.min()), horizon - 1):
+        windows = np.stack([state_window(tr.states, t).reshape(-1)
+                            for tr in test_trajs if tr.T > t])
+        assert np.array_equal(cf_t[t].probs, predict(subgroup_policy, windows).mean(axis=0))

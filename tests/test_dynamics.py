@@ -5,8 +5,8 @@ import pytest
 
 from cfpolicy.dynamics import (STATE_CLIP, DynHyperParams, TransitionModel,
                                eval_dynamics_mse, load_dynamics, rollout,
-                               save_dynamics, state_window, train_dynamics,
-                               window_arrays)
+                               save_dynamics, state_window, state_windows,
+                               train_dynamics, window_arrays)
 from cfpolicy.errors import RolloutBlowupError
 
 
@@ -28,10 +28,14 @@ def test_window_padding_rule(rng):
 
 
 def test_state_window_matches_window_arrays(rng):
-    states = rng.normal(size=(5, 3))
-    for t in range(5):
-        s, _ = window_arrays(states, np.zeros((5, 2)), t)
-        assert np.array_equal(state_window(states, t), s)
+    for T in (1, 2, 5):
+        states = rng.normal(size=(T, 3))
+        every = state_windows(states)
+        assert every.shape == (T, 3, 3)
+        for t in range(T):
+            s, _ = window_arrays(states, np.zeros((T, 2)), t)
+            assert np.array_equal(state_window(states, t), s)
+            assert np.array_equal(every[t], s)
 
 
 @pytest.fixture(scope="module")

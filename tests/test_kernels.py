@@ -21,9 +21,12 @@ def brute_mmd2(x, y, sigma):
 
 
 def test_mmd2_matches_bruteforce(rng):
-    for _ in range(20):
+    for i in range(40):
         x = rng.normal(size=(rng.integers(2, 12), 3))
         y = rng.normal(size=(rng.integers(2, 12), 3)) + 0.5
+        if i % 2:  # repeated rows (merged into weights), some shared by x and y
+            x = x[rng.integers(0, 2, size=len(x) + 5)]
+            y = np.concatenate([y, y[:1], x[:2]])[rng.integers(0, len(y) + 3, size=9)]
         sigma = float(rng.uniform(0.3, 3.0))
         assert rbf_mmd2_biased(x, y, sigma) == pytest.approx(
             brute_mmd2(x, y, sigma), abs=1e-12)
