@@ -69,8 +69,8 @@ class TransitionModel:
         return self.net.forward(windows, train=False)
 
     def step(self, state: np.ndarray, window: np.ndarray) -> np.ndarray:
-        delta = self.predict_delta(window[None])[0]
-        return np.clip(state + delta, -STATE_CLIP, STATE_CLIP)
+        """state: (E, M), window: (E, 3, M+2) -> clipped next states (E, M)."""
+        return np.clip(state + self.predict_delta(window), -STATE_CLIP, STATE_CLIP)
 
 
 def _collect_windows(trajs, max_windows=None, rng=None):
@@ -114,36 +114,38 @@ def eval_dynamics_mse(model: TransitionModel, cohort: CohortDataset, split: str 
 
 
 def rollout(model: TransitionModel, policy: Callable[[np.ndarray], np.ndarray],
-            init_states: np.ndarray, horizon: int,
-            reward_fn: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], float]] = None,
-            init_actions: Optional[np.ndarray] = None):
-    """Alternate policy actions and model steps for ``horizon`` transitions.
+            init_states: np.ndarray, horizon: int):
+    """Step E episodes together for ``horizon`` transitions.
 
-    ``policy`` maps the (3, M) state window to a normalized action pair;
-    ``reward_fn(s, a, s_next)`` attaches r_{t+1} (zero when omitted).
-    Returns a list of (s_t, a_t, r, s_{t+1}) tuples.
+    ``init_states`` is (E, 3, M): each episode's three history states,
+    oldest first, whose actions count as zero. ``policy`` maps the (E, 3, M)
+    state windows to (E, 2) normalized action pairs; each step is then one
+    (E, 3, M+2) model forward. Returns ``(states, actions)``: states
+    (E, horizon + 1, M) starting at the last initial state, and actions
+    (E, horizon, 2), so step t goes from states[:, t] under actions[:, t]
+    to states[:, t + 1].
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    states = [np.asarray(s, dtype=np.float64) for s in init_states]
-    if len(states) != WINDOW:
-        raise ValueError(f"init_states must hold {WINDOW} states")
-    actions = ([np.zeros(2), np.zeros(2)] if init_actions is None
-               else [np.asarray(a, dtype=np.float64) for a in init_actions])
-    transitions = []
+    init = np.asarray(init_states, dtype=np.float64)
+    if init.ndim != 3 or init.shape[1] != WINDOW:
+        raise ValueError(f"init_states must be (E, {WINDOW}, M), got {init.shape}")
+    n_ep, _, M = init.shape
+    # the history grows in place; slot t holds the state and action of time
+    # t - (WINDOW - 1), so the initial states fill the first WINDOW slots
+    states = np.empty((n_ep, WINDOW + horizon, M))
+    states[:, :WINDOW] = init
+    actions = np.zeros((n_ep, WINDOW - 1 + horizon, 2))
     for step in range(horizon):
-        s_win = np.stack(states[-WINDOW:])
-        a_t = np.asarray(policy(s_win), dtype=np.float64)
-        a_win = np.stack(actions[-(WINDOW - 1):] + [a_t])
-        window = np.concatenate([s_win, a_win], axis=1)
-        s_next = model.step(states[-1], window)
+        now = slice(step, step + WINDOW)
+        t = step + WINDOW - 1
+        actions[:, t] = policy(states[:, now])
+        window = np.concatenate([states[:, now], actions[:, now]], axis=2)
+        s_next = model.step(states[:, t], window)
         if not np.all(np.isfinite(s_next)):
             raise RolloutBlowupError(step)
-        r = 0.0 if reward_fn is None else float(reward_fn(states[-1], a_t, s_next))
-        transitions.append((states[-1].copy(), a_t, r, s_next.copy()))
-        states.append(s_next)
-        actions.append(a_t)
-    return transitions
+        states[:, t + 1] = s_next
+    return states[:, WINDOW - 1:], actions[:, WINDOW - 1:]
 
 
 def save_dynamics(model: TransitionModel, path) -> None:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
-from .dynamics import TransitionModel, rollout, state_window
+from .dynamics import WINDOW, TransitionModel, rollout, state_window
 from .errors import TrainingDivergenceError
 from .kernels import discounted_returns
 from .numcore import Adam, Mlp, MlpSpec, load_checkpoint, save_checkpoint, sigmoid, softmax
@@ -139,9 +139,16 @@ class StochasticPolicy:
     def probs(self, obs: np.ndarray) -> np.ndarray:
         return softmax(self.mlp.forward(np.atleast_2d(obs), train=False))
 
-    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> int:
-        p = self.probs(obs)[0]
-        return int(rng.choice(self.n_actions, p=p))
+    def sample(self, obs: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF draw of one action per row: (E, D) observations and
+        (E,) uniforms in [0, 1) -> (E,) int64 actions. Row e takes the action
+        that ``rng.choice(n_actions, p=p_e)`` takes when its uniform is u[e]."""
+        p = self.probs(obs)
+        if not np.all(np.isfinite(p)):
+            raise TrainingDivergenceError("non-finite policy probabilities")
+        cdf = np.cumsum(p, axis=1)
+        cdf /= cdf[:, -1:]
+        return np.count_nonzero(cdf <= np.asarray(u)[:, None], axis=1).astype(np.int64)
 
     def entropy(self, obs: np.ndarray) -> float:
         p = self.probs(obs)
@@ -231,12 +238,12 @@ class GailResult:
 
 
 def train_gail_core(expert_obs: np.ndarray, expert_actions: np.ndarray,
-                    sample_episode: Callable, config: GailConfig,
+                    sample_episodes: Callable, config: GailConfig,
                     n_actions: int = N_ACTIONS) -> GailResult:
     """Alternate rollouts, discriminator steps and policy steps.
 
-    ``sample_episode(policy, rng) -> (obs (H, D), actions (H,))`` generates
-    one on-policy episode against the environment model.
+    ``sample_episodes(policy, rng, n) -> (obs (n, H, D), actions (n, H))``
+    generates n on-policy episodes against the environment model.
     """
     rng = np.random.default_rng(config.seed)
     obs_dim = expert_obs.shape[1]
@@ -255,15 +262,14 @@ def train_gail_core(expert_obs: np.ndarray, expert_actions: np.ndarray,
         return out
 
     for it in range(config.iterations):
-        episodes = [sample_episode(policy, rng) for _ in range(config.episodes)]
-        gen_obs = np.concatenate([e[0] for e in episodes], axis=0)
-        gen_act = np.concatenate([e[1] for e in episodes], axis=0)
+        ep_obs, ep_act = sample_episodes(policy, rng, config.episodes)
+        gen_obs = ep_obs.reshape(-1, obs_dim)
+        gen_act = ep_act.reshape(-1)
         gen_pairs = np.concatenate([gen_obs, onehot(gen_act)], axis=1)
 
         rewards = policy_reward(disc, gen_obs, onehot(gen_act))
-        returns = np.concatenate([
-            discounted_returns(rewards[i:i + len(e[0])], config.gamma)
-            for i, e in zip(np.cumsum([0] + [len(e[0]) for e in episodes])[:-1], episodes)])
+        returns = np.concatenate([discounted_returns(r, config.gamma)
+                                  for r in rewards.reshape(ep_act.shape)])
         # ridge-regularized linear value baseline, refit each iteration;
         # the ridge term keeps it from interpolating small batches, which
         # would zero every advantage
@@ -313,29 +319,41 @@ def train_gail_core(expert_obs: np.ndarray, expert_actions: np.ndarray,
 def make_episode_sampler(cohort: CohortDataset, dyn_model: TransitionModel,
                          config: GailConfig):
     """Episode generator: expert test-split initial states, discrete policy
-    actions mapped to representative doses, dynamics-model state steps."""
+    actions mapped to representative doses, dynamics-model state steps.
+
+    All n episodes of one call step together. The random stream is drawn
+    up front, episode by episode: the start index, then one uniform per
+    step, which is the order of sampling the episodes one at a time with
+    ``rng.choice``.
+    """
     stats = cohort.norm_stats
     binning = cohort.binning
     starts = [tr.states[0] for tr in cohort.by_split("test")]
     if not starts:
         starts = [tr.states[0] for tr in cohort.by_split("train")]
+    starts = np.stack(starts)
+    horizon = config.horizon
 
-    def sample_episode(policy: StochasticPolicy, rng: np.random.Generator):
-        s0 = starts[rng.integers(len(starts))]
-        obs_list, act_list = [], []
+    def sample_episodes(policy: StochasticPolicy, rng: np.random.Generator, n: int):
+        picks = np.empty(n, dtype=np.int64)
+        uniforms = np.empty((n, horizon))
+        for e in range(n):
+            picks[e] = rng.integers(len(starts))
+            uniforms[e] = rng.random(horizon)
+        obs_steps, act_steps = [], []
 
         def act(s_win: np.ndarray) -> np.ndarray:
-            flat = s_win.reshape(-1)
-            a = policy.sample(flat, rng)
-            obs_list.append(flat)
-            act_list.append(a)
-            doses = action_index_to_doses(np.array([a]), binning)[0]
-            return normalize_actions(stats, doses)
+            flat = s_win.reshape(n, -1)
+            a = policy.sample(flat, uniforms[:, len(act_steps)])
+            obs_steps.append(flat)
+            act_steps.append(a)
+            return normalize_actions(stats, action_index_to_doses(a, binning))
 
-        rollout(dyn_model, act, [s0, s0, s0], config.horizon)
-        return np.stack(obs_list), np.array(act_list, dtype=np.int64)
+        s0 = starts[picks]
+        rollout(dyn_model, act, np.stack([s0] * WINDOW, axis=1), horizon)
+        return np.stack(obs_steps, axis=1), np.stack(act_steps, axis=1)
 
-    return sample_episode
+    return sample_episodes
 
 
 def train_gail(cohort: CohortDataset, dyn_model: TransitionModel,

@@ -264,18 +264,16 @@ def test_criterion_6_dynamics(big_proc):
 
     rng = np.random.default_rng(0)
     stats, binning = big_proc.norm_stats, big_proc.binning
-    starts = [tr.states[0] for tr in big_proc.by_split("test")[:10]]
+    starts = np.stack([tr.states[0] for tr in big_proc.by_split("test")[:10]])
 
     def random_policy(s_win):
-        doses = action_index_to_doses(rng.integers(0, 25, 1), binning)[0]
+        doses = action_index_to_doses(rng.integers(0, 25, len(s_win)), binning)
         return normalize_actions(stats, doses)
 
-    for s0 in starts:
-        transitions = rollout(dyn, random_policy, [s0, s0, s0], 72)
-        assert len(transitions) == 72
-        for _, _, _, s_next in transitions:
-            assert np.all(np.isfinite(s_next))
-            assert np.all(np.abs(s_next) <= STATE_CLIP)
+    states, _ = rollout(dyn, random_policy, np.stack([starts] * 3, axis=1), 72)
+    assert states.shape[:2] == (10, 73)
+    assert np.all(np.isfinite(states))
+    assert np.all(np.abs(states[:, 1:]) <= STATE_CLIP)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     _passed(6, f"test MSE ratio {ratio:.3f} <= 0.5; 10x 72-step rollouts "
@@ -339,12 +337,8 @@ def test_criterion_8_gail():
     rng = np.random.default_rng(99)
 
     def gap(policy):
-        obs, act = [], []
-        for _ in range(20):
-            o, a = sampler(policy, rng)
-            obs.append(o)
-            act.append(a)
-        obs, act = np.concatenate(obs), np.concatenate(act)
+        obs, act = sampler(policy, rng, 20)
+        obs, act = obs.reshape(-1, obs.shape[-1]), act.reshape(-1)
         onehot = np.zeros((len(act), res.policy.n_actions))
         onehot[np.arange(len(act)), act] = 1.0
         d = res.disc.score(np.concatenate([obs, onehot], axis=1))

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from cfpolicy import cli
 from cfpolicy.errors import TrainingDivergenceError
+from cfpolicy.numcore import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -80,16 +82,25 @@ def test_report_rerender(pipeline_dirs, tmp_path):
 
 def test_train_dyn_and_gail(pipeline_dirs, tmp_path):
     dyn = tmp_path / "dyn.npz"
-    gail_path = tmp_path / "gail.npz"
     assert cli.main(["train-dyn", "--cohort", str(pipeline_dirs["proc"]),
                      "--epochs", "2", "--max-windows", "300", "--seed", "0",
                      "--out", str(dyn)]) == 0
-    assert cli.main(["train-gail", "--cohort", str(pipeline_dirs["proc"]),
-                     "--dynamics", str(dyn), "--iterations", "3",
-                     "--episodes", "2", "--horizon", "5", "--seed", "0",
-                     "--convention", "gail-orig", "--out", str(gail_path)]) == 0
-    log_lines = gail_path.with_suffix(".npz.log.jsonl").read_text().splitlines()
-    assert len(log_lines) == 3
+    runs = []
+    for name in ("gail.npz", "gail_again.npz"):
+        path = tmp_path / name
+        assert cli.main(["train-gail", "--cohort", str(pipeline_dirs["proc"]),
+                         "--dynamics", str(dyn), "--iterations", "3",
+                         "--episodes", "2", "--horizon", "5", "--seed", "0",
+                         "--convention", "gail-orig", "--out", str(path)]) == 0
+        runs.append((path.with_suffix(".npz.log.jsonl").read_bytes(),
+                     load_checkpoint(path)))
+    assert len(runs[0][0].splitlines()) == 3
+    # the same seed gives the same log bytes and the same weights
+    (log_a, (arrays_a, meta_a)), (log_b, (arrays_b, meta_b)) = runs
+    assert log_a == log_b
+    assert arrays_a.keys() == arrays_b.keys()
+    assert all(np.array_equal(arrays_a[k], arrays_b[k]) for k in arrays_a)
+    assert meta_a == meta_b
 
 
 def test_missing_cohort_is_config_error(tmp_path):

@@ -57,34 +57,61 @@ def test_eval_returns_model_and_zero_baseline(tiny_dyn, proc_cohort):
 
 
 def test_rollout_structure_and_clipping(tiny_dyn, proc_cohort):
-    tr = proc_cohort.by_split("test")[0]
-    init = [tr.states[0]] * 3
-    steps = rollout(tiny_dyn, lambda w: np.zeros(2), init, horizon=20,
-                    reward_fn=lambda s, a, sn: 1.0)
-    assert len(steps) == 20
-    for s, a, r, sn in steps:
-        assert r == 1.0
-        assert np.all(np.isfinite(sn))
-        assert np.all(np.abs(sn) <= STATE_CLIP)
-    # consecutive states chain: s_{t+1} of one tuple is s_t of the next
-    assert np.array_equal(steps[0][3], steps[1][0])
+    starts = np.stack([tr.states[0] for tr in proc_cohort.by_split("test")[:3]])
+    init = np.stack([starts] * 3, axis=1)
+    seen = []
+
+    def policy(s_win):
+        seen.append(s_win.copy())
+        return np.zeros((len(s_win), 2))
+
+    states, actions = rollout(tiny_dyn, policy, init, horizon=20)
+    assert states.shape == (3, 21, proc_cohort.schema.n_features)
+    assert actions.shape == (3, 20, 2) and not actions.any()
+    assert np.array_equal(states[:, 0], starts)
+    assert np.all(np.isfinite(states))
+    assert np.all(np.abs(states[:, 1:]) <= STATE_CLIP)
+    # each step's window chains the states the previous steps produced
+    assert np.array_equal(seen[0], init)
+    for t in range(1, 20):
+        assert np.array_equal(seen[t][:, -1], states[:, t])
+        assert np.array_equal(seen[t][:, :-1], seen[t - 1][:, 1:])
+
+
+def test_rollout_episodes_step_independently(tiny_dyn, proc_cohort):
+    """A batch of episodes gives each episode's one-episode rollout."""
+    starts = np.stack([tr.states[0] for tr in proc_cohort.by_split("test")[:4]])
+    init = np.stack([starts] * 3, axis=1)
+
+    def policy(s_win):
+        return np.tanh(s_win[:, -1, :2])
+
+    batch, batch_actions = rollout(tiny_dyn, policy, init, horizon=6)
+    for e in range(4):
+        one, one_actions = rollout(tiny_dyn, policy, init[e:e + 1], horizon=6)
+        assert np.allclose(one[0], batch[e], rtol=0, atol=1e-12)
+        assert np.allclose(one_actions[0], batch_actions[e], rtol=0, atol=1e-12)
 
 
 def test_rollout_validation(tiny_dyn, proc_cohort):
-    tr = proc_cohort.trajectories[0]
+    s0 = proc_cohort.trajectories[0].states[0]
+    zero = lambda w: np.zeros((len(w), 2))  # noqa: E731
     with pytest.raises(ValueError):
-        rollout(tiny_dyn, lambda w: np.zeros(2), [tr.states[0]] * 3, horizon=0)
+        rollout(tiny_dyn, zero, np.stack([[s0] * 3]), horizon=0)
     with pytest.raises(ValueError):
-        rollout(tiny_dyn, lambda w: np.zeros(2), [tr.states[0]] * 2, horizon=1)
+        rollout(tiny_dyn, zero, np.stack([[s0] * 2]), horizon=1)
+    with pytest.raises(ValueError):
+        rollout(tiny_dyn, zero, np.stack([s0] * 3), horizon=1)
 
 
 def test_rollout_blowup_detection(tiny_dyn, proc_cohort, monkeypatch):
-    tr = proc_cohort.trajectories[0]
+    s0 = proc_cohort.trajectories[0].states[0]
     M = proc_cohort.schema.n_features
     monkeypatch.setattr(TransitionModel, "predict_delta",
                         lambda self, w: np.full((len(w), M), np.nan))
     with pytest.raises(RolloutBlowupError) as exc:
-        rollout(tiny_dyn, lambda w: np.zeros(2), [tr.states[0]] * 3, horizon=5)
+        rollout(tiny_dyn, lambda w: np.zeros((len(w), 2)), np.stack([[s0] * 3]),
+                horizon=5)
     assert exc.value.step == 0
 
 

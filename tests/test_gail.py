@@ -3,12 +3,44 @@
 import numpy as np
 import pytest
 
+from cfpolicy.dynamics import STATE_CLIP, TransitionModel
+from cfpolicy.errors import RolloutBlowupError, TrainingDivergenceError
 from cfpolicy.gail import (CONVENTIONS, D_CLAMP, REWARD_CLAMP, Discriminator,
                            GailConfig, StochasticPolicy, categorical_kl,
                            disc_accuracy, disc_update, load_gail,
                            make_episode_sampler, policy_reward, policy_update,
                            save_gail, train_gail)
 from cfpolicy.numcore import Adam
+from cfpolicy.preprocess import action_index_to_doses, normalize_actions
+
+
+def sequential_sampler(cohort, dyn_model, config):
+    """Reference episode generator: one episode at a time, a batch-of-one
+    policy forward and ``rng.choice`` per step, a batch-of-one model forward
+    per transition. ``make_episode_sampler`` must match it draw for draw."""
+    stats, binning = cohort.norm_stats, cohort.binning
+    starts = [tr.states[0] for tr in cohort.by_split("test")]
+    if not starts:
+        starts = [tr.states[0] for tr in cohort.by_split("train")]
+
+    def sample_episode(policy, rng):
+        s0 = starts[rng.integers(len(starts))]
+        states, actions = [s0, s0, s0], [np.zeros(2), np.zeros(2)]
+        obs, acts = [], []
+        for _ in range(config.horizon):
+            s_win = np.stack(states[-3:])
+            flat = s_win.reshape(-1)
+            a = int(rng.choice(policy.n_actions, p=policy.probs(flat)[0]))
+            obs.append(flat)
+            acts.append(a)
+            a_t = normalize_actions(stats, action_index_to_doses(np.array([a]), binning)[0])
+            window = np.concatenate([s_win, np.stack(actions[-2:] + [a_t])], axis=1)
+            delta = dyn_model.predict_delta(window[None])[0]
+            states.append(np.clip(states[-1] + delta, -STATE_CLIP, STATE_CLIP))
+            actions.append(a_t)
+        return np.stack(obs), np.array(acts, dtype=np.int64)
+
+    return sample_episode
 
 
 def test_config_validation():
@@ -134,10 +166,61 @@ def test_train_gail_log_contract(tiny_gail):
 def test_episode_sampler_shapes(tiny_gail, proc_cohort):
     result, dyn = tiny_gail
     sampler = make_episode_sampler(proc_cohort, dyn, result.config)
-    obs, acts = sampler(result.policy, np.random.default_rng(0))
-    assert obs.shape == (6, 3 * proc_cohort.schema.n_features)
-    assert acts.shape == (6,) and acts.dtype == np.int64
+    obs, acts = sampler(result.policy, np.random.default_rng(0), 5)
+    assert obs.shape == (5, 6, 3 * proc_cohort.schema.n_features)
+    assert acts.shape == (5, 6) and acts.dtype == np.int64
     assert np.all((0 <= acts) & (acts < 25))
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_batched_sampler_matches_sequential_reference(tiny_gail, proc_cohort, n):
+    result, dyn = tiny_gail
+    batched = make_episode_sampler(proc_cohort, dyn, result.config)
+    reference = sequential_sampler(proc_cohort, dyn, result.config)
+    for seed in (0, 1):
+        rng_batch, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        obs, acts = batched(result.policy, rng_batch, n)
+        episodes = [reference(result.policy, rng_ref) for _ in range(n)]
+        assert np.array_equal(acts, np.stack([a for _, a in episodes]))
+        assert np.allclose(obs, np.stack([o for o, _ in episodes]), rtol=0, atol=1e-12)
+        # both consumed the same random stream
+        assert rng_batch.random() == rng_ref.random()
+
+
+def test_policy_sample_is_inverse_cdf_of_rng_choice(rng):
+    pol = StochasticPolicy(4, rng, n_actions=25, hidden=(8,))
+    obs = rng.normal(size=(2000, 4)) * 3
+    u = np.random.default_rng(1).random(2000)
+    draw = np.random.default_rng(1)
+    expected = [draw.choice(25, p=p) for p in pol.probs(obs)]
+    actions = pol.sample(obs, u)
+    assert actions.dtype == np.int64
+    assert np.array_equal(actions, expected)
+
+
+def test_sampler_nan_delta_raises_blowup_at_step_0(tiny_gail, proc_cohort, monkeypatch):
+    result, dyn = tiny_gail
+    sampler = make_episode_sampler(proc_cohort, dyn, result.config)
+    predict = TransitionModel.predict_delta
+
+    def last_episode_nan(self, windows):
+        delta = predict(self, windows)
+        delta[-1, 0] = np.nan
+        return delta
+
+    monkeypatch.setattr(TransitionModel, "predict_delta", last_episode_nan)
+    with pytest.raises(RolloutBlowupError) as exc:
+        sampler(result.policy, np.random.default_rng(0), 4)
+    assert exc.value.step == 0
+
+
+def test_nan_policy_logits_raise_divergence(tiny_gail, proc_cohort):
+    result, dyn = tiny_gail
+    pol = StochasticPolicy(result.policy.obs_dim, np.random.default_rng(0), hidden=(8,))
+    list(pol.params().values())[-1].value[:] = np.nan
+    sampler = make_episode_sampler(proc_cohort, dyn, result.config)
+    with pytest.raises(TrainingDivergenceError):
+        sampler(pol, np.random.default_rng(0), 3)
 
 
 def test_gail_save_load_round_trip(tmp_path, tiny_gail, rng):
