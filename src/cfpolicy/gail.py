@@ -19,7 +19,7 @@ import numpy as np
 
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import WINDOW, TransitionModel, rollout, state_window
-from .errors import TrainingDivergenceError
+from .errors import EmptySubgroupError, TrainingDivergenceError
 from .kernels import discounted_returns
 from .numcore import Adam, Mlp, MlpSpec, load_checkpoint, save_checkpoint, sigmoid, softmax
 from .preprocess import N_ACTIONS, action_index_to_doses, normalize_actions
@@ -318,8 +318,12 @@ def train_gail_core(expert_obs: np.ndarray, expert_actions: np.ndarray,
 
 def make_episode_sampler(cohort: CohortDataset, dyn_model: TransitionModel,
                          config: GailConfig):
-    """Episode generator: expert test-split initial states, discrete policy
+    """Episode generator: expert train-split initial states, discrete policy
     actions mapped to representative doses, dynamics-model state steps.
+
+    Start states come from the train split because the rollouts are part
+    of training: drawing them from the test split would let training see
+    the states that evaluation holds out.
 
     All n episodes of one call step together. The random stream is drawn
     up front, episode by episode: the start index, then one uniform per
@@ -328,10 +332,7 @@ def make_episode_sampler(cohort: CohortDataset, dyn_model: TransitionModel,
     """
     stats = cohort.norm_stats
     binning = cohort.binning
-    starts = [tr.states[0] for tr in cohort.by_split("test")]
-    if not starts:
-        starts = [tr.states[0] for tr in cohort.by_split("train")]
-    starts = np.stack(starts)
+    starts = np.stack([tr.states[0] for tr in cohort.by_split("train")])
     horizon = config.horizon
 
     def sample_episodes(policy: StochasticPolicy, rng: np.random.Generator, n: int):
@@ -362,8 +363,12 @@ def train_gail(cohort: CohortDataset, dyn_model: TransitionModel,
     """Fit policy + discriminator against one cohort subgroup's expert
     state-action pairs."""
     data = cohort if subgroup is None else filter_subgroup(cohort, subgroup)
+    train = data.by_split("train")
+    if not train:
+        where = "the cohort" if subgroup is None else f"subgroup {subgroup}"
+        raise EmptySubgroupError(f"{where} has no train-split trajectories")
     xs, ys = [], []
-    for tr in data.by_split("train"):
+    for tr in train:
         for t in range(tr.T):
             xs.append(state_window(tr.states, t).reshape(-1))
             ys.append(tr.action_bins[t])

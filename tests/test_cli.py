@@ -1,11 +1,13 @@
 """End-to-end command-line pipeline and exit-code contract."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from cfpolicy import cli
+from cfpolicy.cohort import load_cohort_dir
 from cfpolicy.errors import TrainingDivergenceError
 from cfpolicy.numcore import load_checkpoint
 
@@ -101,6 +103,23 @@ def test_train_dyn_and_gail(pipeline_dirs, tmp_path):
     assert arrays_a.keys() == arrays_b.keys()
     assert all(np.array_equal(arrays_a[k], arrays_b[k]) for k in arrays_a)
     assert meta_a == meta_b
+
+
+def test_subgroup_without_train_split_is_config_error(pipeline_dirs, tmp_path, capsys):
+    proc = tmp_path / "proc"
+    shutil.copytree(pipeline_dirs["proc"], proc)
+    cohort = load_cohort_dir(proc)
+    split = {tr.id: ("test" if tr.attributes["gender"] == "F" else cohort.split[tr.id])
+             for tr in cohort.trajectories}
+    (proc / "splits.json").write_text(json.dumps(split), encoding="utf-8")
+    dyn = tmp_path / "dyn.npz"
+    assert cli.main(["train-dyn", "--cohort", str(proc), "--epochs", "1",
+                     "--max-windows", "100", "--out", str(dyn)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train-gail", "--cohort", str(proc), "--dynamics", str(dyn),
+                     "--subgroup", "gender=F", "--iterations", "1",
+                     "--out", str(tmp_path / "gail.npz")]) == 2
+    assert "subgroup gender=F has no train-split trajectories" in capsys.readouterr().err
 
 
 def test_missing_cohort_is_config_error(tmp_path):

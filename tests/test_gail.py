@@ -19,9 +19,7 @@ def sequential_sampler(cohort, dyn_model, config):
     policy forward and ``rng.choice`` per step, a batch-of-one model forward
     per transition. ``make_episode_sampler`` must match it draw for draw."""
     stats, binning = cohort.norm_stats, cohort.binning
-    starts = [tr.states[0] for tr in cohort.by_split("test")]
-    if not starts:
-        starts = [tr.states[0] for tr in cohort.by_split("train")]
+    starts = [tr.states[0] for tr in cohort.by_split("train")]
 
     def sample_episode(policy, rng):
         s0 = starts[rng.integers(len(starts))]
@@ -221,6 +219,33 @@ def test_nan_policy_logits_raise_divergence(tiny_gail, proc_cohort):
     sampler = make_episode_sampler(proc_cohort, dyn, result.config)
     with pytest.raises(TrainingDivergenceError):
         sampler(pol, np.random.default_rng(0), 3)
+
+
+def test_rollouts_start_from_train_split_states(tiny_gail, proc_cohort):
+    result, dyn = tiny_gail
+    sampler = make_episode_sampler(proc_cohort, dyn, result.config)
+    obs, _ = sampler(result.policy, np.random.default_rng(0), 16)
+    M = proc_cohort.schema.n_features
+    train_starts = {tr.states[0].tobytes() for tr in proc_cohort.by_split("train")}
+    # the first observation window is the start state repeated three times
+    assert all(o[:M].tobytes() in train_starts for o in obs[:, 0])
+
+
+def test_empty_train_split_is_typed_error(proc_cohort):
+    from dataclasses import replace
+
+    from cfpolicy.cohort import SubgroupKey
+    from cfpolicy.dynamics import DynHyperParams, train_dynamics
+    from cfpolicy.errors import EmptySubgroupError
+    dyn = train_dynamics(proc_cohort, DynHyperParams(epochs=1, seed=0, max_windows=100))
+    split = {k: ("test" if v == "train" else v) for k, v in proc_cohort.split.items()}
+    no_train = replace(proc_cohort, split=split)
+    cfg = GailConfig(iterations=1, horizon=2, episodes=1, policy_hidden=(4,),
+                     disc_hidden=(4,))
+    with pytest.raises(EmptySubgroupError, match="the cohort has no train-split"):
+        train_gail(no_train, dyn, cfg)
+    with pytest.raises(EmptySubgroupError, match="subgroup gender=F has no train-split"):
+        train_gail(no_train, dyn, cfg, SubgroupKey("gender", "F"))
 
 
 def test_gail_save_load_round_trip(tmp_path, tiny_gail, rng):
