@@ -1,6 +1,6 @@
 """Behavioral cloning of expert actions plus its evaluation metrics.
 
-The default observation is a causal sliding window of the current and two
+The observation is a causal sliding window of the current and two
 previous timesteps, flattened; regression targets are z-normalized dose
 pairs, classification targets the 25-way binned action.
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import WINDOW, state_window
-from .errors import SchemaMismatchError, UndefinedMetricError
+from .errors import EmptySubgroupError, SchemaMismatchError, UndefinedMetricError
 from .numcore import (Adam, Mlp, MlpSpec, fit, load_checkpoint, nll_loss, rmse_loss,
                       save_checkpoint, softmax)
 from .preprocess import N_ACTIONS, ActionBinning, NormStats
@@ -37,7 +37,6 @@ class BcHyperParams:
     hidden: tuple = (64, 64)
     seed: int = 0
     patience: int = 30
-    full_encounter: bool = False
     max_windows: Optional[int] = None
 
 
@@ -49,38 +48,24 @@ class BcPolicy:
     source_subgroup: Optional[SubgroupKey]
     norm_stats: NormStats
     binning: ActionBinning
-    full_encounter: bool = False
-    encounter_T: Optional[int] = None
     history: list = field(default_factory=list)
 
     @property
     def input_width(self) -> int:
-        if self.full_encounter:
-            return self.encounter_T * self.n_features
         return WINDOW * self.n_features
 
 
-def build_dataset(cohort: CohortDataset, split: str, mode: str,
-                  full_encounter: bool = False):
-    """Observation matrix and targets for one split."""
+def build_dataset(cohort: CohortDataset, split: str, mode: str):
+    """Flattened observation windows and targets for one split, in
+    (trajectory, t) order."""
     trajs = cohort.by_split(split)
-    if full_encounter:
-        if mode != "regression":
-            raise ValueError("full-encounter flattening supports regression only")
-        X = np.stack([tr.states.reshape(-1) for tr in trajs])
-        Y = np.stack([tr.actions.reshape(-1) for tr in trajs])
-        return X, Y
-    xs, ys = [], []
-    for tr in trajs:
-        for t in range(tr.T):
-            xs.append(state_window(tr.states, t).reshape(-1))
-            if mode == "regression":
-                ys.append(tr.actions[t])
-            else:
-                ys.append(tr.action_bins[t])
-    X = np.stack(xs)
-    Y = np.stack(ys) if mode == "regression" else np.asarray(ys, dtype=np.int64)
-    return X, Y
+    if not trajs:
+        raise EmptySubgroupError(f"split {split!r} has no trajectories")
+    X = np.concatenate([state_window(tr.states, np.arange(tr.T)).reshape(tr.T, -1)
+                        for tr in trajs])
+    if mode == "regression":
+        return X, np.concatenate([tr.actions for tr in trajs])
+    return X, np.concatenate([tr.action_bins for tr in trajs]).astype(np.int64)
 
 
 def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
@@ -91,8 +76,8 @@ def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     data = cohort if subgroup is None else filter_subgroup(cohort, subgroup)
     rng = np.random.default_rng(hp.seed)
-    X, Y = build_dataset(data, "train", mode, hp.full_encounter)
-    Xv, Yv = build_dataset(data, "val", mode, hp.full_encounter)
+    X, Y = build_dataset(data, "train", mode)
+    Xv, Yv = build_dataset(data, "val", mode)
     if hp.max_windows is not None and len(X) > hp.max_windows:
         keep = rng.choice(len(X), hp.max_windows, replace=False)
         X, Y = X[keep], Y[keep]
@@ -109,11 +94,9 @@ def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
                  rng=rng, patience=hp.patience)
     history = [{"epoch": epoch, "train_loss": train, "val_loss": val}
                for epoch, (train, val) in enumerate(losses)]
-    T = data.trajectories[0].T if hp.full_encounter else None
     return BcPolicy(mode=mode, mlp=mlp, n_features=cohort.schema.n_features,
                     source_subgroup=subgroup, norm_stats=cohort.norm_stats,
-                    binning=cohort.binning, full_encounter=hp.full_encounter,
-                    encounter_T=T, history=history)
+                    binning=cohort.binning, history=history)
 
 
 def predict(policy: BcPolicy, window: np.ndarray) -> np.ndarray:
@@ -134,7 +117,7 @@ def predict(policy: BcPolicy, window: np.ndarray) -> np.ndarray:
 
 
 def predict_split(policy: BcPolicy, cohort: CohortDataset, split: str):
-    X, Y = build_dataset(cohort, split, policy.mode, policy.full_encounter)
+    X, Y = build_dataset(cohort, split, policy.mode)
     return predict(policy, X), Y
 
 
@@ -144,8 +127,6 @@ def eval_rmse(policy: BcPolicy, cohort: CohortDataset, split: str = "test"):
     if policy.mode != "regression":
         raise ValueError("eval_rmse requires a regression policy")
     pred, Y = predict_split(policy, cohort, split)
-    if policy.full_encounter:
-        pred, Y = pred.reshape(-1, 2), Y.reshape(-1, 2)
     err = pred - Y
     rmse = np.sqrt(np.mean(err * err, axis=0))
     return float(rmse[0]), float(rmse[1])
@@ -159,16 +140,10 @@ def binary_auroc(scores: np.ndarray, positives: np.ndarray) -> float:
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both positives and negatives")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # tied scores share the mean of the 1-based ranks they span
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    ranks = (last - 0.5 * (counts - 1))[group]
     rank_sum = ranks[positives].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
@@ -225,8 +200,6 @@ def save_policy(policy: BcPolicy, path) -> None:
         else [policy.source_subgroup.attribute, policy.source_subgroup.value],
         "norm_stats": policy.norm_stats.to_json(),
         "binning": policy.binning.to_json(),
-        "full_encounter": policy.full_encounter,
-        "encounter_T": policy.encounter_T,
         "history": policy.history,
     }
     save_checkpoint(path, policy.mlp.state(), meta)
@@ -245,6 +218,4 @@ def load_policy(path) -> BcPolicy:
         mode=meta["mode"], mlp=mlp, n_features=meta["n_features"],
         source_subgroup=None if sg is None else SubgroupKey(sg[0], sg[1]),
         norm_stats=NormStats.from_json(meta["norm_stats"]),
-        binning=ActionBinning.from_json(meta["binning"]),
-        full_encounter=meta["full_encounter"], encounter_T=meta["encounter_T"],
-        history=meta["history"])
+        binning=ActionBinning.from_json(meta["binning"]), history=meta["history"])

@@ -3,8 +3,10 @@ the per-subgroup deviation report.
 
 The headline KL direction is D_KL(realized || counterfactual); the reverse
 direction is also recorded for diagnostics. The counterfactual discrete
-distribution uses mean predicted probability vectors as primary and the
-argmax histogram as secondary.
+distribution of a classification policy uses mean predicted probability
+vectors as primary and the argmax histogram as secondary; that of a
+regression policy is the histogram of its predicted doses, clipped at 0 and
+binned like the recorded doses.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import numpy as np
 
 from .bc import BcPolicy, predict
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
-from .dynamics import state_windows
+from .dynamics import state_window
 from .errors import EmptySubgroupError
 from .kernels import median_pairwise_distance, rbf_mmd2_biased
-from .preprocess import N_ACTIONS, action_index_to_doses, denormalize_actions
+from .preprocess import (N_ACTIONS, action_index_to_doses, bin_actions_batch,
+                         denormalize_actions)
 
 DEFAULT_EPS = 1e-6
 
@@ -139,8 +142,8 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
         labels = np.concatenate([tr.action_bins for tr in trajs])
         doses = denormalize_actions(stats, np.concatenate([tr.actions for tr in trajs]))
     else:
-        windows = np.concatenate([state_windows(tr.states).reshape(tr.T, -1)
-                                  for tr in trajs])
+        windows = np.concatenate(
+            [state_window(tr.states, np.arange(tr.T)).reshape(tr.T, -1) for tr in trajs])
 
     def dist(rows) -> ActionDistribution:
         if policy is None:
@@ -158,8 +161,9 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
                 probs=out.mean(axis=0), n=rows.size, probs_argmax=_histogram(labels_cf),
                 fluid=doses_cf[:, 0], vaso=doses_cf[:, 1])
         doses_cf = denormalize_actions(stats, out)
-        return ActionDistribution(probs=np.full(N_ACTIONS, 1.0 / N_ACTIONS),
-                                  n=rows.size, fluid=doses_cf[:, 0], vaso=doses_cf[:, 1])
+        h = _histogram(bin_actions_batch(np.maximum(doses_cf, 0.0), cohort.binning))
+        return ActionDistribution(probs=h, n=rows.size, probs_argmax=h,
+                                  fluid=doses_cf[:, 0], vaso=doses_cf[:, 1])
 
     if per_timestep:
         by_t = np.argsort(t_rows, kind="stable")
@@ -289,6 +293,9 @@ def counterfactual_report(policy: BcPolicy, cohort: CohortDataset,
         target_subgroup=str(target),
         metrics=metrics, control=control, per_timestep=per_t,
         mean_actions=mean_actions, eps=eps, sample_sizes=sample_sizes, seed=seed)
+    if policy.mode == "regression":
+        report.conventions["counterfactual_probs"] = (
+            "histogram of binned predicted doses; a predicted dose <= 0 counts as no drug")
     report.conventions["mmd_bandwidth"] = {
         "method": "exact median of pooled pairwise distances",
         "aggregate": mmd_info.get("bandwidth"),

@@ -15,37 +15,27 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cohort import CohortDataset
-from .errors import RolloutBlowupError
+from .errors import EmptySubgroupError, RolloutBlowupError
 from .numcore import Adam, RecurrentRegressor, fit, load_checkpoint, mse_loss, save_checkpoint
 
 WINDOW = 3
 STATE_CLIP = 8.0
 
 
-def window_arrays(states: np.ndarray, actions: np.ndarray, t: int):
-    s = np.empty((WINDOW, states.shape[1]))
-    a = np.zeros((WINDOW, 2))
-    for k in range(WINDOW):
-        idx = t - (WINDOW - 1 - k)
-        if idx < 0:
-            s[k] = states[0]
-        else:
-            s[k] = states[idx]
-            a[k] = actions[idx]
-    return s, a
+def state_window(states: np.ndarray, t) -> np.ndarray:
+    """States-only observation window(s), oldest step first: (3, M) for an
+    int ``t``, (len(t), 3, M) for an int array. Timesteps before 0 repeat
+    the earliest state."""
+    idx = np.asarray(t)[..., None] + np.arange(1 - WINDOW, 1)
+    return states[np.maximum(idx, 0)]
 
 
-def state_window(states: np.ndarray, t: int) -> np.ndarray:
-    """States-only observation window (3, M), repeat-earliest padded."""
-    idx = np.maximum(np.arange(t - WINDOW + 1, t + 1), 0)
-    return states[idx]
-
-
-def state_windows(states: np.ndarray) -> np.ndarray:
-    """Every states-only window of one trajectory, (T, 3, M); entry t
-    equals ``state_window(states, t)``."""
-    idx = np.maximum(np.arange(len(states))[:, None] + np.arange(1 - WINDOW, 1), 0)
-    return states[idx]
+def window_arrays(states: np.ndarray, actions: np.ndarray, t):
+    """State and action windows at ``t`` (int or int array), shaped like
+    ``state_window``; actions before timestep 0 are zero."""
+    idx = np.asarray(t)[..., None] + np.arange(1 - WINDOW, 1)
+    a = np.where(idx[..., None] >= 0, actions[np.maximum(idx, 0)], 0.0)
+    return state_window(states, t), a
 
 
 @dataclass
@@ -73,15 +63,18 @@ class TransitionModel:
         return np.clip(state + self.predict_delta(window), -STATE_CLIP, STATE_CLIP)
 
 
-def _collect_windows(trajs, max_windows=None, rng=None):
+def _collect_windows(cohort: CohortDataset, split: str, max_windows=None, rng=None):
+    """Every (window, next-state delta) pair of one split, in (trajectory, t)
+    order."""
     xs, ys = [], []
-    for tr in trajs:
-        for t in range(tr.T - 1):
-            s, a = window_arrays(tr.states, tr.actions, t)
-            xs.append(np.concatenate([s, a], axis=1))
-            ys.append(tr.states[t + 1] - tr.states[t])
-    X = np.stack(xs)
-    Y = np.stack(ys)
+    for tr in cohort.by_split(split):
+        s, a = window_arrays(tr.states, tr.actions, np.arange(tr.T - 1))
+        xs.append(np.concatenate([s, a], axis=2))
+        ys.append(np.diff(tr.states, axis=0))
+    if sum(len(x) for x in xs) == 0:
+        raise EmptySubgroupError(f"split {split!r} has no state transitions")
+    X = np.concatenate(xs)
+    Y = np.concatenate(ys)
     if max_windows is not None and len(X) > max_windows:
         keep = rng.choice(len(X), max_windows, replace=False)
         X, Y = X[keep], Y[keep]
@@ -93,8 +86,8 @@ def train_dynamics(cohort: CohortDataset, hp: DynHyperParams = DynHyperParams())
     best-validation parameter snapshot."""
     rng = np.random.default_rng(hp.seed)
     M = cohort.schema.n_features
-    X, Y = _collect_windows(cohort.by_split("train"), hp.max_windows, rng)
-    Xv, Yv = _collect_windows(cohort.by_split("val"), hp.max_windows, rng)
+    X, Y = _collect_windows(cohort, "train", hp.max_windows, rng)
+    Xv, Yv = _collect_windows(cohort, "val", hp.max_windows, rng)
 
     net = RecurrentRegressor(M + 2, hp.hidden, M, rng)
     opt = Adam(net.params().values(), lr=hp.lr)
@@ -107,7 +100,7 @@ def train_dynamics(cohort: CohortDataset, hp: DynHyperParams = DynHyperParams())
 
 def eval_dynamics_mse(model: TransitionModel, cohort: CohortDataset, split: str = "test"):
     """(model MSE, predict-zero-delta baseline MSE) over a split."""
-    X, Y = _collect_windows(cohort.by_split(split))
+    X, Y = _collect_windows(cohort, split)
     mse_model, _ = mse_loss(model.predict_delta(X), Y)
     mse_zero, _ = mse_loss(np.zeros_like(Y), Y)
     return mse_model, mse_zero

@@ -17,8 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bc import build_dataset
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
-from .dynamics import WINDOW, TransitionModel, rollout, state_window
+from .dynamics import TransitionModel, rollout, state_window
 from .errors import EmptySubgroupError, TrainingDivergenceError
 from .kernels import discounted_returns
 from .numcore import Adam, Mlp, MlpSpec, load_checkpoint, save_checkpoint, sigmoid, softmax
@@ -332,7 +333,7 @@ def make_episode_sampler(cohort: CohortDataset, dyn_model: TransitionModel,
     """
     stats = cohort.norm_stats
     binning = cohort.binning
-    starts = np.stack([tr.states[0] for tr in cohort.by_split("train")])
+    starts = np.stack([state_window(tr.states, 0) for tr in cohort.by_split("train")])
     horizon = config.horizon
 
     def sample_episodes(policy: StochasticPolicy, rng: np.random.Generator, n: int):
@@ -350,8 +351,7 @@ def make_episode_sampler(cohort: CohortDataset, dyn_model: TransitionModel,
             act_steps.append(a)
             return normalize_actions(stats, action_index_to_doses(a, binning))
 
-        s0 = starts[picks]
-        rollout(dyn_model, act, np.stack([s0] * WINDOW, axis=1), horizon)
+        rollout(dyn_model, act, starts[picks], horizon)
         return np.stack(obs_steps, axis=1), np.stack(act_steps, axis=1)
 
     return sample_episodes
@@ -363,17 +363,10 @@ def train_gail(cohort: CohortDataset, dyn_model: TransitionModel,
     """Fit policy + discriminator against one cohort subgroup's expert
     state-action pairs."""
     data = cohort if subgroup is None else filter_subgroup(cohort, subgroup)
-    train = data.by_split("train")
-    if not train:
+    if not data.by_split("train"):
         where = "the cohort" if subgroup is None else f"subgroup {subgroup}"
         raise EmptySubgroupError(f"{where} has no train-split trajectories")
-    xs, ys = [], []
-    for tr in train:
-        for t in range(tr.T):
-            xs.append(state_window(tr.states, t).reshape(-1))
-            ys.append(tr.action_bins[t])
-    expert_obs = np.stack(xs)
-    expert_actions = np.asarray(ys, dtype=np.int64)
+    expert_obs, expert_actions = build_dataset(data, "train", "classification")
     sampler = make_episode_sampler(data, dyn_model, config)
     result = train_gail_core(expert_obs, expert_actions, sampler, config)
     return result

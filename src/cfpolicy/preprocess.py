@@ -143,8 +143,7 @@ def fit_norm_stats(cohort: CohortDataset) -> NormStats:
 
 
 def apply_norm(traj: PatientTrajectory, stats: NormStats,
-               binary: Optional[np.ndarray] = None,
-               normalize_actions: bool = True) -> PatientTrajectory:
+               binary: Optional[np.ndarray] = None) -> PatientTrajectory:
     """z-normalize states (after optional ln(1+x)) and actions."""
     states = traj.states.copy()
     M = states.shape[1]
@@ -159,13 +158,7 @@ def apply_norm(traj: PatientTrajectory, stats: NormStats,
             states[:, j] = np.where(np.isnan(col), np.nan, 0.0)
         else:
             states[:, j] = (vals - stats.means[j]) / stats.stds[j]
-    actions = traj.actions
-    if normalize_actions:
-        std = np.where(stats.action_std == 0, 1.0, stats.action_std)
-        actions = (traj.actions - stats.action_mean) / std
-    out = replace(traj, states=states)
-    out.actions = np.asarray(actions, dtype=np.float64)
-    return out
+    return replace(traj, states=states, actions=normalize_actions(stats, traj.actions))
 
 
 def invert_norm_feature(stats: NormStats, j: int, z: np.ndarray) -> np.ndarray:

@@ -122,6 +122,30 @@ def test_subgroup_without_train_split_is_config_error(pipeline_dirs, tmp_path, c
     assert "subgroup gender=F has no train-split trajectories" in capsys.readouterr().err
 
 
+def test_empty_split_is_config_error(pipeline_dirs, tmp_path, capsys):
+    # no val encounters at all, and no gender=M test encounters
+    proc = tmp_path / "proc"
+    shutil.copytree(pipeline_dirs["proc"], proc)
+    cohort = load_cohort_dir(proc)
+    split = {tr.id: ("train" if cohort.split[tr.id] == "val"
+                     or (tr.attributes["gender"] == "M" and cohort.split[tr.id] == "test")
+                     else cohort.split[tr.id])
+             for tr in cohort.trajectories}
+    (proc / "splits.json").write_text(json.dumps(split), encoding="utf-8")
+    capsys.readouterr()
+    for argv, named in (
+            (["train-bc", "--cohort", str(proc), "--subgroup", "gender=M", "--epochs", "1",
+              "--out", str(tmp_path / "bc.npz")], "'val'"),
+            (["eval", "--model", str(pipeline_dirs["model"]), "--cohort", str(proc),
+              "--split", "test"], "'test'"),
+            (["train-dyn", "--cohort", str(proc), "--epochs", "1",
+              "--out", str(tmp_path / "dyn.npz")], "'val'")):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"split {named} has no" in err
+        assert "need at least one array" not in err
+
+
 def test_missing_cohort_is_config_error(tmp_path):
     assert cli.main(["preprocess", "--cohort", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "out")]) == 2

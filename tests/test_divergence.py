@@ -19,6 +19,7 @@ from cfpolicy.divergence import (DEFAULT_EPS, DiscrepancyReport,
                                  js_divergence, kl_divergence, mmd_rbf,
                                  wasserstein1)
 from cfpolicy.dynamics import state_window
+from cfpolicy.preprocess import denormalize_actions
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +273,7 @@ def test_counterfactual_report_structure(subgroup_policy, proc_cohort, tmp_path)
     assert report.source_subgroup == "gender=M"
     assert report.target_subgroup == "gender=F"
     assert report.conventions["kl_direction"] == "realized||counterfactual"
+    assert report.conventions["counterfactual_probs"] == "mean-predicted (argmax secondary)"
     assert all(len(v) > 0 for v in report.per_timestep.values())
     n_test_f = len(filter_subgroup(proc_cohort, SubgroupKey("gender", "F")).by_split("test"))
     assert report.sample_sizes["per_timestep"] == [n_test_f] * proc_cohort.trajectories[0].T
@@ -297,6 +299,39 @@ def test_counterfactual_report_structure(subgroup_policy, proc_cohort, tmp_path)
     assert lines[0] == "scope,timestep,metric,value"
     assert any(line.startswith("aggregate,,kl,") for line in lines)
     assert any(line.startswith("per_timestep,0,") for line in lines)
+
+
+def _hand_binned_histogram(doses, binning):
+    """25-bin histogram of raw dose pairs, binned without the package's
+    binning code: a dose <= 0 is bin 0, else 1 + the cutoffs below it."""
+    counts = np.zeros(25)
+    for fluid, vaso in doses:
+        fb = 0 if fluid <= 0 else 1 + sum(c < fluid for c in binning.fluid_cutoffs)
+        vb = 0 if vaso <= 0 else 1 + sum(c < vaso for c in binning.vaso_cutoffs)
+        counts[5 * fb + vb] += 1
+    return counts / counts.sum()
+
+
+def test_regression_kl_measures_the_binned_predictions(proc_cohort):
+    key = SubgroupKey("gender", "F")
+    target = filter_subgroup(proc_cohort, key)
+    trajs = target.by_split("test")
+    windows = np.concatenate([state_window(tr.states, np.arange(tr.T)).reshape(tr.T, -1)
+                              for tr in trajs])
+    realized = np.bincount(np.concatenate([tr.action_bins for tr in trajs]), minlength=25)
+    realized = realized / realized.sum()
+    kls = []
+    for seed in (0, 1):
+        hp = BcHyperParams(epochs=4, seed=seed, max_windows=800)
+        policy = train_bc(proc_cohort, SubgroupKey("gender", "M"), "regression", hp)
+        report = counterfactual_report(policy, proc_cohort, key)
+        doses = denormalize_actions(proc_cohort.norm_stats, predict(policy, windows))
+        expected = kl_divergence(realized, _hand_binned_histogram(doses, proc_cohort.binning))
+        assert report.metrics["kl"] == pytest.approx(expected, rel=1e-12)
+        assert report.conventions["counterfactual_probs"].endswith(
+            "a predicted dose <= 0 counts as no drug")
+        kls.append(report.metrics["kl"])
+    assert kls[0] != kls[1]
 
 
 def test_disparity_visible_in_report(subgroup_policy, proc_cohort):

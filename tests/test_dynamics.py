@@ -1,13 +1,33 @@
 """Transition model: history windows, training, rollout safety, storage."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cfpolicy.dynamics import (STATE_CLIP, DynHyperParams, TransitionModel,
-                               eval_dynamics_mse, load_dynamics, rollout,
-                               save_dynamics, state_window, state_windows,
-                               train_dynamics, window_arrays)
-from cfpolicy.errors import RolloutBlowupError
+from cfpolicy.bc import build_dataset
+from cfpolicy.dynamics import (STATE_CLIP, WINDOW, DynHyperParams, TransitionModel,
+                               _collect_windows, eval_dynamics_mse, load_dynamics,
+                               rollout, save_dynamics, state_window, train_dynamics,
+                               window_arrays)
+from cfpolicy.errors import EmptySubgroupError, RolloutBlowupError
+
+
+def reference_window(states, actions, t):
+    """One timestep's (3, M) state and (3, 2) action windows, built slot by
+    slot: the windowing rule the vectorized routines must reproduce."""
+    s = np.empty((WINDOW, states.shape[1]))
+    a = np.zeros((WINDOW, 2))
+    for k in range(WINDOW):
+        idx = t - (WINDOW - 1 - k)
+        if idx < 0:
+            s[k] = states[0]
+        else:
+            s[k] = states[idx]
+            a[k] = actions[idx]
+    return s, a
 
 
 def test_window_padding_rule(rng):
@@ -30,12 +50,77 @@ def test_window_padding_rule(rng):
 def test_state_window_matches_window_arrays(rng):
     for T in (1, 2, 5):
         states = rng.normal(size=(T, 3))
-        every = state_windows(states)
+        every = state_window(states, np.arange(T))
         assert every.shape == (T, 3, 3)
         for t in range(T):
             s, _ = window_arrays(states, np.zeros((T, 2)), t)
             assert np.array_equal(state_window(states, t), s)
             assert np.array_equal(every[t], s)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def trajectory_arrays(draw):
+    T = draw(st.integers(1, 8))
+    M = draw(st.integers(1, 4))
+    states = np.array(draw(st.lists(finite, min_size=T * M, max_size=T * M))).reshape(T, M)
+    # negative actions: padding by multiplying with a 0/1 mask would give
+    # -0.0 where the rule asks for +0.0, and tobytes() tells the two apart
+    actions = np.array(draw(st.lists(finite, min_size=2 * T, max_size=2 * T))).reshape(T, 2)
+    return states, actions
+
+
+@settings(max_examples=150, deadline=None)
+@given(trajectory_arrays())
+@example((np.arange(6.0).reshape(3, 2), np.array([[-1.0, -0.0], [2.0, -3.0], [-0.0, 4.0]])))
+def test_windows_equal_loop_reference_bytewise(arrays):
+    states, actions = arrays
+    T = len(states)
+    ref = [reference_window(states, actions, t) for t in range(T)]
+    for t in range(T):
+        s, a = window_arrays(states, actions, t)
+        assert s.tobytes() == ref[t][0].tobytes()
+        assert a.tobytes() == ref[t][1].tobytes()
+        assert state_window(states, t).tobytes() == ref[t][0].tobytes()
+    s, a = window_arrays(states, actions, np.arange(T))
+    assert s.tobytes() == np.stack([r[0] for r in ref]).tobytes()
+    assert a.tobytes() == np.stack([r[1] for r in ref]).tobytes()
+    assert state_window(states, np.arange(T)).tobytes() == s.tobytes()
+
+
+def _ragged(cohort, lengths):
+    trajs = [replace(tr, states=tr.states[:T], actions=tr.actions[:T],
+                     action_bins=tr.action_bins[:T], mortality_step=None,
+                     outcome_alive=True)
+             for tr, T in zip(cohort.trajectories, lengths)]
+    return replace(cohort, trajectories=trajs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=60, max_size=60))
+@example([1] * 60)  # every encounter T=1: no transitions at all
+def test_cohort_windows_equal_reference_concatenation(proc_cohort, lengths):
+    cohort = _ragged(proc_cohort, lengths)
+    trajs = cohort.by_split("train")
+    refs = [[reference_window(tr.states, tr.actions, t) for t in range(tr.T)] for tr in trajs]
+    X, Y = build_dataset(cohort, "train", "regression")
+    assert X.tobytes() == np.stack([r[0].reshape(-1) for rs in refs for r in rs]).tobytes()
+    assert Y.tobytes() == np.concatenate([tr.actions for tr in trajs]).tobytes()
+    _, labels = build_dataset(cohort, "train", "classification")
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, np.concatenate([tr.action_bins for tr in trajs]))
+
+    pairs = [(np.concatenate(rs[t], axis=1), tr.states[t + 1] - tr.states[t])
+             for tr, rs in zip(trajs, refs) for t in range(tr.T - 1)]
+    if not pairs:
+        with pytest.raises(EmptySubgroupError, match="'train'"):
+            _collect_windows(cohort, "train")
+        return
+    Xd, Yd = _collect_windows(cohort, "train")
+    assert Xd.tobytes() == np.stack([x for x, _ in pairs]).tobytes()
+    assert Yd.tobytes() == np.stack([y for _, y in pairs]).tobytes()
 
 
 @pytest.fixture(scope="module")
