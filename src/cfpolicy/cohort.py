@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -141,13 +142,62 @@ class CohortDataset:
         return [tr for tr in self.trajectories if self.split[tr.id] == tag]
 
 
-def _parse_float(cell: str, line_no: int, col: str) -> float:
-    if cell == "":
-        return float("nan")
+# float() never returns this NaN payload, so it marks the cells float() rejects.
+_UNPARSED = np.uint64(0x7FF8_0000_0BAD_0000)
+_SCAN_BYTES = 1 << 22
+
+
+def _csv_records(path: Path):
+    """The header fields and the field count of every later record, as
+    ``csv.reader`` splits them: a record ends at LF, CRLF or a lone CR
+    outside double quotes, commas inside quotes do not count, and a blank
+    line has no fields. The bytes are scanned 4 MiB at a time, which bounds
+    the temporaries."""
+    raw = path.read_bytes()
+    if not raw:
+        raise ParseError(1, "empty file")
+    lone_cr = np.array([m.start() for m in re.finditer(rb"\r(?!\n)", raw)], np.int64)
+    quoting, inside, commas, ends, before = b'"' in raw, False, 0, [], []
+    for lo in range(0, len(raw), _SCAN_BYTES):
+        b = np.frombuffer(raw, np.uint8, min(_SCAN_BYTES, len(raw) - lo), lo)
+        quoted = b == ord('"')
+        if quoting:
+            np.logical_xor.accumulate(quoted, out=quoted)
+            if inside:  # the chunk starts inside a quoted field
+                np.logical_not(quoted, out=quoted)
+            inside = bool(quoted[-1])
+        mark = b == ord("\n")
+        mark[lone_cr[(lone_cr >= lo) & (lone_cr < lo + b.size)] - lo] = True
+        end = np.flatnonzero(np.greater(mark, quoted, out=mark))
+        comma = np.flatnonzero(np.greater(np.equal(b, ord(","), out=mark), quoted, out=mark))
+        ends.append(lo + end)
+        before.append(commas + np.searchsorted(comma, end))  # commas before each record end
+        commas += comma.size
+    ends, before = np.concatenate(ends), np.concatenate(before)
+    if ends.size == 0 or ends[-1] != len(raw) - 1:  # the last record has no line break
+        ends, before = np.append(ends, len(raw)), np.append(before, commas)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    widths = np.diff(before, prepend=0) + 1
+    size = ends - starts
+    cr_first = np.frombuffer(raw, np.uint8)[starts] == ord("\r")
+    widths[(size == 0) | ((size == 1) & cr_first)] = 0
+    header = next(csv.reader([raw[:ends[0] + 1].decode("utf-8")]), [])
+    return [h.strip() for h in header], widths[1:]
+
+
+def _ints(cells: np.ndarray):
+    """``int()`` of each string cell as int64 (0 where it fails), and the
+    mask of the cells it rejects."""
+    bad = np.zeros(cells.shape, bool)
     try:
-        return float(cell)
-    except ValueError:
-        raise ParseError(line_no, f"column {col!r}: not a number: {cell!r}") from None
+        return cells.astype(np.int64), bad
+    except (ValueError, OverflowError):
+        for i in range(cells.size):
+            try:
+                cells[i:i + 1].astype(np.int64)
+            except (ValueError, OverflowError):
+                bad[i] = True
+        return np.where(bad, "0", cells).astype(np.int64), bad
 
 
 def load_cohort(path, schema: FeatureSchema,
@@ -155,88 +205,153 @@ def load_cohort(path, schema: FeatureSchema,
     """Parse a cohort CSV into grouped, timestep-sorted trajectories.
 
     Each encounter's timesteps must run 0..T-1 without gaps, in any row
-    order. Raw doses must be nonnegative; pass
+    order, and its rows must agree on attributes and outcome. Feature and
+    dose cells are finite numbers or empty (missing); doses may not be
+    missing. Raw doses must be nonnegative; pass
     ``allow_negative_actions=True`` for cohorts whose actions were already
-    z-normalized.
+    z-normalized. The float columns and the other columns are each parsed
+    in one ``np.loadtxt`` call and checked as whole arrays; of several
+    faults, the one a row-by-row parser meets first is raised.
     """
     path = Path(path)
     attrs = list(schema.attributes)
-    feat_cols = list(schema.names)
-    expected = ["id", "timestep"] + attrs + feat_cols + [
-        "action_fluid", "action_vaso", "mortality_step", "outcome_alive"]
+    M, k = schema.n_features, len(attrs)
+    float_names = list(schema.names) + ["action_fluid", "action_vaso"]
+    header, widths = _csv_records(path)
+    has_bin = "action_bin" in header
+    want = (["id", "timestep"] + attrs + float_names + ["mortality_step", "outcome_alive"]
+            + (["action_bin"] if has_bin else []))
+    if header != want:
+        raise ParseError(1, f"header mismatch: expected {want}, got {header}")
 
-    rows = {}  # id -> {t: (attr dict, state vec, action pair, mort, alive, bin, line)}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(1, "empty file")
-        header = [h.strip() for h in header]
-        has_bin = "action_bin" in header
-        want = expected + (["action_bin"] if has_bin else [])
-        if header != want:
-            raise ParseError(1, f"header mismatch: expected {want}, got {header}")
-        col = {name: i for i, name in enumerate(header)}
+    # Rows [0, n) are still checked and ``error`` is the fault of row n (line
+    # n + 2): checks run in the order a row-by-row parser meets them, and
+    # each replaces ``error`` only with a fault in an earlier row.
+    n, error = len(widths), None
 
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
-            tid = row[col["id"]]
-            try:
-                t = int(row[col["timestep"]])
-            except ValueError:
-                raise ParseError(line_no, f"bad timestep {row[col['timestep']]!r}") from None
-            attr_vals = {}
-            for a in attrs:
-                v = row[col[a]]
-                if v not in schema.attributes[a]:
-                    raise IntegrityError(
-                        f"line {line_no}: unknown value {v!r} for attribute {a!r}")
-                attr_vals[a] = v
-            state = np.array(
-                [_parse_float(row[col[f]], line_no, f) for f in feat_cols])
-            action = np.array([
-                _parse_float(row[col["action_fluid"]], line_no, "action_fluid"),
-                _parse_float(row[col["action_vaso"]], line_no, "action_vaso"),
-            ])
-            if np.any(np.isnan(action)):
-                raise ParseError(line_no, "actions may not be missing")
-            if not allow_negative_actions and np.any(action < 0):
-                raise IntegrityError(f"line {line_no}: negative dose")
-            ms_cell = row[col["mortality_step"]]
-            mort = None if ms_cell == "" else int(ms_cell)
-            alive = row[col["outcome_alive"]] in ("1", "true", "True")
-            abin = int(row[col["action_bin"]]) if has_bin and row[col["action_bin"]] != "" else None
-            per = rows.setdefault(tid, {})
-            if t in per:
-                raise IntegrityError(f"duplicate (id={tid}, timestep={t})")
-            per[t] = (attr_vals, state, action, mort, alive, abin, line_no)
+    def flag(bad, make):
+        nonlocal n, error
+        rows = np.flatnonzero(bad[:n])
+        if rows.size:
+            n, error = int(rows[0]), make(int(rows[0]))
 
+    flag(widths != len(want), lambda r: ParseError(
+        r + 2, f"expected {len(want)} fields, got {widths[r]}"))
+    if n == 0:
+        if error is not None:
+            raise error
+        return CohortDataset(schema=schema, trajectories=[])
+    opts = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, max_rows=n,
+                ndmin=2, usecols=range(2 + k, 4 + k + M))
+    unparsed_cells = []
+
+    def parse_float(cell: str) -> float:
+        try:
+            return float(cell) if cell else float("nan")
+        except ValueError:
+            unparsed_cells.append(cell)
+            return float(_UNPARSED.view(np.float64))
+
+    with path.open(newline="", encoding="utf-8") as fh:  # line breaks as csv.reader sees them
+        try:  # numpy's parser accepts a subset of what float() does, with equal values
+            values = np.loadtxt(fh, **opts)
+        except ValueError:  # an empty cell, or one only float() can judge
+            fh.seek(0)
+            values = np.loadtxt(fh, converters=parse_float, **opts)
+        fh.seek(0)
+        opts["usecols"] = [0, 1, *range(2, 2 + k), *range(4 + k + M, len(want))]
+        # id, timestep, attributes, outcome, bin as str objects: for dtype=str
+        # numpy first finds the widest cell, which is slower and at n=2000
+        # needs a transient of twice the result's size
+        text = np.loadtxt(fh, dtype=object, **opts)
+    ids = text[:, 0]
+
+    ts, bad = _ints(text[:, 1])
+    flag(bad, lambda r: ParseError(r + 2, f"bad timestep {text[r, 1]!r}"))
+    for j, a in enumerate(attrs):
+        flag(~np.isin(text[:, 2 + j], schema.attributes[a]), lambda r: IntegrityError(
+            f"line {r + 2}: unknown value {text[r, 2 + j]!r} for attribute {a!r}"))
+    unparsed = values.view(np.uint64) == _UNPARSED
+    faulty = unparsed | np.isinf(values)
+
+    def float_error(r):
+        c = int(np.argmax(faulty[r]))
+        if unparsed[r, c]:
+            return ParseError(r + 2, f"column {float_names[c]!r}: not a number: "
+                                     f"{unparsed_cells[int(unparsed[:r].sum())]!r}")
+        return ParseError(r + 2, f"column {float_names[c]!r}: not finite")
+
+    flag(faulty.any(axis=1), float_error)
+    flag(np.isnan(values[:, M:]).any(axis=1),
+         lambda r: ParseError(r + 2, "actions may not be missing"))
+    if not allow_negative_actions:
+        flag((values[:, M:] < 0).any(axis=1),
+             lambda r: IntegrityError(f"line {r + 2}: negative dose"))
+    died = text[:, 2 + k] != ""
+    mort, bad = _ints(np.where(died, text[:, 2 + k], "0"))
+    flag(bad, lambda r: ParseError(r + 2, f"bad mortality_step {text[r, 2 + k]!r}"))
+    flag(~np.isin(text[:, 3 + k], ("0", "1", "false", "true", "False", "True")),
+         lambda r: ParseError(r + 2, f"bad outcome_alive {text[r, 3 + k]!r}"))
+    alive = np.isin(text[:, 3 + k], ("1", "true", "True"))
+    binned = text[:, -1] != "" if has_bin else np.zeros(len(text), bool)
+    bins, bad = _ints(np.where(binned, text[:, -1], "0"))  # 0 where a row has no bin
+    flag(bad, lambda r: ParseError(r + 2, f"bad action_bin {text[r, 4 + k]!r}"))
+
+    # group rows by (first appearance of id, timestep); an equal neighbour is a duplicate
+    _, first, inverse = np.unique(ids[:n], return_index=True, return_inverse=True)
+    code = np.argsort(np.argsort(first))[inverse]
+    order = np.lexsort((ts[:n], code))
+    c, t = code[order], ts[:n][order]
+    repeat = np.zeros(n, bool)
+    repeat[order[1:][(c[1:] == c[:-1]) & (t[1:] == t[:-1])]] = True
+    flag(repeat, lambda r: IntegrityError(f"duplicate (id={ids[r]}, timestep={ts[r]})"))
+    if error is not None:
+        raise error
+
+    # The same for trajectories in first-appearance order: [0, g) are still
+    # checked, ``error`` is a fault of trajectory g, found at sorted row i.
+    starts = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
+    lengths = np.diff(np.append(starts, n))
+    head = np.repeat(starts, lengths)  # sorted row of each row's timestep 0
+    g = len(starts)
+
+    def traj_flag(bad, make):
+        nonlocal g, error
+        at = np.flatnonzero(bad & (c < g))
+        if at.size:
+            g, error = int(c[at[0]]), make(int(at[0]))
+
+    def differs(x):  # rows whose value differs from their trajectory's timestep 0
+        return x[order] != x[order][head]
+
+    traj_flag(t != np.arange(n) - head, lambda i: ParseError(order[i] + 2, (
+        f"trajectory {ids[order[i]]}: expected timestep {i - head[i]}, got {t[i]}")))
+    traj_flag(differs(died) | differs(mort) | differs(alive), lambda i: IntegrityError(
+        f"trajectory {ids[order[i]]}: inconsistent outcome columns"))
+    for j, a in enumerate(attrs):
+        traj_flag(differs(text[:, 2 + j]), lambda i: IntegrityError(
+            f"trajectory {ids[order[i]]}: inconsistent attribute {a!r}"))
+
+    states, actions, bins = values[:, :M][order], values[:, M:][order], bins[order]
+    complete = np.logical_and.reduceat(binned[order], starts)
     trajectories = []
-    for tid, per in rows.items():
-        ts = sorted(per)
-        gap = next((k for k, t in enumerate(ts) if t != k), None)
-        if gap is not None:
-            raise ParseError(per[ts[gap]][6],
-                             f"trajectory {tid}: expected timestep {gap}, got {ts[gap]}")
-        attrs0 = per[ts[0]][0]
-        states = np.stack([per[t][1] for t in ts])
-        actions = np.stack([per[t][2] for t in ts])
-        morts = {per[t][3] for t in ts}
-        alives = {per[t][4] for t in ts}
-        if len(alives) != 1 or len(morts) != 1:
-            raise IntegrityError(f"trajectory {tid}: inconsistent outcome columns")
-        bins = [per[t][5] for t in ts]
-        action_bins = np.array(bins, dtype=np.int64) if all(b is not None for b in bins) else None
+    for i, (s, e, r) in enumerate(zip(starts.tolist(), (starts + lengths).tolist(),
+                                      order[starts].tolist())):
+        if i == g:
+            raise error
         trajectories.append(PatientTrajectory(
-            id=tid, attributes=attrs0, states=states, actions=actions,
-            mortality_step=morts.pop(), outcome_alive=alives.pop(),
-            action_bins=action_bins))
+            id=ids[r], attributes={a: text[r, 2 + j] for j, a in enumerate(attrs)},
+            states=states[s:e], actions=actions[s:e],
+            mortality_step=int(mort[r]) if died[r] else None, outcome_alive=bool(alive[r]),
+            action_bins=bins[s:e] if complete[i] else None))
     return CohortDataset(schema=schema, trajectories=trajectories)
 
 
 def write_cohort(cohort: CohortDataset, path) -> None:
-    """Emit the cohort CSV; inverse of ``load_cohort`` (bit-exact round trip)."""
+    """Emit the cohort CSV; inverse of ``load_cohort`` (bit-exact round trip).
+
+    Cells are built a column at a time (floats as ``repr``, NaN as an empty
+    cell), for 16 encounters at a time to bound the memory strings take."""
     path = Path(path)
     attrs = list(cohort.schema.attributes)
     has_bins = all(tr.action_bins is not None for tr in cohort.trajectories)
@@ -244,23 +359,27 @@ def write_cohort(cohort: CohortDataset, path) -> None:
               + ["action_fluid", "action_vaso", "mortality_step", "outcome_alive"]
               + (["action_bin"] if has_bins else []))
 
-    def fmt(x: float) -> str:
-        return "" if np.isnan(x) else repr(float(x))
+    def per_row(trajs, cells):  # one cell per trajectory -> one per row
+        return [cell for cell, tr in zip(cells, trajs) for _ in range(tr.T)]
 
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for tr in cohort.trajectories:
-            for t in range(tr.T):
-                row = [tr.id, str(t)]
-                row += [tr.attributes[a] for a in attrs]
-                row += [fmt(v) for v in tr.states[t]]
-                row += [fmt(tr.actions[t, 0]), fmt(tr.actions[t, 1])]
-                row.append("" if tr.mortality_step is None else str(tr.mortality_step))
-                row.append("1" if tr.outcome_alive else "0")
-                if has_bins:
-                    row.append(str(int(tr.action_bins[t])))
-                writer.writerow(row)
+        for lo in range(0, len(cohort), 16):
+            trajs = cohort.trajectories[lo:lo + 16]
+            values = np.concatenate([np.column_stack([tr.states, tr.actions]) for tr in trajs])
+            floats = [list(map(repr, col.tolist())) for col in values.T]
+            for r, j in zip(*np.nonzero(np.isnan(values))):
+                floats[j][r] = ""
+            bins = [list(map(str, np.concatenate([tr.action_bins for tr in trajs])
+                             .astype(np.int64).tolist()))] if has_bins else []
+            writer.writerows(zip(
+                per_row(trajs, [tr.id for tr in trajs]),
+                [str(t) for tr in trajs for t in range(tr.T)],
+                *[per_row(trajs, [tr.attributes[a] for tr in trajs]) for a in attrs], *floats,
+                per_row(trajs, ["" if tr.mortality_step is None else str(tr.mortality_step)
+                                for tr in trajs]),
+                per_row(trajs, ["1" if tr.outcome_alive else "0" for tr in trajs]), *bins))
 
 
 def save_cohort_dir(cohort: CohortDataset, out_dir) -> None:

@@ -2,14 +2,20 @@
 
 import json
 import shutil
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cfpolicy import cli
-from cfpolicy.cohort import load_cohort_dir
+from cfpolicy.cohort import load_cohort_dir, save_cohort_dir
 from cfpolicy.errors import TrainingDivergenceError
 from cfpolicy.numcore import load_checkpoint
+from cfpolicy.synth import SynthConfig, generate, inject_missingness
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +198,37 @@ def test_default_seed_reads_environment(monkeypatch):
     assert cli._default_seed() == 0
     monkeypatch.setenv("CFPOLICY_SEED", "77")
     assert cli._default_seed() == 77
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.integers(1, 8), min_size=40, max_size=40), st.integers(0, 999))
+@example([1] * 40, 0)
+@example([1, 2] * 20, 1)
+def test_ragged_cohort_runs_through_every_command(tmp_path, capsys, lengths, seed):
+    # encounters of 1..8 steps with missing cells, written as a raw cohort
+    cohort, _ = generate(SynthConfig(n_patients=40, T=8, n_features=8, seed=seed,
+                                     disparity_delta=0.5, onset_t=2))
+    trajs = [replace(tr, states=tr.states[:T], actions=tr.actions[:T],
+                     mortality_step=tr.mortality_step if (tr.mortality_step or T) < T else None)
+             for tr, T in zip(cohort.trajectories, lengths)]
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    save_cohort_dir(inject_missingness(replace(cohort, trajectories=trajs), 0.2, seed),
+                    root / "raw")
+    proc, bc_model = root / "proc", root / "bc.npz"
+    commands = (
+        ["preprocess", "--cohort", str(root / "raw"), "--seed", str(seed), "--out", str(proc)],
+        ["train-bc", "--cohort", str(proc), "--subgroup", "gender=M", "--epochs", "1",
+         "--out", str(bc_model)],
+        ["train-dyn", "--cohort", str(proc), "--epochs", "1", "--out", str(root / "dyn.npz")],
+        ["counterfactual", "--model", str(bc_model), "--cohort", str(proc),
+         "--target", "gender=F", "--per-timestep", "--out", str(root / "cf")])
+    capsys.readouterr()
+    for argv in commands:
+        if argv[0] == "counterfactual" and not bc_model.exists():
+            continue
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        # an empty split, or (train-bc, after saving) a val split with one label
+        assert code == 0 or (code == 2 and ("has no" in err or "2 distinct labels" in err)), \
+            (argv[0], code, err)
