@@ -170,7 +170,12 @@ def eval_auroc(policy: BcPolicy, cohort: CohortDataset, split: str = "test",
     return macro
 
 
-def eval_report(policy: BcPolicy, cohort: CohortDataset, split: str = "test") -> dict:
+def eval_report(policy: BcPolicy, cohort: CohortDataset, split: str = "test",
+                allow_undefined: bool = False) -> dict:
+    """Metrics of ``policy`` on one split. An undefined AUROC (the split
+    holds one action class) raises UndefinedMetricError, or with
+    ``allow_undefined`` is reported as ``macro_auroc: None`` plus the
+    reason in ``macro_auroc_undefined``."""
     report = {
         "mode": policy.mode,
         "split": split,
@@ -183,10 +188,18 @@ def eval_report(policy: BcPolicy, cohort: CohortDataset, split: str = "test") ->
         fluid, vaso = eval_rmse(policy, cohort, split)
         report["rmse_fluid"], report["rmse_vaso"] = fluid, vaso
     else:
-        macro, per_class, skipped = eval_auroc(policy, cohort, split, return_details=True)
-        report["macro_auroc"] = macro
-        report["per_class_auroc"] = {str(k): v for k, v in per_class.items()}
-        report["skipped_classes"] = skipped
+        try:
+            macro, per_class, skipped = eval_auroc(policy, cohort, split,
+                                                   return_details=True)
+        except UndefinedMetricError as exc:
+            if not allow_undefined:
+                raise
+            report["macro_auroc"] = None
+            report["macro_auroc_undefined"] = str(exc)
+        else:
+            report["macro_auroc"] = macro
+            report["per_class_auroc"] = {str(k): v for k, v in per_class.items()}
+            report["skipped_classes"] = skipped
     return report
 
 

@@ -80,8 +80,11 @@ def cmd_train_bc(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     bc.save_policy(policy, out)
+    # a val split of one action class leaves the AUROC undefined; the
+    # trained checkpoint is still valid, so this is reported, not an error
     report = bc.eval_report(policy, cohort if subgroup is None
-                            else bc.filter_subgroup(cohort, subgroup), "val")
+                            else bc.filter_subgroup(cohort, subgroup), "val",
+                            allow_undefined=True)
     metrics_path = out.with_suffix(out.suffix + ".metrics.json")
     metrics_path.write_text(json.dumps(report, indent=2), encoding="utf-8")
     _write_config(args, out.parent, out.name + ".config.json")

@@ -14,17 +14,66 @@ from ..errors import SchemaMismatchError
 
 
 class ParamTensor:
-    """A trainable array with a same-shaped gradient slot."""
+    """A trainable array with a same-shaped gradient slot.
 
-    __slots__ = ("value", "grad")
+    Assigning to ``value`` or ``grad`` copies into the existing storage
+    after checking the shape, so a tensor keeps its storage for life once
+    an optimizer has bound it to slices of its flat buffers (``bind``).
+    """
+
+    __slots__ = ("_value", "_grad", "_bound")
 
     def __init__(self, value: np.ndarray):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self._value = np.array(value, dtype=np.float64)
+        self._grad = np.zeros_like(self._value)
+        self._bound = False
 
     @property
     def shape(self):
-        return self.value.shape
+        return self._value.shape
+
+    @property
+    def value(self) -> np.ndarray:
+        return self._value
+
+    @value.setter
+    def value(self, new) -> None:
+        self._value[...] = self._checked(new)
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self._grad
+
+    @grad.setter
+    def grad(self, new) -> None:
+        self._grad[...] = self._checked(new)
+
+    def _checked(self, new):
+        if np.shape(new) != self._value.shape:
+            raise SchemaMismatchError(
+                f"parameter has shape {self._value.shape}, got {np.shape(new)}")
+        return new
+
+    def bind(self, value: np.ndarray, grad: np.ndarray) -> None:
+        """Move this tensor's value and gradient into ``value`` and ``grad``
+        (views of an optimizer's buffers); a tensor is bound at most once."""
+        if self._bound:
+            raise ValueError("parameter is already bound to an optimizer")
+        value[...] = self._value
+        grad[...] = self._grad
+        self._value, self._grad, self._bound = value, grad, True
+
+
+def checked_array(arrays: dict, key: str, shape: tuple) -> np.ndarray:
+    """``arrays[key]`` as float64, or SchemaMismatchError when the array is
+    missing or not of ``shape`` (a checkpoint that does not fit the model)."""
+    if key not in arrays:
+        raise SchemaMismatchError(f"checkpoint has no array {key!r}")
+    out = np.asarray(arrays[key], dtype=np.float64)
+    if out.shape != tuple(shape):
+        raise SchemaMismatchError(
+            f"checkpoint array {key!r} has shape {out.shape}, expected {tuple(shape)}")
+    return out
 
 
 class Dense:
@@ -44,8 +93,8 @@ class Dense:
         return x @ self.W.value + self.b.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.W.grad = self._x.T @ dy
-        self.b.grad = dy.sum(axis=0)
+        np.matmul(self._x.T, dy, out=self.W.grad)
+        dy.sum(axis=0, out=self.b.grad)
         return dy @ self.W.value.T
 
     def params(self):
@@ -83,8 +132,8 @@ class BatchNorm:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, train, n = self._cache
-        self.gamma.grad = (dy * xhat).sum(axis=0)
-        self.beta.grad = dy.sum(axis=0)
+        (dy * xhat).sum(axis=0, out=self.gamma.grad)
+        dy.sum(axis=0, out=self.beta.grad)
         dxhat = dy * self.gamma.value
         if not train:
             return dxhat * inv_std
@@ -173,10 +222,15 @@ class Mlp:
         return arrays
 
     def load_state(self, arrays: dict) -> None:
+        """Copy ``arrays`` (as from ``state``) into the model; raises
+        SchemaMismatchError when an array is missing or misshapen."""
         for k, p in self.params().items():
-            p.value = np.array(arrays[k], dtype=np.float64)
-            p.grad = np.zeros_like(p.value)
+            p.value = checked_array(arrays, k, p.shape)
+            p.grad.fill(0.0)
         for i, layer in enumerate(self.layers):
             if isinstance(layer, BatchNorm):
-                layer.running_mean = np.array(arrays[f"layer{i}.running_mean"])
-                layer.running_var = np.array(arrays[f"layer{i}.running_var"])
+                width = layer.gamma.shape
+                layer.running_mean = np.array(
+                    checked_array(arrays, f"layer{i}.running_mean", width))
+                layer.running_var = np.array(
+                    checked_array(arrays, f"layer{i}.running_var", width))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SchemaMismatchError
-from .layers import Dense, ParamTensor
+from .layers import Dense, ParamTensor, checked_array
 from .losses import sigmoid
 
 
@@ -60,9 +60,10 @@ class RecurrentRegressor:
         dh = self.head.backward(dy)
         B = dh.shape[0]
         dc = np.zeros((B, H))
-        dWx = np.zeros_like(self.Wx.value)
-        dWh = np.zeros_like(self.Wh.value)
-        db = np.zeros_like(self.b.value)
+        # accumulate straight into the gradient slots
+        dWx, dWh, db = self.Wx.grad, self.Wh.grad, self.b.grad
+        for slot in (dWx, dWh, db):
+            slot.fill(0.0)
         dx = np.zeros((B, self.WINDOW, self.n_in))
         for t in range(self.WINDOW - 1, -1, -1):
             x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
@@ -83,9 +84,6 @@ class RecurrentRegressor:
             dx[:, t, :] = dz @ self.Wx.value.T
             dh = dz @ self.Wh.value.T
             dc = dc * f
-        self.Wx.grad = dWx
-        self.Wh.grad = dWh
-        self.b.grad = db
         return dx
 
     def params(self) -> dict:
@@ -98,6 +96,8 @@ class RecurrentRegressor:
         return {k: p.value for k, p in self.params().items()}
 
     def load_state(self, arrays: dict) -> None:
+        """Copy ``arrays`` (as from ``state``) into the model; raises
+        SchemaMismatchError when an array is missing or misshapen."""
         for k, p in self.params().items():
-            p.value = np.array(arrays[k], dtype=np.float64)
-            p.grad = np.zeros_like(p.value)
+            p.value = checked_array(arrays, k, p.shape)
+            p.grad.fill(0.0)

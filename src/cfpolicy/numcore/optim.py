@@ -8,7 +8,13 @@ from ..errors import TrainingDivergenceError
 
 
 class Adam:
-    """Adaptive-moment update with bias correction."""
+    """Adaptive-moment update with bias correction.
+
+    The optimizer owns its parameters' storage: the constructor packs every
+    value and gradient into one flat buffer each (``value``, ``grad``) and
+    binds each ParamTensor to reshaped views of them, so a step is a few
+    whole-buffer operations.
+    """
 
     def __init__(self, params, lr: float = 3e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -18,31 +24,48 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        size = sum(p.value.size for p in self.params)
+        self.value = np.empty(size)
+        self.grad = np.empty(size)
+        start = 0
+        for p in self.params:
+            stop = start + p.value.size
+            p.bind(self.value[start:stop].reshape(p.shape),
+                   self.grad[start:stop].reshape(p.shape))
+            start = stop
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._step = np.empty(size)
+        self._denom = np.empty(size)
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
+        g = self.grad
+        if not np.isfinite(g).all():
+            raise TrainingDivergenceError("non-finite gradient")
         self.t += 1
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise TrainingDivergenceError("non-finite gradient")
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            mhat = m / (1 - self.beta1 ** self.t)
-            vhat = v / (1 - self.beta2 ** self.t)
-            p.value -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        # every op is elementwise, in the order of m = b1 m + (1 - b1) g,
+        # v = b2 v + ((1 - b2) g) g and value -= (lr mhat) / (sqrt(vhat) + eps),
+        # so each element gets the same bits as a per-tensor update
+        step, denom = self._step, self._denom
+        self.m *= self.beta1
+        self.m += np.multiply(g, 1 - self.beta1, out=step)
+        self.v *= self.beta2
+        np.multiply(g, 1 - self.beta2, out=step)
+        self.v += np.multiply(step, g, out=step)
+        np.divide(self.m, 1 - self.beta1 ** self.t, out=step)
+        step *= lr
+        np.divide(self.v, 1 - self.beta2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        self.value -= step
 
     def state(self) -> dict:
         """Copy of the moment estimates and step count."""
-        return {"m": [m.copy() for m in self.m], "v": [v.copy() for v in self.v],
-                "t": self.t}
+        return {"m": self.m.copy(), "v": self.v.copy(), "t": self.t}
 
     def load_state(self, state: dict) -> None:
-        self.m = [m.copy() for m in state["m"]]
-        self.v = [v.copy() for v in state["v"]]
+        self.m[...] = state["m"]
+        self.v[...] = state["v"]
         self.t = state["t"]
-

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cfpolicy import cli
+from cfpolicy import cli, gail
 from cfpolicy.cohort import load_cohort_dir, save_cohort_dir
-from cfpolicy.errors import TrainingDivergenceError
-from cfpolicy.numcore import load_checkpoint
+from cfpolicy.errors import SchemaMismatchError, TrainingDivergenceError
+from cfpolicy.numcore import load_checkpoint, save_checkpoint
 from cfpolicy.synth import SynthConfig, generate, inject_missingness
 
 
@@ -88,27 +88,85 @@ def test_report_rerender(pipeline_dirs, tmp_path):
     assert (out / "report.csv").exists()
 
 
+def _run_twice(tmp_path, argv, side):
+    """Run a training command twice with the same seed; both runs must write
+    equal checkpoint arrays and metadata and the same ``side`` file bytes.
+    Returns the first run's side file bytes."""
+    runs = []
+    for name in ("first.npz", "second.npz"):
+        path = tmp_path / name
+        assert cli.main(argv + ["--out", str(path)]) == 0
+        runs.append((path.with_suffix(".npz" + side).read_bytes(),
+                     load_checkpoint(path)))
+    (side_a, (arrays_a, meta_a)), (side_b, (arrays_b, meta_b)) = runs
+    assert side_a == side_b
+    assert arrays_a.keys() == arrays_b.keys()
+    assert all(arrays_a[k].tobytes() == arrays_b[k].tobytes() for k in arrays_a)
+    assert meta_a == meta_b
+    return side_a
+
+
 def test_train_dyn_and_gail(pipeline_dirs, tmp_path):
     dyn = tmp_path / "dyn.npz"
     assert cli.main(["train-dyn", "--cohort", str(pipeline_dirs["proc"]),
                      "--epochs", "2", "--max-windows", "300", "--seed", "0",
                      "--out", str(dyn)]) == 0
-    runs = []
-    for name in ("gail.npz", "gail_again.npz"):
-        path = tmp_path / name
-        assert cli.main(["train-gail", "--cohort", str(pipeline_dirs["proc"]),
-                         "--dynamics", str(dyn), "--iterations", "3",
-                         "--episodes", "2", "--horizon", "5", "--seed", "0",
-                         "--convention", "gail-orig", "--out", str(path)]) == 0
-        runs.append((path.with_suffix(".npz.log.jsonl").read_bytes(),
-                     load_checkpoint(path)))
-    assert len(runs[0][0].splitlines()) == 3
-    # the same seed gives the same log bytes and the same weights
-    (log_a, (arrays_a, meta_a)), (log_b, (arrays_b, meta_b)) = runs
-    assert log_a == log_b
-    assert arrays_a.keys() == arrays_b.keys()
-    assert all(np.array_equal(arrays_a[k], arrays_b[k]) for k in arrays_a)
-    assert meta_a == meta_b
+    log = _run_twice(tmp_path, [
+        "train-gail", "--cohort", str(pipeline_dirs["proc"]), "--dynamics", str(dyn),
+        "--iterations", "3", "--episodes", "2", "--horizon", "5", "--seed", "0",
+        "--convention", "gail-orig"], ".log.jsonl")
+    assert len(log.splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-bc", "--mode", "classification", "--subgroup", "gender=M", "--epochs", "3",
+     "--max-windows", "400"],
+    ["train-bc", "--mode", "regression", "--epochs", "3", "--max-windows", "400"],
+    ["train-dyn", "--epochs", "2", "--max-windows", "300"]],
+    ids=["bc-classification", "bc-regression", "dyn"])
+def test_same_seed_gives_same_bytes(pipeline_dirs, tmp_path, argv):
+    _run_twice(tmp_path, argv + ["--cohort", str(pipeline_dirs["proc"]), "--seed", "3"],
+               ".metrics.json")
+
+
+def _corrupt(src, dst, key, cut):
+    """Copy a checkpoint, dropping array ``key`` or (``cut``) keeping only
+    its first element."""
+    arrays, meta = load_checkpoint(src)
+    if cut:
+        arrays[key] = arrays[key].reshape(-1)[:1]
+    else:
+        del arrays[key]
+    save_checkpoint(dst, arrays, meta)
+    return dst
+
+
+@pytest.mark.parametrize("key,cut", [("layer0.b", True), ("layer4.beta", False)])
+def test_malformed_bc_checkpoint_is_config_error(pipeline_dirs, tmp_path, capsys,
+                                                 key, cut):
+    bad = _corrupt(pipeline_dirs["model"], tmp_path / "bad.npz", key, cut)
+    capsys.readouterr()
+    assert cli.main(["eval", "--model", str(bad), "--cohort", str(pipeline_dirs["proc"]),
+                     "--split", "val"]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_malformed_dynamics_and_gail_bundles_are_rejected(pipeline_dirs, tmp_path, capsys):
+    proc = str(pipeline_dirs["proc"])
+    dyn, bundle = tmp_path / "dyn.npz", tmp_path / "gail.npz"
+    assert cli.main(["train-dyn", "--cohort", proc, "--epochs", "1",
+                     "--max-windows", "100", "--out", str(dyn)]) == 0
+    assert cli.main(["train-gail", "--cohort", proc, "--dynamics", str(dyn),
+                     "--iterations", "1", "--episodes", "2", "--horizon", "3",
+                     "--out", str(bundle)]) == 0
+    bad_dyn = _corrupt(dyn, tmp_path / "bad_dyn.npz", "Wh", True)
+    capsys.readouterr()
+    assert cli.main(["train-gail", "--cohort", proc, "--dynamics", str(bad_dyn),
+                     "--iterations", "1", "--out", str(tmp_path / "g.npz")]) == 2
+    assert "'Wh'" in capsys.readouterr().err
+    for key, cut in (("policy.layer0.W", True), ("disc.layer2.b", False)):
+        with pytest.raises(SchemaMismatchError, match=key.split(".", 1)[1]):
+            gail.load_gail(_corrupt(bundle, tmp_path / "bad_gail.npz", key, cut))
 
 
 def test_subgroup_without_train_split_is_config_error(pipeline_dirs, tmp_path, capsys):
@@ -205,6 +263,7 @@ def test_default_seed_reads_environment(monkeypatch):
 @given(st.lists(st.integers(1, 8), min_size=40, max_size=40), st.integers(0, 999))
 @example([1] * 40, 0)
 @example([1, 2] * 20, 1)
+@example([1] * 40, 253)  # the gender=M val split holds one action class
 def test_ragged_cohort_runs_through_every_command(tmp_path, capsys, lengths, seed):
     # encounters of 1..8 steps with missing cells, written as a raw cohort
     cohort, _ = generate(SynthConfig(n_patients=40, T=8, n_features=8, seed=seed,
@@ -229,6 +288,14 @@ def test_ragged_cohort_runs_through_every_command(tmp_path, capsys, lengths, see
             continue
         code = cli.main(argv)
         err = capsys.readouterr().err
-        # an empty split, or (train-bc, after saving) a val split with one label
-        assert code == 0 or (code == 2 and ("has no" in err or "2 distinct labels" in err)), \
-            (argv[0], code, err)
+        assert code == 0 or (code == 2 and "has no" in err), (argv[0], code, err)
+        if argv[0] == "train-bc" and code == 0:
+            metrics = json.loads(Path(str(bc_model) + ".metrics.json").read_text())
+            if metrics["macro_auroc"] is None:
+                # a val split of one action class: reported by train-bc, an
+                # error for eval
+                assert metrics["macro_auroc_undefined"] == \
+                    "split has fewer than 2 distinct labels"
+                assert cli.main(["eval", "--model", str(bc_model), "--cohort", str(proc),
+                                 "--split", "val"]) == 2
+                assert "2 distinct labels" in capsys.readouterr().err

@@ -3,8 +3,11 @@ checkpoints."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfpolicy.errors import SchemaMismatchError, TrainingDivergenceError
+from cfpolicy.gail import GailConfig, StochasticPolicy, policy_update
 from cfpolicy.numcore import (Adam, BatchNorm, Mlp, MlpSpec, ParamTensor,
                               RecurrentRegressor, finite_difference_check, fit,
                               load_checkpoint, mse_loss, nll_loss, rmse_loss,
@@ -199,6 +202,180 @@ def test_adam_lr_override():
     p.grad = np.array([1.0])
     opt.step(lr=0.0)
     assert p.value[0] == 0.0  # zero lr moves nothing
+
+
+class ReferenceAdam:
+    """The per-parameter Adam loop: the reference for the flat-buffer step."""
+
+    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
+
+    def step(self, lr=None):
+        lr = self.lr if lr is None else lr
+        self.t += 1
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            if not np.all(np.isfinite(g)):
+                raise TrainingDivergenceError("non-finite gradient")
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            mhat = m / (1 - self.beta1 ** self.t)
+            vhat = v / (1 - self.beta2 ** self.t)
+            p.value -= lr * mhat / (np.sqrt(vhat) + self.eps)
+
+    def state(self):
+        return {"m": [m.copy() for m in self.m], "v": [v.copy() for v in self.v],
+                "t": self.t}
+
+    def load_state(self, state):
+        self.m = [m.copy() for m in state["m"]]
+        self.v = [v.copy() for v in state["v"]]
+        self.t = state["t"]
+
+
+def _flat(arrays):
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+@st.composite
+def adam_scripts(draw):
+    """Tensor shapes (0-d and 1-element included), a per-step lr override
+    (None keeps the constructor's), the step after which a snapshot is
+    taken, and a seed for values and gradients."""
+    shapes = draw(st.lists(st.lists(st.integers(1, 4), max_size=3).map(tuple),
+                           min_size=1, max_size=5))
+    lrs = draw(st.lists(st.none() | st.floats(1e-5, 2.0), min_size=1, max_size=8))
+    snap_after = draw(st.integers(0, len(lrs) - 1))
+    return shapes, lrs, snap_after, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(adam_scripts())
+@example(([(), (1,)], [None, 0.5], 0, 0))
+def test_flat_adam_matches_reference_bytes(script):
+    shapes, lrs, snap_after, seed = script
+    rng = np.random.default_rng(seed)
+    init = [rng.normal(size=s) for s in shapes]
+    grads = [[rng.normal(size=s) * 10.0 ** rng.integers(-6, 4) for s in shapes]
+             for _ in lrs]
+    flat_params = [ParamTensor(v) for v in init]
+    ref_params = [ParamTensor(v) for v in init]
+    flat, ref = Adam(flat_params, lr=0.01), ReferenceAdam(ref_params, lr=0.01)
+
+    def run(steps):
+        for i in steps:
+            for params in (flat_params, ref_params):
+                for p, g in zip(params, grads[i]):
+                    p.grad = g
+            flat.step(lr=lrs[i])
+            ref.step(lr=lrs[i])
+            assert flat.t == ref.t
+            assert flat.value.tobytes() == _flat([p.value for p in ref_params]).tobytes()
+            assert flat.m.tobytes() == _flat(ref.m).tobytes()
+            assert flat.v.tobytes() == _flat(ref.v).tobytes()
+
+    run(range(snap_after + 1))
+    snaps = [(opt.state(), [p.value.copy() for p in params])
+             for opt, params in ((flat, flat_params), (ref, ref_params))]
+    run(range(snap_after + 1, len(lrs)))
+    # restore both to the snapshot and replay the remaining steps
+    for (state, values), (opt, params) in zip(snaps, ((flat, flat_params),
+                                                       (ref, ref_params))):
+        opt.load_state(state)
+        for p, v in zip(params, values):
+            p.value = v
+    run(range(snap_after + 1, len(lrs)))
+
+    bad = int(rng.integers(len(shapes)))
+    for params in (flat_params, ref_params):
+        g = params[bad].grad.copy()
+        g.reshape(-1)[-1] = (np.nan, np.inf, -np.inf)[seed % 3]
+        params[bad].grad = g
+    for opt in (flat, ref):
+        with pytest.raises(TrainingDivergenceError):
+            opt.step()
+
+
+def _assert_bound_and_trains(model, opt, x):
+    """Every parameter still lives in the optimizer's buffers, and one step
+    moves the model's output."""
+    for p in model.params().values():
+        assert np.shares_memory(p.value, opt.value)
+        assert np.shares_memory(p.grad, opt.grad)
+    before = model.forward(x, train=False).copy()
+    out = model.forward(x, train=True)
+    model.backward(np.ones_like(out))
+    opt.step()
+    assert not np.array_equal(model.forward(x, train=False), before)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "lstm"])
+def test_load_state_keeps_parameters_bound(kind, rng):
+    def make(seed):
+        gen = np.random.default_rng(seed)
+        if kind == "mlp":
+            return Mlp(MlpSpec(widths=(4, 6, 3), batch_norm=True), gen)
+        return RecurrentRegressor(4, 5, 3, gen)
+
+    model, other = make(1), make(2)
+    opt = Adam(model.params().values(), lr=0.01)
+    model.load_state(other.state())
+    x = rng.normal(size=(8, 4) if kind == "mlp" else (8, 3, 4))
+    assert np.array_equal(model.forward(x), other.forward(x))
+    _assert_bound_and_trains(model, opt, x)
+
+
+def test_fit_restore_keeps_parameters_bound(rng):
+    mlp = Mlp(MlpSpec(widths=(3, 5, 2), batch_norm=True), rng)
+    opt = Adam(mlp.params().values(), lr=0.05)
+    X, Y = rng.normal(size=(20, 3)), rng.normal(size=(20, 2))
+    fit(mlp, opt, mse_loss, X, Y, X[:6], Y[:6], epochs=4, batch=8, rng=rng)
+    _assert_bound_and_trains(mlp, opt, X)
+
+
+def test_policy_update_backtracking_keeps_parameters_bound(rng):
+    cfg = GailConfig(lr=0.05, kl_target=1e-12)  # every attempt backtracks
+    pol = StochasticPolicy(4, rng, n_actions=5, hidden=(8,))
+    opt = Adam(pol.params().values(), lr=cfg.lr)
+    obs = rng.normal(size=(10, 4))
+    stats, _ = policy_update(pol, obs, rng.integers(0, 5, 10), rng.normal(size=10),
+                             cfg, opt, beta=1.0)
+    assert stats["lr_scale"] == 0.5 ** 8
+    _assert_bound_and_trains(pol.mlp, opt, obs)
+
+
+def test_finite_difference_check_keeps_parameters_bound(rng):
+    mlp = Mlp(MlpSpec(widths=(3, 4, 2), batch_norm=False), rng)
+    opt = Adam(mlp.params().values(), lr=0.05)
+    x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+
+    def loss_fn():
+        value, grad = mse_loss(mlp.forward(x, train=True), y)
+        mlp.backward(grad)
+        return value
+
+    assert finite_difference_check(mlp.params(), loss_fn) < 1e-4
+    _assert_bound_and_trains(mlp, opt, x)
+
+
+def test_parameter_assignment_checks_shape_and_single_binding():
+    p = ParamTensor(np.zeros((2, 3)))
+    with pytest.raises(SchemaMismatchError):
+        p.value = np.zeros(3)
+    with pytest.raises(SchemaMismatchError):
+        p.grad = np.zeros((3, 2))
+    opt = Adam([p])
+    p.value = np.ones((2, 3))  # copied into the optimizer's buffer
+    assert np.array_equal(opt.value, np.ones(6))
+    with pytest.raises(ValueError):
+        Adam([p])
 
 
 class _ScriptedModel:
