@@ -35,7 +35,7 @@ class Adam:
             start = stop
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._step = np.empty(size)
+        self._update = np.empty(size)
         self._denom = np.empty(size)
 
     def step(self, lr: float | None = None) -> None:
@@ -47,19 +47,19 @@ class Adam:
         # every op is elementwise, in the order of m = b1 m + (1 - b1) g,
         # v = b2 v + ((1 - b2) g) g and value -= (lr mhat) / (sqrt(vhat) + eps),
         # so each element gets the same bits as a per-tensor update
-        step, denom = self._step, self._denom
+        update, denom = self._update, self._denom
         self.m *= self.beta1
-        self.m += np.multiply(g, 1 - self.beta1, out=step)
+        self.m += np.multiply(g, 1 - self.beta1, out=update)
         self.v *= self.beta2
-        np.multiply(g, 1 - self.beta2, out=step)
-        self.v += np.multiply(step, g, out=step)
-        np.divide(self.m, 1 - self.beta1 ** self.t, out=step)
-        step *= lr
+        np.multiply(g, 1 - self.beta2, out=update)
+        self.v += np.multiply(update, g, out=update)
+        np.divide(self.m, 1 - self.beta1 ** self.t, out=update)
+        update *= lr
         np.divide(self.v, 1 - self.beta2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
-        step /= denom
-        self.value -= step
+        update /= denom
+        self.value -= update
 
     def state(self) -> dict:
         """Copy of the moment estimates and step count."""
