@@ -3,7 +3,11 @@
 On-disk format (see ``write_cohort``): UTF-8 CSV with one row per
 (encounter id, timestep) plus a sidecar JSON schema declaring feature
 names, kinds, log-normalization flags and attribute vocabularies.
-Missing cells are empty fields, never sentinel numbers.
+Missing cells are empty fields, never sentinel numbers. Beside each CSV it
+writes, ``write_cohort`` keeps a column companion (``cohort.csv.npz``):
+the parsed columns plus the SHA-256 of the CSV bytes, so that a later
+``load_cohort`` of the same bytes skips the text parse. It is a cache:
+deleting it is safe, and it is ignored once the CSV changes.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -200,6 +205,99 @@ def _ints(cells: np.ndarray):
         return np.where(bad, "0", cells).astype(np.int64), bad
 
 
+def _parse_columns(path: Path, n: int, k: int, M: int, width: int):
+    """The float block of the first ``n`` records (empty cell: NaN, cell
+    ``float()`` rejects: the ``_UNPARSED`` NaN), their other columns as
+    ``str`` objects, and the rejected cells in row order."""
+    opts = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, max_rows=n,
+                ndmin=2, usecols=range(2 + k, 4 + k + M))
+    unparsed_cells = []
+
+    def parse_float(cell: str) -> float:
+        try:
+            return float(cell) if cell else float("nan")
+        except ValueError:
+            unparsed_cells.append(cell)
+            return float(_UNPARSED.view(np.float64))
+
+    with path.open(newline="", encoding="utf-8") as fh:  # line breaks as csv.reader sees them
+        try:  # numpy's parser accepts a subset of what float() does, with equal values
+            values = np.loadtxt(fh, **opts)
+        except ValueError:  # an empty cell, or one only float() can judge
+            fh.seek(0)
+            values = np.loadtxt(fh, converters=parse_float, **opts)
+        fh.seek(0)
+        opts["usecols"] = [0, 1, *range(2, 2 + k), *range(4 + k + M, width)]
+        # id, timestep, attributes, outcome, bin as str objects: for dtype=str
+        # numpy first finds the widest cell, which is slower and at n=2000
+        # needs a transient of twice the result's size
+        text = np.loadtxt(fh, dtype=object, **opts)
+    return values, text, unparsed_cells
+
+
+def _companion(path: Path) -> Path:
+    return path.with_name(path.name + ".npz")
+
+
+def _sha256(path: Path) -> np.ndarray:
+    import hashlib  # only cohort I/O needs it; importing cfpolicy stays as fast
+
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return np.frombuffer(digest.digest(), np.uint8)
+
+
+def _write_companion(path: Path, header, values, lengths, cells, bins) -> None:
+    """Store beside the CSV just written what ``load_cohort`` parses from it.
+
+    ``cells`` holds the id, attribute, mortality_step and outcome_alive
+    columns with one cell per encounter; the timestep column is rebuilt
+    from ``lengths``. ``<U`` arrays drop trailing NULs, so a cohort with
+    such a cell gets no companion."""
+    if any(c.endswith("\0") for column in [header, *cells] for c in column):
+        _companion(path).unlink(missing_ok=True)
+        return
+    with _companion(path).open("wb") as fh:
+        np.savez(fh, sha256=_sha256(path), header=np.array(header, dtype=str), values=values,
+                 lengths=lengths, cells=np.array(cells, dtype=str).T, bins=bins)
+
+
+def _read_companion(path: Path, M: int, k: int):
+    """The header, float block and other columns (``str`` objects) that
+    parsing ``path`` yields, from its companion; None unless the companion
+    holds every member with the dtype and shape this layout needs and was
+    written for the bytes now in ``path``."""
+    try:
+        with np.load(_companion(path), allow_pickle=False) as z:
+            if sorted(z.files) != ["bins", "cells", "header", "lengths", "sha256", "values"]:
+                return None
+            digest, header, values, lengths, cells, bins = (z[name] for name in (
+                "sha256", "header", "values", "lengths", "cells", "bins"))
+    except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile):
+        return None  # TypeError: a bare .npy array has no members
+    has_bin = "action_bin" in header.tolist()
+    if not (digest.dtype == np.uint8 and digest.shape == (32,)
+            and header.dtype.kind == cells.dtype.kind == "U" and header.ndim == 1
+            and values.dtype == np.float64 and values.ndim == 2 and values.shape[1] == M + 2
+            and lengths.dtype == bins.dtype == np.int64 and lengths.ndim == 1
+            and cells.shape == (len(lengths), k + 3) and bool(np.all(lengths > 0))
+            and int(lengths.sum()) == len(values)
+            and bins.shape == ((len(values),) if has_bin else (0,))
+            and np.array_equal(digest, _sha256(path))):
+        return None
+    n = len(values)
+    rows = np.repeat(cells.astype(object), lengths, axis=0)
+    t = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    digits = np.array([str(i) for i in range(int(lengths.max(initial=0)))], dtype=object)
+    columns = [rows[:, :1], digits[t][:, None], rows[:, 1:]]
+    if has_bin:
+        labels, code = np.unique(bins, return_inverse=True)
+        columns.append(np.array([str(b) for b in labels.tolist()], dtype=object)[code][:, None])
+    return header.tolist(), values, np.concatenate(columns, axis=1)
+
+
 def load_cohort(path, schema: FeatureSchema,
                 allow_negative_actions: bool = False) -> CohortDataset:
     """Parse a cohort CSV into grouped, timestep-sorted trajectories.
@@ -210,14 +308,20 @@ def load_cohort(path, schema: FeatureSchema,
     missing. Raw doses must be nonnegative; pass
     ``allow_negative_actions=True`` for cohorts whose actions were already
     z-normalized. The float columns and the other columns are each parsed
-    in one ``np.loadtxt`` call and checked as whole arrays; of several
+    in one ``np.loadtxt`` call, or read from the companion ``write_cohort``
+    left for these exact bytes, and checked as whole arrays; of several
     faults, the one a row-by-row parser meets first is raised.
     """
     path = Path(path)
     attrs = list(schema.attributes)
     M, k = schema.n_features, len(attrs)
     float_names = list(schema.names) + ["action_fluid", "action_vaso"]
-    header, widths = _csv_records(path)
+    stored = _read_companion(path, M, k)
+    if stored is None:
+        header, widths = _csv_records(path)
+    else:
+        header, values, text = stored
+        widths, unparsed_cells = np.full(len(values), len(header)), []
     has_bin = "action_bin" in header
     want = (["id", "timestep"] + attrs + float_names + ["mortality_step", "outcome_alive"]
             + (["action_bin"] if has_bin else []))
@@ -241,29 +345,8 @@ def load_cohort(path, schema: FeatureSchema,
         if error is not None:
             raise error
         return CohortDataset(schema=schema, trajectories=[])
-    opts = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, max_rows=n,
-                ndmin=2, usecols=range(2 + k, 4 + k + M))
-    unparsed_cells = []
-
-    def parse_float(cell: str) -> float:
-        try:
-            return float(cell) if cell else float("nan")
-        except ValueError:
-            unparsed_cells.append(cell)
-            return float(_UNPARSED.view(np.float64))
-
-    with path.open(newline="", encoding="utf-8") as fh:  # line breaks as csv.reader sees them
-        try:  # numpy's parser accepts a subset of what float() does, with equal values
-            values = np.loadtxt(fh, **opts)
-        except ValueError:  # an empty cell, or one only float() can judge
-            fh.seek(0)
-            values = np.loadtxt(fh, converters=parse_float, **opts)
-        fh.seek(0)
-        opts["usecols"] = [0, 1, *range(2, 2 + k), *range(4 + k + M, len(want))]
-        # id, timestep, attributes, outcome, bin as str objects: for dtype=str
-        # numpy first finds the widest cell, which is slower and at n=2000
-        # needs a transient of twice the result's size
-        text = np.loadtxt(fh, dtype=object, **opts)
+    if stored is None:
+        values, text, unparsed_cells = _parse_columns(path, n, k, M, len(want))
     ids = text[:, 0]
 
     ts, bad = _ints(text[:, 1])
@@ -351,40 +434,50 @@ def write_cohort(cohort: CohortDataset, path) -> None:
     """Emit the cohort CSV; inverse of ``load_cohort`` (bit-exact round trip).
 
     Cells are built a column at a time (floats as ``repr``, NaN as an empty
-    cell), for 16 encounters at a time to bound the memory strings take."""
+    cell), for 16 encounters at a time to bound the memory strings take.
+    The column companion is written after the CSV is closed."""
     path = Path(path)
+    trajs = cohort.trajectories
     attrs = list(cohort.schema.attributes)
-    has_bins = all(tr.action_bins is not None for tr in cohort.trajectories)
+    has_bins = all(tr.action_bins is not None for tr in trajs)
     header = (["id", "timestep"] + attrs + list(cohort.schema.names)
               + ["action_fluid", "action_vaso", "mortality_step", "outcome_alive"]
               + (["action_bin"] if has_bins else []))
+    # one cell per encounter: id, attributes, mortality_step, outcome_alive
+    cells = [[str(tr.id) for tr in trajs], *([str(tr.attributes[a]) for tr in trajs]
+                                             for a in attrs),
+             ["" if tr.mortality_step is None else str(tr.mortality_step) for tr in trajs],
+             ["1" if tr.outcome_alive else "0" for tr in trajs]]
+    lengths = np.array([tr.T for tr in trajs], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    values = np.concatenate([np.empty((0, cohort.schema.n_features + 2))]
+                            + [np.column_stack([tr.states, tr.actions]) for tr in trajs])
+    bins = np.concatenate([np.empty(0, np.int64)]
+                          + [tr.action_bins for tr in trajs if has_bins]).astype(np.int64)
 
-    def per_row(trajs, cells):  # one cell per trajectory -> one per row
-        return [cell for cell, tr in zip(cells, trajs) for _ in range(tr.T)]
+    def per_row(chunk, column):  # one cell per trajectory -> one per row
+        return [cell for cell, tr in zip(column, chunk) for _ in range(tr.T)]
 
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for lo in range(0, len(cohort), 16):
-            trajs = cohort.trajectories[lo:lo + 16]
-            values = np.concatenate([np.column_stack([tr.states, tr.actions]) for tr in trajs])
-            floats = [list(map(repr, col.tolist())) for col in values.T]
-            for r, j in zip(*np.nonzero(np.isnan(values))):
+        for lo in range(0, len(trajs), 16):
+            chunk = trajs[lo:lo + 16]
+            rows = slice(offsets[lo], offsets[lo + len(chunk)])
+            floats = [list(map(repr, col.tolist())) for col in values[rows].T]
+            for r, j in zip(*np.nonzero(np.isnan(values[rows]))):
                 floats[j][r] = ""
-            bins = [list(map(str, np.concatenate([tr.action_bins for tr in trajs])
-                             .astype(np.int64).tolist()))] if has_bins else []
+            text = [per_row(chunk, column[lo:lo + 16]) for column in cells]
             writer.writerows(zip(
-                per_row(trajs, [tr.id for tr in trajs]),
-                [str(t) for tr in trajs for t in range(tr.T)],
-                *[per_row(trajs, [tr.attributes[a] for tr in trajs]) for a in attrs], *floats,
-                per_row(trajs, ["" if tr.mortality_step is None else str(tr.mortality_step)
-                                for tr in trajs]),
-                per_row(trajs, ["1" if tr.outcome_alive else "0" for tr in trajs]), *bins))
+                text[0], [str(t) for tr in chunk for t in range(tr.T)], *text[1:-2], *floats,
+                *text[-2:], *([list(map(str, bins[rows].tolist()))] if has_bins else [])))
+    np.copyto(values, np.nan, where=np.isnan(values))  # as an empty cell parses
+    _write_companion(path, [h.strip() for h in header], values, lengths, cells, bins)
 
 
 def save_cohort_dir(cohort: CohortDataset, out_dir) -> None:
-    """Write cohort.csv + schema.json, plus splits/norm-stats/binning
-    sidecars when the cohort carries them."""
+    """Write cohort.csv (with its column companion) + schema.json, plus
+    splits/norm-stats/binning sidecars when the cohort carries them."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_cohort(cohort, out_dir / "cohort.csv")

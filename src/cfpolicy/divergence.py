@@ -63,6 +63,11 @@ def mmd_rbf(x, y, bandwidth: Optional[float] = None, *,
     samples, falling back to 1.0 (with a warning) when that median is zero.
     Memory use does not grow with the sample sizes. A dict passed as
     ``info`` receives the bandwidth used and whether the fallback was taken.
+
+    Points and bandwidth are first scaled by the power of two that brings
+    the largest coordinate span into [0.5, 1), so squared distances of tiny
+    spans do not underflow; outside the subnormal range the scaling is
+    exact and changes no result.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -72,16 +77,21 @@ def mmd_rbf(x, y, bandwidth: Optional[float] = None, *,
         y = y[:, None]
     if len(x) < 2 or len(y) < 2:
         raise ValueError("mmd_rbf needs at least 2 samples per side")
+    pooled = np.concatenate([x, y], axis=0)
+    _, e = np.frexp(np.max(pooled.max(axis=0) - pooled.min(axis=0)))
+    e = int(e)  # frexp gives 0 for a zero or non-finite span: no scaling
+    pooled = np.ldexp(pooled, -e)
+    x, y = pooled[:len(x)], pooled[len(x):]
     fallback = False
     if bandwidth is None:
-        bandwidth = median_pairwise_distance(np.concatenate([x, y], axis=0))
+        bandwidth = float(np.ldexp(median_pairwise_distance(pooled), e))
         if bandwidth == 0.0:
             warnings.warn("zero median pairwise distance; falling back to bandwidth 1.0",
                           stacklevel=2)
             bandwidth, fallback = 1.0, True
     if info is not None:
         info.update(bandwidth=float(bandwidth), fallback=fallback)
-    mmd2 = rbf_mmd2_biased(x, y, bandwidth)
+    mmd2 = rbf_mmd2_biased(x, y, float(np.ldexp(bandwidth, -e)))
     return float(np.sqrt(max(mmd2, 0.0)))
 
 

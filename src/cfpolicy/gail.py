@@ -151,10 +151,6 @@ class StochasticPolicy:
         cdf /= cdf[:, -1:]
         return np.count_nonzero(cdf <= np.asarray(u)[:, None], axis=1).astype(np.int64)
 
-    def entropy(self, obs: np.ndarray) -> float:
-        p = self.probs(obs)
-        return float(np.mean(-np.sum(p * np.log(np.clip(p, 1e-300, None)), axis=1)))
-
     def params(self) -> dict:
         return self.mlp.params()
 
@@ -166,6 +162,11 @@ class StochasticPolicy:
 
     def load_state(self, arrays: dict) -> None:
         self.mlp.load_state(arrays)
+
+
+def mean_entropy(p: np.ndarray) -> float:
+    """Mean entropy in nats of the rows of a probability matrix."""
+    return float(np.mean(-np.sum(p * np.log(np.clip(p, 1e-300, None)), axis=1)))
 
 
 def categorical_kl(p_old: np.ndarray, p_new: np.ndarray) -> float:
@@ -213,7 +214,8 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
                               + beta * categorical_kl(p_old, p))
             policy.mlp.backward(dz)
             opt.step(lr=config.lr * lr_scale)
-        kl = categorical_kl(p_old, policy.probs(obs))
+        p_new = policy.probs(obs)
+        kl = categorical_kl(p_old, p_new)
         if kl <= config.kl_target or attempt == 8:
             break
         policy.load_state(param_snap)
@@ -224,7 +226,7 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
         beta = min(beta * 2.0, 1e3)
     elif kl < config.kl_target / 1.5:
         beta = max(beta / 2.0, 1e-3)
-    stats = {"kl": kl, "entropy": policy.entropy(obs), "loss": last_loss,
+    stats = {"kl": kl, "entropy": mean_entropy(p_new), "loss": last_loss,
              "lr_scale": lr_scale}
     return stats, beta
 
@@ -294,7 +296,7 @@ def train_gail_core(expert_obs: np.ndarray, expert_actions: np.ndarray,
                                     disc_opt, config.convention)
 
         if config.freeze_policy:
-            stats = {"kl": 0.0, "entropy": policy.entropy(gen_obs)}
+            stats = {"kl": 0.0, "entropy": mean_entropy(policy.probs(gen_obs))}
         else:
             stats, beta = policy_update(policy, gen_obs, gen_act, advantages,
                                         config, policy_opt, beta)

@@ -118,15 +118,18 @@ class BatchNorm:
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if train:
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
+        if train:  # the arithmetic of x.mean and x.var, with the mean taken once
+            n = x.shape[0]
+            mu = np.add.reduce(x, axis=0) / n
+            d = x - mu
+            var = np.add.reduce(d * d, axis=0) / n
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
-            mu, var = self.running_mean, self.running_var
+            d = x - self.running_mean
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * inv_std
+        xhat = d * inv_std
         self._cache = (xhat, inv_std, train, x.shape[0])
         return self.gamma.value * xhat + self.beta.value
 

@@ -210,6 +210,22 @@ def test_empty_split_is_config_error(pipeline_dirs, tmp_path, capsys):
         assert "need at least one array" not in err
 
 
+def test_cohort_edited_after_preprocess_is_parsed_again(pipeline_dirs, tmp_path, capsys):
+    # the edited CSV no longer matches the digest in its column companion
+    proc = tmp_path / "proc"
+    shutil.copytree(pipeline_dirs["proc"], proc)
+    assert (proc / "cohort.csv.npz").exists()
+    lines = (proc / "cohort.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    row = lines[2].split(",")
+    row[lines[0].split(",").index("gender")] = "X"
+    lines[2] = ",".join(row)
+    (proc / "cohort.csv").write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["train-bc", "--cohort", str(proc), "--subgroup", "gender=M",
+                     "--epochs", "1", "--out", str(tmp_path / "bc.npz")]) == 2
+    assert "line 3: unknown value 'X' for attribute 'gender'" in capsys.readouterr().err
+
+
 def test_missing_cohort_is_config_error(tmp_path):
     assert cli.main(["preprocess", "--cohort", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "out")]) == 2

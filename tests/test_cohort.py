@@ -3,6 +3,7 @@
 import csv
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -442,11 +443,28 @@ def _corrupt(data, rows, header):
     return rows
 
 
-def _load_or_error(load, path, allow):
+def _load_or_error(load, path, allow, schema=REF_SCHEMA):
     try:
-        return load(path, REF_SCHEMA, allow_negative_actions=allow)
+        return load(path, schema, allow_negative_actions=allow)
     except CfPolicyError as exc:
         return exc
+
+
+def _assert_same_load(got, want):
+    """Equal error type and message, or equal trajectories, bit for bit."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert [tr.id for tr in got.trajectories] == [tr.id for tr in want.trajectories]
+    for g, w in zip(got.trajectories, want.trajectories):
+        assert g.states.tobytes() == w.states.tobytes()
+        assert g.actions.tobytes() == w.actions.tobytes()
+        assert (g.attributes, g.mortality_step, g.outcome_alive) == \
+            (w.attributes, w.mortality_step, w.outcome_alive)
+        assert (g.action_bins is None) == (w.action_bins is None)
+        if w.action_bins is not None:
+            assert g.action_bins.dtype == w.action_bins.dtype
+            assert g.action_bins.tobytes() == w.action_bins.tobytes()
 
 
 @settings(max_examples=300, deadline=None,
@@ -471,19 +489,108 @@ def test_columnar_io_matches_row_reference(tmp_path, monkeypatch, cohort, allow_
             [header] + _corrupt(data, rows, header))
     got = _load_or_error(load_cohort, path, allow_negative)
     want = _load_or_error(reference_load_cohort, path, allow_negative)
+    _assert_same_load(got, want)
     if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
         return
-    assert [tr.id for tr in got.trajectories] == [tr.id for tr in want.trajectories]
-    for g, w in zip(got.trajectories, want.trajectories):
-        assert g.states.tobytes() == w.states.tobytes()
-        assert g.actions.tobytes() == w.actions.tobytes()
-        assert (g.attributes, g.mortality_step, g.outcome_alive) == \
-            (w.attributes, w.mortality_step, w.outcome_alive)
-        assert (g.action_bins is None) == (w.action_bins is None)
-        if w.action_bins is not None:
-            assert g.action_bins.dtype == w.action_bins.dtype
-            assert g.action_bins.tobytes() == w.action_bins.tobytes()
     write_cohort(got, tmp / "ours2.csv")
     reference_write_cohort(want, tmp / "ref2.csv")
     assert (tmp / "ours2.csv").read_bytes() == (tmp / "ref2.csv").read_bytes()
+
+
+# Schemas the written cohorts are loaded with: the one they were written
+# with, one whose vocabulary rejects an attribute value, one whose header
+# differs in a feature name.
+LOAD_SCHEMAS = (REF_SCHEMA,
+                replace(REF_SCHEMA, attributes={"gender": ("M", "F"), "site": ("c",)}),
+                replace(REF_SCHEMA, names=("hr", "lactate", "age")))
+
+
+def _no_text_parse(*args):
+    raise AssertionError("the CSV text was parsed although its companion is current")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ragged_cohorts(), st.sampled_from(LOAD_SCHEMAS), st.booleans(), st.data())
+def test_companion_load_matches_text_parse(tmp_path, monkeypatch, cohort, schema, edited, data):
+    tmp = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = tmp / "cohort.csv"
+    write_cohort(cohort, path)
+    companion = tmp / "cohort.csv.npz"
+    assert companion.exists()
+    stale = False
+    if edited:  # the CSV changes after writing; its companion stays beside it
+        with path.open(newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        edited_path = tmp / "edited.csv"
+        with edited_path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + _corrupt(data, rows, header))
+        stale = edited_path.read_bytes() != path.read_bytes()
+        path, companion = edited_path, companion.rename(tmp / "edited.csv.npz")
+    with monkeypatch.context() as patch:
+        if not stale:
+            patch.setattr(cohort_module, "_csv_records", _no_text_parse)
+            patch.setattr(cohort_module, "_parse_columns", _no_text_parse)
+        got = _load_or_error(load_cohort, path, False, schema)
+    companion.unlink()
+    _assert_same_load(got, _load_or_error(load_cohort, path, False, schema))
+
+
+def _damage(companion, how):
+    if how == "truncated":
+        companion.write_bytes(companion.read_bytes()[:-100])
+        return
+    with np.load(companion) as z:
+        members = dict(z)
+    if how == "object array":
+        members["cells"] = members["cells"].astype(object)
+    elif how == "misshapen values":
+        members["values"] = members["values"][:, :-1]
+    elif how == "misshapen bins":
+        members["bins"] = members["bins"][:-1]
+    elif how == "short lengths":
+        members["lengths"] = members["lengths"][:-1]
+    elif how == "missing member":
+        del members["bins"]
+    np.savez(companion, **members)
+
+
+@pytest.mark.parametrize("how", ["truncated", "object array", "misshapen values",
+                                 "misshapen bins", "short lengths", "missing member"])
+def test_damaged_companion_falls_back_to_text_parse(tmp_path, monkeypatch, how):
+    t1, t2 = _traj("a"), _traj("b", gender="F", T=4)
+    t2.states[2, 1] = np.nan
+    t1.action_bins, t2.action_bins = np.array([0, 3, 24]), np.array([7, 7, 1, 0])
+    cohort = CohortDataset(schema=SCHEMA, trajectories=[t1, t2])
+    path = tmp_path / "c.csv"
+    write_cohort(cohort, path)
+    _damage(tmp_path / "c.csv.npz", how)
+    calls = []
+    parse = cohort_module._parse_columns
+    monkeypatch.setattr(cohort_module, "_parse_columns",
+                        lambda *args: calls.append(args) or parse(*args))
+    back = load_cohort(path, SCHEMA)
+    assert len(calls) == 1
+    _assert_same_load(back, cohort)
+
+
+def test_companion_holds_nan_as_the_text_parse_does(tmp_path, monkeypatch):
+    tr = _traj("a")
+    tr.states[0, 0] = cohort_module._UNPARSED.view(np.float64)  # a NaN payload
+    tr.states[1, 1] = -np.nan
+    path = tmp_path / "c.csv"
+    write_cohort(CohortDataset(schema=SCHEMA, trajectories=[tr]), path)
+    with monkeypatch.context() as patch:
+        patch.setattr(cohort_module, "_parse_columns", _no_text_parse)
+        got = load_cohort(path, SCHEMA)
+    (tmp_path / "c.csv.npz").unlink()
+    _assert_same_load(got, load_cohort(path, SCHEMA))
+
+
+def test_cell_ending_in_nul_gets_no_companion(tmp_path):
+    path = tmp_path / "c.csv"
+    write_cohort(CohortDataset(schema=SCHEMA, trajectories=[_traj("b")]), path)
+    assert (tmp_path / "c.csv.npz").exists()
+    write_cohort(CohortDataset(schema=SCHEMA, trajectories=[_traj("a\0")]), path)
+    assert not (tmp_path / "c.csv.npz").exists()  # a <U array would drop the NUL
+    assert load_cohort(path, SCHEMA).trajectories[0].id == "a\0"
