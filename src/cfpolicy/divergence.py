@@ -145,7 +145,7 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
     """
     trajs = cohort.by_split(split) if cohort.split is not None else cohort.trajectories
     if not trajs:
-        raise EmptySubgroupError(f"no trajectories in split {split!r}")
+        raise EmptySubgroupError(f"split {split!r} has no trajectories")
     stats = cohort.norm_stats
     t_rows = np.concatenate([np.arange(tr.T) for tr in trajs])
     if policy is None:

@@ -280,6 +280,7 @@ def test_default_seed_reads_environment(monkeypatch):
 @example([1] * 40, 0)
 @example([1, 2] * 20, 1)
 @example([1] * 40, 253)  # the gender=M val split holds one action class
+@example([1] * 40, 105)  # no gender=F encounter is in the test split
 def test_ragged_cohort_runs_through_every_command(tmp_path, capsys, lengths, seed):
     # encounters of 1..8 steps with missing cells, written as a raw cohort
     cohort, _ = generate(SynthConfig(n_patients=40, T=8, n_features=8, seed=seed,
