@@ -35,6 +35,8 @@ def _write_config(args: argparse.Namespace, directory: Path, name: str = "run_co
 
 
 def cmd_synth(args) -> int:
+    if not 0 <= args.missing_rate < 1:
+        raise CfPolicyError("--missing-rate must be in [0, 1)")
     config = synth.SynthConfig(
         n_patients=args.n, T=args.t, n_features=args.features, seed=args.seed,
         disparity_delta=args.delta)

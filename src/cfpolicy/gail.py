@@ -109,10 +109,9 @@ def disc_update(disc: Discriminator, expert: np.ndarray, generated: np.ndarray,
     return float(np.sum(bce * weights))
 
 
-def disc_accuracy(disc: Discriminator, expert: np.ndarray, generated: np.ndarray,
-                  convention: str = "paper-eq") -> float:
-    de = disc.score(expert)
-    dg = disc.score(generated)
+def disc_accuracy(de: np.ndarray, dg: np.ndarray, convention: str = "paper-eq") -> float:
+    """Share of pairs the discriminator puts on the right side of 0.5, from
+    its scores of expert (``de``) and generated (``dg``) pairs."""
     if convention == "paper-eq":
         correct = np.sum(de > 0.5) + np.sum(dg <= 0.5)
     else:
@@ -191,7 +190,8 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
     n = len(obs)
     lam = config.entropy_coef
 
-    p_old = policy.probs(obs)
+    logits = policy.mlp.forward(obs, train=False)
+    p_old = softmax(logits)
     param_snap = policy.snapshot()
     opt_snap = opt.state()
     onehot = np.zeros((n, policy.n_actions))
@@ -200,8 +200,11 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
     lr_scale = 1.0
     for attempt in range(9):
         last_loss = 0.0
-        for _ in range(config.inner_steps):
-            logits = policy.mlp.forward(obs, train=False)
+        for step in range(config.inner_steps):
+            # the first step of the first attempt runs on the parameters of
+            # p_old, whose forward the layer caches still hold
+            if attempt or step:
+                logits = policy.mlp.forward(obs, train=False)
             p = softmax(logits)
             logp = np.log(np.clip(p, 1e-300, None))
             ent_rows = -np.sum(p * logp, axis=1)
@@ -304,13 +307,14 @@ def train_gail_core(expert_obs: np.ndarray, expert_actions: np.ndarray,
                           replace=False)
         expert_pairs = np.concatenate(
             [expert_obs[eidx], onehot(expert_actions[eidx])], axis=1)
+        gen_scores = disc.score(gen_pairs)
         log.append({
             "iteration": it,
             "disc_loss": disc_loss,
-            "disc_accuracy": disc_accuracy(disc, expert_pairs, gen_pairs,
+            "disc_accuracy": disc_accuracy(disc.score(expert_pairs), gen_scores,
                                            config.convention),
             "mean_reward": float(rewards.mean()),
-            "mean_abs_gap": float(np.abs(disc.score(gen_pairs) - 0.5).mean()),
+            "mean_abs_gap": float(np.abs(gen_scores - 0.5).mean()),
             "entropy": stats["entropy"],
             "kl": stats["kl"],
             "beta": beta,

@@ -30,7 +30,9 @@ class PolicyParams:
     max_dose: float
     floor: float  # propensity below this yields a zero dose
 
-    def dose(self, severity, logit_offset: float = 0.0):
+    def dose(self, severity, logit_offset=0.0):
+        """Dose for a severity (scalar or array); ``logit_offset`` may be a
+        scalar or an array broadcast against ``severity``."""
         q = sigmoid(self.slope * (np.asarray(severity) - self.center) + logit_offset)
         return np.where(q >= self.floor, self.max_dose * q, 0.0)
 
@@ -54,7 +56,6 @@ class SynthConfig:
     # outcome
     mortality_slope: float = 2.0
     mortality_threshold: float = 2.0
-    intermediate_death: bool = False
     # attribute proportions
     p_male: float = 0.5
     p_white: float = 0.7
@@ -69,9 +70,8 @@ class SynthConfig:
             raise ValueError("noise_sd must be nonnegative")
         if self.n_features < MIN_FEATURES:
             raise ValueError(f"n_features must be >= {MIN_FEATURES}")
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        if not np.isfinite(self.disparity_delta):
+            raise ValueError("disparity_delta must be finite")
 
 
 FLUID_POLICY = PolicyParams(slope=2.0, center=0.9, max_dose=500.0, floor=0.2)
@@ -164,88 +164,104 @@ def severity_step(config: SynthConfig, sev, drive, treat_intensity, noise):
 
 
 def generate(config: SynthConfig):
-    """Build (CohortDataset, GroundTruth); bit-deterministic per seed."""
+    """Build (CohortDataset, GroundTruth); bit-deterministic per seed.
+
+    No random variate depends on the state, so generation runs in three
+    phases. Draw: one pass over the encounters takes every variate in the
+    stream order of stepping them one at a time; the emission noise goes
+    straight into its state column. Step: one loop over t advances the
+    severity recursion, the expert doses and the balance labs of every
+    encounter at once. Emit: each state column gets its deterministic part
+    for all encounters together.
+    """
     rng = np.random.default_rng(config.seed)
     schema = make_schema(config.n_features)
     coeffs = _lab_coefficients(config)
-    T, M = config.T, config.n_features
+    n, T, M = config.n_patients, config.T, config.n_features
+    labs = range(MIN_FEATURES, M)
 
-    trajectories = []
-    severity_paths = {}
-    for p in range(config.n_patients):
-        tid = f"enc{p:06d}"
-        gender = "M" if rng.random() < config.p_male else "F"
-        ethnicity = "White" if rng.random() < config.p_white else "Black"
-        attrs = {"gender": gender, "ethnicity": ethnicity}
-        in_target = attrs.get(config.disparity_attribute) == config.disparity_value
-        vaso_offset = -config.disparity_delta if in_target else 0.0
+    # draw
+    attr_u = np.empty((n, 2))
+    # column 0: initial severity; then per step the fluid and vasopressor
+    # dose noise and the severity noise (the last step has none: column 3T)
+    z = np.zeros((n, 3 * T + 1))
+    states = np.empty((n, T, M))
+    phase = np.empty((n, M))
+    surv_u = np.empty(n)
+    for p in range(n):
+        attr_u[p] = rng.random(2)
+        z[p, :3 * T] = rng.standard_normal(3 * T)
+        for k, sd in enumerate((1.0, 1.5, 1.5, 0.1, 0.5, 0.1)):
+            states[p, :, k] = rng.normal(0, sd, T)
+        states[p, :, 6] = rng.uniform(30.0, 90.0)  # age, constant
+        for j in labs:
+            if coeffs[j][0] == "osc":
+                phase[p, j] = rng.uniform(0.0, 2 * np.pi)
+            states[p, :, j] = rng.normal(0, coeffs[j][-1], T)
+        surv_u[p] = rng.random()
 
-        sev = np.empty(T)
-        actions = np.zeros((T, 2))
-        sev[0] = max(0.0, rng.normal(0.35, 0.15))
-        for t in range(T):
-            s = sev[t]
-            noise_mult = np.exp(rng.normal(
-                -0.5 * config.dose_noise_sd ** 2, config.dose_noise_sd, size=2))
-            fluid = float(FLUID_POLICY.dose(s)) * noise_mult[0]
-            vaso = float(VASO_POLICY.dose(s, vaso_offset)) * noise_mult[1]
-            actions[t] = (fluid, vaso)
-            if t + 1 < T:
-                u = 0.5 * (fluid / FLUID_POLICY.max_dose + vaso / VASO_POLICY.max_dose)
-                drive = config.drive_post if t + 1 >= config.onset_t else config.drive_pre
-                sev[t + 1] = severity_step(
-                    config, s, drive, u, rng.normal(0.0, config.noise_sd))
+    attrs = [{"gender": "M" if g < config.p_male else "F",
+              "ethnicity": "White" if e < config.p_white else "Black"}
+             for g, e in attr_u]
+    vaso_offset = np.array([
+        -config.disparity_delta if a.get(config.disparity_attribute) == config.disparity_value
+        else 0.0 for a in attrs])
+    # rng.normal(loc, scale) is loc + scale * standard_normal, bit for bit
+    step_z = z[:, 1:].reshape(n, T, 3)
+    noise_mult = np.exp(-0.5 * config.dose_noise_sd ** 2
+                        + config.dose_noise_sd * step_z[:, :, :2])
+    sev_noise = 0.0 + config.noise_sd * step_z[:, :, 2]
 
-        states = np.empty((T, M))
-        states[:, 0] = 85.0 - 16.0 * sev + rng.normal(0, 1.0, T)   # mean_bp
-        states[:, 1] = 125.0 - 20.0 * sev + rng.normal(0, 1.5, T)  # sbp
-        states[:, 2] = 75.0 + 18.0 * sev + rng.normal(0, 1.5, T)   # heart_rate
-        states[:, 3] = np.maximum(0.05, 0.8 + 2.2 * sev + rng.normal(0, 0.1, T))
-        states[:, 4] = 16.0 + 4.0 * sev + rng.normal(0, 0.5, T)    # resp_rate
-        states[:, 5] = 37.0 + 0.8 * sev + rng.normal(0, 0.1, T)    # temperature
-        states[:, 6] = rng.uniform(30.0, 90.0)                      # age, constant
-        states[:, 7] = (sev > 1.6).astype(float)                    # mech_vent
-        max_doses = (FLUID_POLICY.max_dose, VASO_POLICY.max_dose)
-        for j in range(MIN_FEATURES, M):
-            spec = coeffs[j]
-            if spec[0] == "linked":
-                _, a, b, s_n = spec
-                states[:, j] = a + b * sev + rng.normal(0, s_n, T)
-            elif spec[0] == "balance":
-                _, drug, gain, leak, s_n = spec
-                u = actions[:, drug] / max_doses[drug]
-                x = np.empty(T)
-                eps = rng.normal(0, s_n, T)
-                x[0] = eps[0]
-                for t in range(1, T):
-                    x[t] = (1.0 - leak) * x[t - 1] + gain * u[t - 1] + eps[t]
-                states[:, j] = x
-            else:
-                _, a, amp, omega, s_n = spec
-                phase = rng.uniform(0.0, 2 * np.pi)
-                t_grid = np.arange(T, dtype=np.float64)
-                states[:, j] = (a + amp * np.sin(omega * t_grid + phase)
-                                + rng.normal(0, s_n, T))
+    # step
+    sev = np.empty((n, T))
+    sev[:, 0] = np.maximum(0.35 + 0.15 * z[:, 0], 0.0)
+    actions = np.empty((n, T, 2))
+    max_doses = (FLUID_POLICY.max_dose, VASO_POLICY.max_dose)
+    balance = [(j,) + coeffs[j][1:4] for j in labs if coeffs[j][0] == "balance"]
+    for t in range(T):
+        s = sev[:, t]
+        fluid = FLUID_POLICY.dose(s) * noise_mult[:, t, 0]
+        vaso = VASO_POLICY.dose(s, vaso_offset) * noise_mult[:, t, 1]
+        actions[:, t, 0] = fluid
+        actions[:, t, 1] = vaso
+        if t + 1 < T:
+            u = 0.5 * (fluid / FLUID_POLICY.max_dose + vaso / VASO_POLICY.max_dose)
+            drive = config.drive_post if t + 1 >= config.onset_t else config.drive_pre
+            sev[:, t + 1] = severity_step(config, s, drive, u, sev_noise[:, t])
+            # leaky accumulators of the dose; the column holds their noise
+            for j, drug, gain, leak in balance:
+                states[:, t + 1, j] = ((1.0 - leak) * states[:, t, j]
+                                       + gain * (actions[:, t, drug] / max_doses[drug])
+                                       + states[:, t + 1, j])
 
-        p_death = float(sigmoid(config.mortality_slope
-                                 * (sev[-1] - config.mortality_threshold)))
-        alive = rng.random() >= p_death
-        mortality_step = None
-        if not alive and config.intermediate_death:
-            crossings = np.flatnonzero(sev >= config.mortality_threshold + 0.5)
-            if crossings.size and crossings[0] < T - 1:
-                mortality_step = int(crossings[0])
-                states[mortality_step + 1:] = states[mortality_step]
-                actions[mortality_step + 1:] = 0.0
+    # emit; float addition commutes, so adding the deterministic part to the
+    # drawn noise gives the bits of part + noise
+    states[:, :, 0] += 85.0 - 16.0 * sev   # mean_bp
+    states[:, :, 1] += 125.0 - 20.0 * sev  # sbp
+    states[:, :, 2] += 75.0 + 18.0 * sev   # heart_rate
+    states[:, :, 3] = np.maximum(0.05, 0.8 + 2.2 * sev + states[:, :, 3])  # lactate
+    states[:, :, 4] += 16.0 + 4.0 * sev    # resp_rate
+    states[:, :, 5] += 37.0 + 0.8 * sev    # temperature
+    states[:, :, 7] = sev > 1.6            # mech_vent
+    t_grid = np.arange(T, dtype=np.float64)
+    for j in labs:
+        spec = coeffs[j]
+        if spec[0] == "linked":
+            _, a, b, _ = spec
+            states[:, :, j] += a + b * sev
+        elif spec[0] == "osc":
+            _, a, amp, omega, _ = spec
+            states[:, :, j] += a + amp * np.sin(omega * t_grid + phase[:, j, None])
 
-        severity_paths[tid] = sev.copy()
-        trajectories.append(PatientTrajectory(
-            id=tid, attributes=attrs, states=states, actions=actions,
-            mortality_step=mortality_step, outcome_alive=bool(alive)))
-
+    p_death = sigmoid(config.mortality_slope * (sev[:, -1] - config.mortality_threshold))
+    alive = surv_u >= p_death
+    ids = [f"enc{p:06d}" for p in range(n)]
+    trajectories = [PatientTrajectory(
+        id=ids[p], attributes=attrs[p], states=states[p], actions=actions[p],
+        mortality_step=None, outcome_alive=bool(alive[p])) for p in range(n)]
     cohort = CohortDataset(schema=schema, trajectories=trajectories)
     truth = GroundTruth(
-        severity=severity_paths,
+        severity=dict(zip(ids, sev)),
         disparity_delta=config.disparity_delta,
         disparity_attribute=config.disparity_attribute,
         disparity_value=config.disparity_value)

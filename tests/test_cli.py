@@ -122,11 +122,51 @@ def test_train_dyn_and_gail(pipeline_dirs, tmp_path):
     ["train-bc", "--mode", "classification", "--subgroup", "gender=M", "--epochs", "3",
      "--max-windows", "400"],
     ["train-bc", "--mode", "regression", "--epochs", "3", "--max-windows", "400"],
-    ["train-dyn", "--epochs", "2", "--max-windows", "300"]],
-    ids=["bc-classification", "bc-regression", "dyn"])
+    ["train-dyn", "--epochs", "2", "--max-windows", "300"],
+    ["synth", "--n", "30", "--t", "30", "--features", "12", "--delta", "0.5",
+     "--missing-rate", "0.1"]],
+    ids=["bc-classification", "bc-regression", "dyn", "synth"])
 def test_same_seed_gives_same_bytes(pipeline_dirs, tmp_path, argv):
-    _run_twice(tmp_path, argv + ["--cohort", str(pipeline_dirs["proc"]), "--seed", "3"],
-               ".metrics.json")
+    if argv[0] == "synth":
+        _synth_twice(tmp_path, argv + ["--seed", "3"])
+    else:
+        _run_twice(tmp_path, argv + ["--cohort", str(pipeline_dirs["proc"]),
+                                     "--seed", "3"], ".metrics.json")
+
+
+def _synth_twice(tmp_path, argv):
+    """Run ``synth`` twice with the same seed into the same (emptied)
+    directory; both runs must write the same files with the same bytes (npz
+    members compared, since the zip headers carry write times)."""
+    out = tmp_path / "raw"
+    runs = []
+    for _ in range(2):
+        shutil.rmtree(out, ignore_errors=True)
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        files = {}
+        for path in sorted(out.iterdir()):
+            if path.suffix == ".npz":
+                with np.load(path) as z:
+                    files[path.name] = {k: z[k].tobytes() for k in z.files}
+            else:
+                files[path.name] = path.read_bytes()
+        runs.append(files)
+    assert runs[0] == runs[1]
+    assert {"cohort.csv", "cohort.csv.npz", "ground_truth.json"} <= runs[0].keys()
+    assert b",," in runs[0]["cohort.csv"]  # the missing-rate mask took effect
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--delta", "nan", "disparity_delta must be finite"),
+    ("--delta", "inf", "disparity_delta must be finite"),
+    ("--missing-rate", "-0.5", "--missing-rate must be in [0, 1)"),
+    ("--missing-rate", "nan", "--missing-rate must be in [0, 1)")])
+def test_bad_synth_input_is_config_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "raw"
+    assert cli.main(["synth", "--n", "5", "--t", "6", "--features", "8",
+                     flag, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything is written
 
 
 def _corrupt(src, dst, key, cut):

@@ -8,9 +8,9 @@ from cfpolicy.errors import RolloutBlowupError, TrainingDivergenceError
 from cfpolicy.gail import (CONVENTIONS, D_CLAMP, REWARD_CLAMP, Discriminator,
                            GailConfig, StochasticPolicy, categorical_kl,
                            disc_accuracy, disc_update, load_gail,
-                           make_episode_sampler, policy_reward, policy_update,
-                           save_gail, train_gail)
-from cfpolicy.numcore import Adam
+                           make_episode_sampler, mean_entropy, policy_reward,
+                           policy_update, save_gail, train_gail)
+from cfpolicy.numcore import Adam, softmax
 from cfpolicy.preprocess import action_index_to_doses, normalize_actions
 
 
@@ -39,6 +39,80 @@ def sequential_sampler(cohort, dyn_model, config):
         return np.stack(obs), np.array(acts, dtype=np.int64)
 
     return sample_episode
+
+
+def reference_policy_update(policy, obs, actions, advantages, config, opt, beta):
+    """Reference trust-region step: a fresh forward for every inner step.
+    ``policy_update`` must match it byte for byte."""
+    obs = np.atleast_2d(obs)
+    actions = np.asarray(actions, dtype=np.int64)
+    adv = np.asarray(advantages, dtype=np.float64)
+    n = len(obs)
+    lam = config.entropy_coef
+
+    p_old = policy.probs(obs)
+    param_snap = policy.snapshot()
+    opt_snap = opt.state()
+    onehot = np.zeros((n, policy.n_actions))
+    onehot[np.arange(n), actions] = 1.0
+
+    lr_scale = 1.0
+    for attempt in range(9):
+        last_loss = 0.0
+        for _ in range(config.inner_steps):
+            logits = policy.mlp.forward(obs, train=False)
+            p = softmax(logits)
+            logp = np.log(np.clip(p, 1e-300, None))
+            ent_rows = -np.sum(p * logp, axis=1)
+            dz = (adv[:, None] * (p - onehot)
+                  + lam * p * (logp + ent_rows[:, None])
+                  + beta * (p - p_old)) / n
+            last_loss = float(np.mean(-logp[np.arange(n), actions] * adv)
+                              - lam * np.mean(ent_rows)
+                              + beta * categorical_kl(p_old, p))
+            policy.mlp.backward(dz)
+            opt.step(lr=config.lr * lr_scale)
+        p_new = policy.probs(obs)
+        kl = categorical_kl(p_old, p_new)
+        if kl <= config.kl_target or attempt == 8:
+            break
+        policy.load_state(param_snap)
+        opt.load_state(opt_snap)
+        lr_scale *= 0.5
+
+    if kl > config.kl_target * 1.5:
+        beta = min(beta * 2.0, 1e3)
+    elif kl < config.kl_target / 1.5:
+        beta = max(beta / 2.0, 1e-3)
+    stats = {"kl": kl, "entropy": mean_entropy(p_new), "loss": last_loss,
+             "lr_scale": lr_scale}
+    return stats, beta
+
+
+@pytest.mark.parametrize("kl_target", [0.05, 1e-4], ids=["in-region", "backtracking"])
+def test_policy_update_matches_reference_bytes(kl_target):
+    cfg = GailConfig(lr=0.01, kl_target=kl_target)
+    data = np.random.default_rng(4)
+    obs = data.normal(size=(48, 6))
+    pols = [StochasticPolicy(6, np.random.default_rng(2), n_actions=9, hidden=(16, 16))
+            for _ in range(2)]
+    opts = [Adam(p.params().values(), lr=cfg.lr) for p in pols]
+    betas = [1.0, 1.0]
+    scales = []
+    for _ in range(6):
+        actions = data.integers(0, 9, len(obs))
+        adv = data.normal(size=len(obs)) * 3
+        stats, betas[0] = policy_update(pols[0], obs, actions, adv, cfg, opts[0], betas[0])
+        ref, betas[1] = reference_policy_update(pols[1], obs, actions, adv, cfg,
+                                                opts[1], betas[1])
+        assert stats == ref and betas[0] == betas[1]
+        scales.append(stats["lr_scale"])
+        for a, b in zip(pols[0].state().values(), pols[1].state().values()):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(opts[0].state().values(), opts[1].state().values()):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    if kl_target < 0.01:
+        assert min(scales) < 1.0  # at least one update backtracked
 
 
 def test_config_validation():
@@ -75,7 +149,7 @@ def test_disc_update_separates_separable_data(rng):
     gen = rng.normal(size=(64, 2)) - 3.0
     for _ in range(150):
         disc_update(disc, expert, gen, opt, convention="paper-eq")
-    assert disc_accuracy(disc, expert, gen, "paper-eq") > 0.95
+    assert disc_accuracy(disc.score(expert), disc.score(gen), "paper-eq") > 0.95
     # paper-eq labels expert as 1
     assert disc.score(expert).mean() > 0.5 > disc.score(gen).mean()
 
@@ -83,8 +157,9 @@ def test_disc_update_separates_separable_data(rng):
 def test_disc_accuracy_conventions(rng):
     disc = Discriminator(2, rng, hidden=(8,))
     expert, gen = rng.normal(size=(16, 2)), rng.normal(size=(16, 2))
-    acc_a = disc_accuracy(disc, expert, gen, "paper-eq")
-    acc_b = disc_accuracy(disc, expert, gen, "gail-orig")
+    de, dg = disc.score(expert), disc.score(gen)
+    acc_a = disc_accuracy(de, dg, "paper-eq")
+    acc_b = disc_accuracy(de, dg, "gail-orig")
     assert acc_a + acc_b == pytest.approx(1.0, abs=1e-12)
 
 

@@ -1,11 +1,139 @@
 """Synthetic generator: determinism, planted disparity, missingness."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfpolicy.synth import (FLUID_POLICY, VASO_POLICY, GroundTruth, SynthConfig,
-                            expected_vaso_gap, generate, inject_missingness,
-                            load_ground_truth, make_schema, save_ground_truth)
+from cfpolicy.cohort import CohortDataset, PatientTrajectory
+from cfpolicy.numcore import sigmoid
+from cfpolicy.synth import (FLUID_POLICY, MIN_FEATURES, VASO_POLICY, GroundTruth,
+                            SynthConfig, _lab_coefficients, expected_vaso_gap,
+                            generate, inject_missingness, load_ground_truth,
+                            make_schema, save_ground_truth, severity_step)
+
+
+def reference_generate(config):
+    """Reference generator: one encounter and one timestep at a time, each
+    variate drawn where it is used. ``generate`` must match it byte for
+    byte."""
+    rng = np.random.default_rng(config.seed)
+    schema = make_schema(config.n_features)
+    coeffs = _lab_coefficients(config)
+    T, M = config.T, config.n_features
+
+    trajectories = []
+    severity_paths = {}
+    for p in range(config.n_patients):
+        tid = f"enc{p:06d}"
+        gender = "M" if rng.random() < config.p_male else "F"
+        ethnicity = "White" if rng.random() < config.p_white else "Black"
+        attrs = {"gender": gender, "ethnicity": ethnicity}
+        in_target = attrs.get(config.disparity_attribute) == config.disparity_value
+        vaso_offset = -config.disparity_delta if in_target else 0.0
+
+        sev = np.empty(T)
+        actions = np.zeros((T, 2))
+        sev[0] = max(0.0, rng.normal(0.35, 0.15))
+        for t in range(T):
+            s = sev[t]
+            noise_mult = np.exp(rng.normal(
+                -0.5 * config.dose_noise_sd ** 2, config.dose_noise_sd, size=2))
+            fluid = float(FLUID_POLICY.dose(s)) * noise_mult[0]
+            vaso = float(VASO_POLICY.dose(s, vaso_offset)) * noise_mult[1]
+            actions[t] = (fluid, vaso)
+            if t + 1 < T:
+                u = 0.5 * (fluid / FLUID_POLICY.max_dose + vaso / VASO_POLICY.max_dose)
+                drive = config.drive_post if t + 1 >= config.onset_t else config.drive_pre
+                sev[t + 1] = severity_step(
+                    config, s, drive, u, rng.normal(0.0, config.noise_sd))
+
+        states = np.empty((T, M))
+        states[:, 0] = 85.0 - 16.0 * sev + rng.normal(0, 1.0, T)   # mean_bp
+        states[:, 1] = 125.0 - 20.0 * sev + rng.normal(0, 1.5, T)  # sbp
+        states[:, 2] = 75.0 + 18.0 * sev + rng.normal(0, 1.5, T)   # heart_rate
+        states[:, 3] = np.maximum(0.05, 0.8 + 2.2 * sev + rng.normal(0, 0.1, T))
+        states[:, 4] = 16.0 + 4.0 * sev + rng.normal(0, 0.5, T)    # resp_rate
+        states[:, 5] = 37.0 + 0.8 * sev + rng.normal(0, 0.1, T)    # temperature
+        states[:, 6] = rng.uniform(30.0, 90.0)                      # age, constant
+        states[:, 7] = (sev > 1.6).astype(float)                    # mech_vent
+        max_doses = (FLUID_POLICY.max_dose, VASO_POLICY.max_dose)
+        for j in range(MIN_FEATURES, M):
+            spec = coeffs[j]
+            if spec[0] == "linked":
+                _, a, b, s_n = spec
+                states[:, j] = a + b * sev + rng.normal(0, s_n, T)
+            elif spec[0] == "balance":
+                _, drug, gain, leak, s_n = spec
+                u = actions[:, drug] / max_doses[drug]
+                x = np.empty(T)
+                eps = rng.normal(0, s_n, T)
+                x[0] = eps[0]
+                for t in range(1, T):
+                    x[t] = (1.0 - leak) * x[t - 1] + gain * u[t - 1] + eps[t]
+                states[:, j] = x
+            else:
+                _, a, amp, omega, s_n = spec
+                phase = rng.uniform(0.0, 2 * np.pi)
+                t_grid = np.arange(T, dtype=np.float64)
+                states[:, j] = (a + amp * np.sin(omega * t_grid + phase)
+                                + rng.normal(0, s_n, T))
+
+        p_death = float(sigmoid(config.mortality_slope
+                                 * (sev[-1] - config.mortality_threshold)))
+        alive = rng.random() >= p_death
+        severity_paths[tid] = sev.copy()
+        trajectories.append(PatientTrajectory(
+            id=tid, attributes=attrs, states=states, actions=actions,
+            mortality_step=None, outcome_alive=bool(alive)))
+
+    cohort = CohortDataset(schema=schema, trajectories=trajectories)
+    truth = GroundTruth(
+        severity=severity_paths,
+        disparity_delta=config.disparity_delta,
+        disparity_attribute=config.disparity_attribute,
+        disparity_value=config.disparity_value)
+    return cohort, truth
+
+
+def assert_same_generation(config):
+    cohort, truth = generate(config)
+    ref_cohort, ref_truth = reference_generate(config)
+    assert cohort.schema == ref_cohort.schema
+    assert len(cohort.trajectories) == len(ref_cohort.trajectories)
+    for x, y in zip(cohort.trajectories, ref_cohort.trajectories):
+        assert x.id == y.id and x.attributes == y.attributes
+        assert x.states.shape == y.states.shape and x.actions.shape == y.actions.shape
+        assert x.states.tobytes() == y.states.tobytes()
+        assert x.actions.tobytes() == y.actions.tobytes()
+        assert x.mortality_step is None and y.mortality_step is None
+        assert x.outcome_alive == y.outcome_alive
+    assert truth.severity.keys() == ref_truth.severity.keys()
+    for k in truth.severity:
+        assert truth.severity[k].tobytes() == ref_truth.severity[k].tobytes()
+    assert json.dumps(truth.to_json()) == json.dumps(ref_truth.to_json())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30), T=st.integers(4, 12), features=st.integers(8, 17),
+       delta=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_generate_matches_reference_bytes(n, T, features, delta, seed):
+    assert_same_generation(SynthConfig(n_patients=n, T=T, n_features=features,
+                                       seed=seed, disparity_delta=delta))
+
+
+@pytest.mark.parametrize("config", [
+    SynthConfig(n_patients=60, T=72, n_features=12, seed=7, disparity_delta=0.5),
+    SynthConfig(n_patients=25, T=30, n_features=40, seed=3, disparity_delta=-0.4,
+                disparity_attribute="ethnicity", disparity_value="Black",
+                noise_sd=0.0, mortality_threshold=0.45, mortality_slope=6.0)],
+    ids=["readme-shape", "all-labs-other-attribute"])
+def test_generate_matches_reference_bytes_at_size(config):
+    # onset at t=24 and every lab flavor several times over
+    assert_same_generation(config)
 
 
 def test_generation_is_bit_deterministic():
@@ -44,6 +172,9 @@ def test_config_validation():
         SynthConfig(T=2)
     with pytest.raises(ValueError):
         SynthConfig(n_features=4)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="disparity_delta"):
+            SynthConfig(disparity_delta=bad)
 
 
 def test_policy_floor_zeroes_low_propensity():
