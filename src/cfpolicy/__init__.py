@@ -5,21 +5,4 @@ cloning / GAIL policies -> cross-subgroup counterfactual discrepancy
 reports (KL, JS, MMD, Wasserstein).
 """
 
-from .cohort import (CohortDataset, FeatureSchema, PatientTrajectory, SubgroupKey,
-                     assign_splits, filter_subgroup, load_cohort, write_cohort)
-from .preprocess import (ActionBinning, NormStats, bin_action, fit_binning,
-                         fit_norm_stats, impute, norepi_equivalent, preprocess_cohort)
-from .synth import GroundTruth, SynthConfig, generate, inject_missingness
-from .reward import RewardFn, step_reward, trajectory_return
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CohortDataset", "FeatureSchema", "PatientTrajectory", "SubgroupKey",
-    "assign_splits", "filter_subgroup", "load_cohort", "write_cohort",
-    "ActionBinning", "NormStats", "bin_action", "fit_binning", "fit_norm_stats",
-    "impute", "norepi_equivalent", "preprocess_cohort",
-    "GroundTruth", "SynthConfig", "generate", "inject_missingness",
-    "RewardFn", "step_reward", "trajectory_return",
-    "__version__",
-]

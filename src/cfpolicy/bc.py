@@ -83,9 +83,7 @@ def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
         X, Y = X[keep], Y[keep]
 
     n_out = N_ACTIONS if mode == "classification" else Y.shape[1]
-    spec = MlpSpec(widths=(X.shape[1],) + tuple(hp.hidden) + (n_out,),
-                   batch_norm=True,
-                   output_head="softmax" if mode == "classification" else "linear")
+    spec = MlpSpec(widths=(X.shape[1],) + tuple(hp.hidden) + (n_out,), batch_norm=True)
     mlp = Mlp(spec, rng)
     opt = Adam(mlp.params().values(), lr=hp.lr)
     loss_fn = nll_loss if mode == "classification" else rmse_loss
@@ -100,20 +98,16 @@ def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
 
 
 def predict(policy: BcPolicy, window: np.ndarray) -> np.ndarray:
-    """Flattened window(s) -> probability vectors or normalized dose pairs."""
+    """(B, 3*M) flattened windows -> (B, 25) probability vectors or (B, 2)
+    normalized dose pairs."""
     x = np.asarray(window, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim == 3:  # (B, 3, M) convenience
-        x = x.reshape(x.shape[0], -1)
-    if x.shape[1] != policy.input_width:
+    if x.ndim != 2 or x.shape[1] != policy.input_width:
         raise SchemaMismatchError(
-            f"expected window width {policy.input_width}, got {x.shape[1]}")
+            f"expected (B, {policy.input_width}) windows, got {x.shape}")
     out = policy.mlp.forward(x, train=False)
     if policy.mode == "classification":
         out = softmax(out)
-    return out[0] if single else out
+    return out
 
 
 def predict_split(policy: BcPolicy, cohort: CohortDataset, split: str):
@@ -148,9 +142,9 @@ def binary_auroc(scores: np.ndarray, positives: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def eval_auroc(policy: BcPolicy, cohort: CohortDataset, split: str = "test",
-               return_details: bool = False):
-    """Macro one-vs-rest AUROC over the 25 classes; absent classes skipped."""
+def eval_auroc(policy: BcPolicy, cohort: CohortDataset, split: str = "test"):
+    """(macro one-vs-rest AUROC over the 25 classes, per-class AUROC dict,
+    skipped classes); a class absent from the split or filling it is skipped."""
     if policy.mode != "classification":
         raise ValueError("eval_auroc requires a classification policy")
     probs, labels = predict_split(policy, cohort, split)
@@ -164,10 +158,7 @@ def eval_auroc(policy: BcPolicy, cohort: CohortDataset, split: str = "test",
             skipped.append(c)
             continue
         per_class[c] = binary_auroc(probs[:, c], pos)
-    macro = float(np.mean(list(per_class.values())))
-    if return_details:
-        return macro, per_class, skipped
-    return macro
+    return float(np.mean(list(per_class.values()))), per_class, skipped
 
 
 def eval_report(policy: BcPolicy, cohort: CohortDataset, split: str = "test",
@@ -189,8 +180,7 @@ def eval_report(policy: BcPolicy, cohort: CohortDataset, split: str = "test",
         report["rmse_fluid"], report["rmse_vaso"] = fluid, vaso
     else:
         try:
-            macro, per_class, skipped = eval_auroc(policy, cohort, split,
-                                                   return_details=True)
+            macro, per_class, skipped = eval_auroc(policy, cohort, split)
         except UndefinedMetricError as exc:
             if not allow_undefined:
                 raise
@@ -222,9 +212,8 @@ def load_policy(path) -> BcPolicy:
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != "bc_policy":
         raise ValueError(f"{path} is not a BC policy checkpoint")
-    spec = MlpSpec(widths=tuple(meta["widths"]), batch_norm=True,
-                   output_head="softmax" if meta["mode"] == "classification" else "linear")
-    mlp = Mlp(spec, np.random.default_rng(0))
+    mlp = Mlp(MlpSpec(widths=tuple(meta["widths"]), batch_norm=True),
+              np.random.default_rng(0))
     mlp.load_state(arrays)
     sg = meta["source_subgroup"]
     return BcPolicy(

@@ -26,6 +26,22 @@ def _default_seed() -> int:
     return int(os.environ.get("CFPOLICY_SEED", "0"))
 
 
+def _count(text: str) -> int:
+    """An integer option that must be at least 1 (sizes, counts, lengths)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    """A float option that must be finite and greater than 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _write_config(args: argparse.Namespace, directory: Path, name: str = "run_config.json"):
     directory.mkdir(parents=True, exist_ok=True)
     resolved = {k: (str(v) if isinstance(v, Path) else v)
@@ -234,11 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subgroup", default=None, help="attr=value, e.g. gender=M")
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=3e-4)
+    p.add_argument("--batch", type=_count, default=64)
+    p.add_argument("--lr", type=_positive_finite, default=3e-4)
     p.add_argument("--patience", type=int, default=30)
-    p.add_argument("--hidden", type=int, nargs="+", default=[64, 64])
-    p.add_argument("--max-windows", type=int, default=None)
+    p.add_argument("--hidden", type=_count, nargs="+", default=[64, 64])
+    p.add_argument("--max-windows", type=_count, default=None)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_train_bc)
 
@@ -246,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--max-windows", type=int, default=None)
+    p.add_argument("--batch", type=_count, default=64)
+    p.add_argument("--lr", type=_positive_finite, default=3e-4)
+    p.add_argument("--hidden", type=_count, default=64)
+    p.add_argument("--max-windows", type=_count, default=None)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_train_dyn)
 
@@ -258,11 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dynamics", required=True, help="transition-model checkpoint")
     p.add_argument("--subgroup", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--horizon", type=int, default=16)
-    p.add_argument("--episodes", type=int, default=16)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=3e-4)
+    p.add_argument("--iterations", type=_count, default=200)
+    p.add_argument("--horizon", type=_count, default=16)
+    p.add_argument("--episodes", type=_count, default=16)
+    p.add_argument("--batch", type=_count, default=64)
+    p.add_argument("--lr", type=_positive_finite, default=3e-4)
     p.add_argument("--entropy-coef", type=float, default=0.03)
     p.add_argument("--convention", choices=gail.CONVENTIONS, default="paper-eq")
     p.add_argument("--seed", type=int, default=_default_seed())
@@ -282,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--per-timestep", action="store_true")
     p.add_argument("--allow-self", action="store_true")
-    p.add_argument("--eps", type=float, default=divergence.DEFAULT_EPS)
+    p.add_argument("--eps", type=_positive_finite, default=divergence.DEFAULT_EPS)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_counterfactual)
 

@@ -3,10 +3,9 @@ the per-subgroup deviation report.
 
 The headline KL direction is D_KL(realized || counterfactual); the reverse
 direction is also recorded for diagnostics. The counterfactual discrete
-distribution of a classification policy uses mean predicted probability
-vectors as primary and the argmax histogram as secondary; that of a
-regression policy is the histogram of its predicted doses, clipped at 0 and
-binned like the recorded doses.
+distribution of a classification policy is its mean predicted probability
+vector; that of a regression policy is the histogram of its predicted doses,
+clipped at 0 and binned like the recorded doses.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .bc import BcPolicy, predict
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import state_window
-from .errors import EmptySubgroupError
+from .errors import CfPolicyError, EmptySubgroupError
 from .kernels import median_pairwise_distance, rbf_mmd2_biased
 from .preprocess import (N_ACTIONS, action_index_to_doses, bin_actions_batch,
                          denormalize_actions)
@@ -75,8 +74,8 @@ def mmd_rbf(x, y, bandwidth: Optional[float] = None, *,
         x = x[:, None]
     if y.ndim == 1:
         y = y[:, None]
-    if len(x) < 2 or len(y) < 2:
-        raise ValueError("mmd_rbf needs at least 2 samples per side")
+    if len(x) == 0 or len(y) == 0:
+        raise ValueError("mmd_rbf needs at least 1 sample per side")
     pooled = np.concatenate([x, y], axis=0)
     _, e = np.frexp(np.max(pooled.max(axis=0) - pooled.min(axis=0)))
     e = int(e)  # frexp gives 0 for a zero or non-finite span: no scaling
@@ -120,9 +119,8 @@ def wasserstein1(x, y) -> float:
 class ActionDistribution:
     """Discrete 25-bin distribution plus pooled continuous dose samples."""
 
-    probs: np.ndarray             # primary 25-vector (mean predicted / histogram)
+    probs: np.ndarray             # 25-vector (mean predicted / histogram)
     n: int
-    probs_argmax: Optional[np.ndarray] = None  # secondary argmax histogram
     fluid: Optional[np.ndarray] = None
     vaso: Optional[np.ndarray] = None
 
@@ -143,7 +141,7 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
     t of the per-timestep list (t below the longest length) takes the
     trajectories that reach t.
     """
-    trajs = cohort.by_split(split) if cohort.split is not None else cohort.trajectories
+    trajs = cohort.by_split(split)
     if not trajs:
         raise EmptySubgroupError(f"split {split!r} has no trajectories")
     stats = cohort.norm_stats
@@ -158,21 +156,19 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
     def dist(rows) -> ActionDistribution:
         if policy is None:
             h = _histogram(labels[rows])
-            return ActionDistribution(probs=h, n=rows.size, probs_argmax=h,
+            return ActionDistribution(probs=h, n=rows.size,
                                       fluid=doses[rows, 0], vaso=doses[rows, 1])
         # one prediction call per group: BLAS rounding of a row can depend on
         # the rows batched with it, so a single call over all rows would move
         # the per-timestep values in their last digits
         out = predict(policy, windows[rows])
         if policy.mode == "classification":
-            labels_cf = np.argmax(out, axis=1)
-            doses_cf = action_index_to_doses(labels_cf, cohort.binning)
-            return ActionDistribution(
-                probs=out.mean(axis=0), n=rows.size, probs_argmax=_histogram(labels_cf),
-                fluid=doses_cf[:, 0], vaso=doses_cf[:, 1])
+            doses_cf = action_index_to_doses(np.argmax(out, axis=1), cohort.binning)
+            return ActionDistribution(probs=out.mean(axis=0), n=rows.size,
+                                      fluid=doses_cf[:, 0], vaso=doses_cf[:, 1])
         doses_cf = denormalize_actions(stats, out)
         h = _histogram(bin_actions_batch(np.maximum(doses_cf, 0.0), cohort.binning))
-        return ActionDistribution(probs=h, n=rows.size, probs_argmax=h,
+        return ActionDistribution(probs=h, n=rows.size,
                                   fluid=doses_cf[:, 0], vaso=doses_cf[:, 1])
 
     if per_timestep:
@@ -199,7 +195,7 @@ class DiscrepancyReport:
     seed: int = 0
     conventions: dict = field(default_factory=lambda: {
         "kl_direction": "realized||counterfactual",
-        "counterfactual_probs": "mean-predicted (argmax secondary)",
+        "counterfactual_probs": "mean of predicted probability vectors",
         "quantile_convention": "linear",
     })
 
@@ -217,16 +213,18 @@ class DiscrepancyReport:
             "conventions": self.conventions,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "DiscrepancyReport":
-        return cls(**obj)
-
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "DiscrepancyReport":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        """The report saved at ``path``; a file that is not one raises
+        CfPolicyError naming it."""
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            return cls(**obj)
+        except (TypeError, ValueError) as exc:
+            raise CfPolicyError(f"{path} is not a discrepancy report: {exc}") from exc
 
     def to_csv(self, path) -> None:
         """Flat CSV of every metric cell (aggregate, control, per-timestep)."""
@@ -246,7 +244,7 @@ class DiscrepancyReport:
 def _pair_metrics(realized: ActionDistribution, counterfactual: ActionDistribution,
                   eps: float):
     """Every discrepancy metric of one pair of distributions, plus the MMD
-    bandwidth record (empty when a side has fewer than 2 samples)."""
+    bandwidth record."""
     out = {
         "kl": kl_divergence(realized.probs, counterfactual.probs, eps),
         "kl_reverse": kl_divergence(counterfactual.probs, realized.probs, eps),
@@ -257,7 +255,7 @@ def _pair_metrics(realized: ActionDistribution, counterfactual: ActionDistributi
     xa = np.stack([realized.fluid, realized.vaso], axis=1)
     ya = np.stack([counterfactual.fluid, counterfactual.vaso], axis=1)
     mmd_info = {}
-    out["mmd"] = mmd_rbf(xa, ya, info=mmd_info) if len(xa) >= 2 and len(ya) >= 2 else 0.0
+    out["mmd"] = mmd_rbf(xa, ya, info=mmd_info)
     return out, mmd_info
 
 

@@ -13,7 +13,7 @@ silently corrected:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -71,11 +71,9 @@ class Discriminator:
         spec = MlpSpec(widths=(n_in,) + tuple(hidden) + (1,), batch_norm=False)
         self.mlp = Mlp(spec, rng)
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        return self.mlp.forward(x, train=False)[:, 0]
-
     def score(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(sigmoid(self.logits(x)), D_CLAMP, 1.0 - D_CLAMP)
+        logits = self.mlp.forward(x, train=False)[:, 0]
+        return np.clip(sigmoid(logits), D_CLAMP, 1.0 - D_CLAMP)
 
     def params(self):
         return self.mlp.params()
@@ -243,19 +241,22 @@ class GailResult:
     initial_policy_state: dict = field(default_factory=dict)
 
 
-def train_gail_core(expert_obs: np.ndarray, expert_actions: np.ndarray,
-                    sample_episodes: Callable, config: GailConfig,
-                    n_actions: int = N_ACTIONS) -> GailResult:
-    """Alternate rollouts, discriminator steps and policy steps.
-
-    ``sample_episodes(policy, rng, n) -> (obs (n, H, D), actions (n, H))``
-    generates n on-policy episodes against the environment model.
-    """
+def train_gail(cohort: CohortDataset, dyn_model: TransitionModel,
+               config: GailConfig = GailConfig(),
+               subgroup: Optional[SubgroupKey] = None) -> GailResult:
+    """Fit policy + discriminator against one cohort subgroup's expert
+    state-action pairs, alternating on-policy rollouts against the
+    environment model, discriminator steps and policy steps."""
+    data = cohort if subgroup is None else filter_subgroup(cohort, subgroup)
+    if not data.by_split("train"):
+        where = "the cohort" if subgroup is None else f"subgroup {subgroup}"
+        raise EmptySubgroupError(f"{where} has no train-split trajectories")
+    expert_obs, expert_actions = build_dataset(data, "train", "classification")
+    sample_episodes = make_episode_sampler(data, dyn_model, config)
     rng = np.random.default_rng(config.seed)
     obs_dim = expert_obs.shape[1]
-    policy = StochasticPolicy(obs_dim, rng, n_actions=n_actions,
-                              hidden=config.policy_hidden)
-    disc = Discriminator(obs_dim + n_actions, rng, hidden=config.disc_hidden)
+    policy = StochasticPolicy(obs_dim, rng, hidden=config.policy_hidden)
+    disc = Discriminator(obs_dim + N_ACTIONS, rng, hidden=config.disc_hidden)
     policy_opt = Adam(policy.params().values(), lr=config.lr)
     disc_opt = Adam(disc.params().values(), lr=config.disc_lr)
     initial_state = policy.snapshot()
@@ -263,7 +264,7 @@ def train_gail_core(expert_obs: np.ndarray, expert_actions: np.ndarray,
     log = []
 
     def onehot(a):
-        out = np.zeros((len(a), n_actions))
+        out = np.zeros((len(a), N_ACTIONS))
         out[np.arange(len(a)), a] = 1.0
         return out
 
@@ -361,21 +362,6 @@ def make_episode_sampler(cohort: CohortDataset, dyn_model: TransitionModel,
         return np.stack(obs_steps, axis=1), np.stack(act_steps, axis=1)
 
     return sample_episodes
-
-
-def train_gail(cohort: CohortDataset, dyn_model: TransitionModel,
-               config: GailConfig = GailConfig(),
-               subgroup: Optional[SubgroupKey] = None) -> GailResult:
-    """Fit policy + discriminator against one cohort subgroup's expert
-    state-action pairs."""
-    data = cohort if subgroup is None else filter_subgroup(cohort, subgroup)
-    if not data.by_split("train"):
-        where = "the cohort" if subgroup is None else f"subgroup {subgroup}"
-        raise EmptySubgroupError(f"{where} has no train-split trajectories")
-    expert_obs, expert_actions = build_dataset(data, "train", "classification")
-    sampler = make_episode_sampler(data, dyn_model, config)
-    result = train_gail_core(expert_obs, expert_actions, sampler, config)
-    return result
 
 
 def save_gail(result: GailResult, path) -> None:

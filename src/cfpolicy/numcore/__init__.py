@@ -5,12 +5,10 @@ from .losses import mse_loss, nll_loss, rmse_loss, sigmoid, softmax
 from .lstm import RecurrentRegressor
 from .optim import Adam
 from .training import fit
-from .gradcheck import finite_difference_check
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "ParamTensor", "Dense", "BatchNorm", "Relu", "Mlp", "MlpSpec",
     "RecurrentRegressor", "sigmoid", "softmax", "rmse_loss", "nll_loss", "mse_loss",
-    "Adam", "fit", "finite_difference_check",
-    "save_checkpoint", "load_checkpoint",
+    "Adam", "fit", "save_checkpoint", "load_checkpoint",
 ]

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
+
+from ..errors import CfPolicyError
 
 FORMAT_VERSION = 1
 
@@ -22,10 +25,15 @@ def save_checkpoint(path, arrays: dict, meta: dict) -> None:
 
 
 def load_checkpoint(path):
+    """(arrays, meta) of a bundle written by ``save_checkpoint``; a file that
+    is not one raises CfPolicyError naming it."""
     path = Path(path)
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version in {path}")
-        arrays = {k[4:]: data[k] for k in data.files if k.startswith("arr.")}
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+            arrays = {k[4:]: data[k] for k in data.files if k.startswith("arr.")}
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise CfPolicyError(f"{path} is not a checkpoint: {exc}") from exc
+    if not isinstance(meta, dict) or meta.get("format_version") != FORMAT_VERSION:
+        raise CfPolicyError(f"unsupported checkpoint version in {path}")
     return arrays, meta

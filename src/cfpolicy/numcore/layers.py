@@ -12,6 +12,9 @@ import numpy as np
 
 from ..errors import SchemaMismatchError
 
+# running-statistics momentum and variance guard; every model here uses these
+BN_MOMENTUM, BN_EPS = 0.9, 1e-5
+
 
 class ParamTensor:
     """A trainable array with a same-shaped gradient slot.
@@ -108,13 +111,11 @@ class BatchNorm:
     running stats with momentum 0.9; eval mode is a fixed affine map.
     """
 
-    def __init__(self, width: int, momentum: float = 0.9, eps: float = 1e-5):
+    def __init__(self, width: int):
         self.gamma = ParamTensor(np.ones(width))
         self.beta = ParamTensor(np.zeros(width))
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
-        self.momentum = momentum
-        self.eps = eps
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
@@ -123,12 +124,12 @@ class BatchNorm:
             mu = np.add.reduce(x, axis=0) / n
             d = x - mu
             var = np.add.reduce(d * d, axis=0) / n
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
+            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
         else:
             d = x - self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = d * inv_std
         self._cache = (xhat, inv_std, train, x.shape[0])
         return self.gamma.value * xhat + self.beta.value
@@ -164,24 +165,21 @@ class Relu:
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths (input first, output last) and head configuration."""
+    """Layer widths (input first, output last) and hidden batch norm."""
 
     widths: tuple
     batch_norm: bool = True
-    output_head: str = "linear"  # 'linear' | 'softmax'
 
     def __post_init__(self):
         if len(self.widths) < 2 or any(w <= 0 for w in self.widths):
             raise ValueError("widths must list >=2 positive integers")
-        if self.output_head not in ("linear", "softmax"):
-            raise ValueError(f"unsupported head {self.output_head!r}")
 
 
 class Mlp:
     """Feed-forward stack: (Dense -> [BatchNorm] -> ReLU)* -> Dense.
 
-    The head Dense emits raw scores; a 'softmax' spec head is applied by
-    callers (losses, predict) so gradients can be fused with the loss.
+    The head Dense emits raw scores; callers (losses, predict) apply any
+    softmax, so gradients can be fused with the loss.
     """
 
     def __init__(self, spec: MlpSpec, rng: np.random.Generator):
@@ -196,9 +194,8 @@ class Mlp:
         self.layers.append(Dense(widths[-2], widths[-1], rng))
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """x: (B, widths[0]) -> (B, widths[-1])."""
         out = np.asarray(x, dtype=np.float64)
-        if out.ndim == 1:
-            out = out[None, :]
         for layer in self.layers:
             out = layer.forward(out, train=train)
         return out

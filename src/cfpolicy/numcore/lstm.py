@@ -30,9 +30,7 @@ class RecurrentRegressor:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """x: (B, 3, n_in) -> (B, n_out)."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[None, :, :]
-        if x.shape[1] != self.WINDOW or x.shape[2] != self.n_in:
+        if x.ndim != 3 or x.shape[1] != self.WINDOW or x.shape[2] != self.n_in:
             raise SchemaMismatchError(
                 f"expected (B, {self.WINDOW}, {self.n_in}) input, got {x.shape}")
         B, H = x.shape[0], self.hidden

@@ -6,6 +6,9 @@ import numpy as np
 
 from ..errors import TrainingDivergenceError
 
+# moment decay rates and denominator guard; every model here trains with these
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adaptive-moment update with bias correction.
@@ -16,13 +19,11 @@ class Adam:
     whole-buffer operations.
     """
 
-    def __init__(self, params, lr: float = 3e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 3e-4):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         size = sum(p.value.size for p in self.params)
         self.value = np.empty(size)
@@ -48,16 +49,16 @@ class Adam:
         # v = b2 v + ((1 - b2) g) g and value -= (lr mhat) / (sqrt(vhat) + eps),
         # so each element gets the same bits as a per-tensor update
         update, denom = self._update, self._denom
-        self.m *= self.beta1
-        self.m += np.multiply(g, 1 - self.beta1, out=update)
-        self.v *= self.beta2
-        np.multiply(g, 1 - self.beta2, out=update)
+        self.m *= BETA1
+        self.m += np.multiply(g, 1 - BETA1, out=update)
+        self.v *= BETA2
+        np.multiply(g, 1 - BETA2, out=update)
         self.v += np.multiply(update, g, out=update)
-        np.divide(self.m, 1 - self.beta1 ** self.t, out=update)
+        np.divide(self.m, 1 - BETA1 ** self.t, out=update)
         update *= lr
-        np.divide(self.v, 1 - self.beta2 ** self.t, out=denom)
+        np.divide(self.v, 1 - BETA2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += EPS
         update /= denom
         self.value -= update
 

@@ -234,17 +234,9 @@ def _bin_dose(dose: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
     return np.where(dose == 0, 0, b).astype(np.int64)
 
 
-def bin_action(doses, binning: ActionBinning) -> int:
-    """Joint 25-way discrete action index: fluid_bin * 5 + vaso_bin."""
-    fluid, vaso = float(doses[0]), float(doses[1])
-    if fluid < 0 or vaso < 0:
-        raise ValueError("doses must be nonnegative")
-    fb = int(_bin_dose(np.array([fluid]), binning.fluid_cutoffs)[0])
-    vb = int(_bin_dose(np.array([vaso]), binning.vaso_cutoffs)[0])
-    return fb * N_BINS_PER_DRUG + vb
-
-
 def bin_actions_batch(actions: np.ndarray, binning: ActionBinning) -> np.ndarray:
+    """(N, 2) dose pairs -> (N,) joint 25-way action indices,
+    fluid_bin * 5 + vaso_bin."""
     fb = _bin_dose(actions[:, 0], binning.fluid_cutoffs)
     vb = _bin_dose(actions[:, 1], binning.vaso_cutoffs)
     return fb * N_BINS_PER_DRUG + vb

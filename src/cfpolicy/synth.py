@@ -100,17 +100,6 @@ class GroundTruth:
             "disparity_value": self.disparity_value,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GroundTruth":
-        return cls(
-            severity={k: np.array(v) for k, v in obj["severity"].items()},
-            fluid_policy=PolicyParams(**obj["fluid_policy"]),
-            vaso_policy=PolicyParams(**obj["vaso_policy"]),
-            disparity_delta=obj["disparity_delta"],
-            disparity_attribute=obj["disparity_attribute"],
-            disparity_value=obj["disparity_value"],
-        )
-
 
 def make_schema(n_features: int = 40) -> FeatureSchema:
     """Fixed clinical core (MAP, SBP, HR, lactate, ...) plus generic labs."""
@@ -268,25 +257,6 @@ def generate(config: SynthConfig):
     return cohort, truth
 
 
-def expected_vaso_gap(truth: GroundTruth, cohort: CohortDataset) -> float:
-    """Noiseless-policy expectation of the subgroup dose gap.
-
-    Averages the vasopressor policy with and without the planted offset
-    over every ground-truth severity sample; the Monte-Carlo realized gap
-    should match this because dose noise is mean-one multiplicative.
-    """
-    by_group = {True: [], False: []}
-    for tr in cohort.trajectories:
-        sev = truth.severity[tr.id]
-        flag = tr.attributes[truth.disparity_attribute] == truth.disparity_value
-        by_group[flag].append(np.asarray(sev))
-    base = np.concatenate(by_group[False])
-    shifted = np.concatenate(by_group[True])
-    mean_base = truth.vaso_policy.dose(base).mean()
-    mean_shifted = truth.vaso_policy.dose(shifted, -truth.disparity_delta).mean()
-    return float(mean_base - mean_shifted)
-
-
 def inject_missingness(cohort: CohortDataset, rate: float, seed: int) -> CohortDataset:
     """Mask non-demographic cells independently with probability ``rate``,
     keeping at least one observation per (trajectory, feature) when possible."""
@@ -316,7 +286,3 @@ def inject_missingness(cohort: CohortDataset, rate: float, seed: int) -> CohortD
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
     Path(path).write_text(json.dumps(truth.to_json()), encoding="utf-8")
-
-
-def load_ground_truth(path) -> GroundTruth:
-    return GroundTruth.from_json(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -21,9 +21,7 @@ from cfpolicy.divergence import (DEFAULT_EPS, counterfactual_report,
 from cfpolicy.dynamics import (STATE_CLIP, DynHyperParams, eval_dynamics_mse,
                                rollout, train_dynamics)
 from cfpolicy.gail import GailConfig, StochasticPolicy, make_episode_sampler, train_gail
-from cfpolicy.numcore import (Mlp, MlpSpec, RecurrentRegressor,
-                              finite_difference_check, mse_loss, nll_loss,
-                              rmse_loss)
+from cfpolicy.numcore import Mlp, MlpSpec, RecurrentRegressor, mse_loss, nll_loss, rmse_loss
 from cfpolicy.preprocess import (VASOPRESSOR_FACTORS, action_index_to_doses,
                                  apply_norm, fit_binning, fit_norm_stats,
                                  impute, invert_norm_feature,
@@ -31,6 +29,7 @@ from cfpolicy.preprocess import (VASOPRESSOR_FACTORS, action_index_to_doses,
                                  preprocess_cohort)
 from cfpolicy.reward import RewardFn, step_reward
 from cfpolicy.synth import SynthConfig, generate
+from gradcheck import finite_difference_check
 
 
 def _passed(criterion: int, detail: str) -> None:
@@ -77,8 +76,7 @@ def test_criterion_2_gradient_checks():
         rng = np.random.default_rng(seed)
         # dense + batch-norm stack under both output heads
         for head, loss in (("linear", rmse_loss), ("softmax", nll_loss)):
-            mlp = Mlp(MlpSpec(widths=(5, 8, 6, 3), batch_norm=True,
-                              output_head=head), rng)
+            mlp = Mlp(MlpSpec(widths=(5, 8, 6, 3), batch_norm=True), rng)
             x = rng.normal(size=(9, 5))
             target = (rng.integers(0, 3, size=9) if head == "softmax"
                       else rng.normal(size=(9, 3)))
@@ -237,7 +235,7 @@ def test_criterion_5_bc_learnability(big_proc):
     t0 = time.perf_counter()
     hp = BcHyperParams(epochs=30, max_windows=40000, seed=0)
     clf = train_bc(big_proc, None, "classification", hp)
-    auroc = eval_auroc(clf, big_proc, split="test")
+    auroc, _, _ = eval_auroc(clf, big_proc, split="test")
     reg = train_bc(big_proc, None, "regression", hp)
     f_r, v_r = eval_rmse(reg, big_proc, split="test")
     _, Y = build_dataset(big_proc, "test", "regression")

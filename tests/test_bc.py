@@ -84,17 +84,16 @@ def test_training_reduces_loss(tiny_clf):
 
 def test_predict_shapes_and_validation(tiny_clf, proc_cohort):
     M = proc_cohort.schema.n_features
-    p = predict(tiny_clf, np.zeros(3 * M))
-    assert p.shape == (25,) and p.sum() == pytest.approx(1.0)
-    batch = predict(tiny_clf, np.zeros((4, 3, M)))
-    assert batch.shape == (4, 25)
-    with pytest.raises(SchemaMismatchError):
-        predict(tiny_clf, np.zeros(3 * M + 1))
+    batch = predict(tiny_clf, np.zeros((4, 3 * M)))
+    assert batch.shape == (4, 25) and batch.sum(axis=1) == pytest.approx(np.ones(4))
+    # a wrong width, one unflattened window, (B, 3, M) windows
+    for bad in (np.zeros((4, 3 * M + 1)), np.zeros(3 * M), np.zeros((4, 3, M))):
+        with pytest.raises(SchemaMismatchError):
+            predict(tiny_clf, bad)
 
 
 def test_eval_auroc_and_report(tiny_clf, proc_cohort):
-    macro, per_class, skipped = eval_auroc(tiny_clf, proc_cohort, "test",
-                                           return_details=True)
+    macro, per_class, skipped = eval_auroc(tiny_clf, proc_cohort, "test")
     assert 0.0 <= macro <= 1.0
     assert set(per_class).isdisjoint(skipped)
     report = eval_report(tiny_clf, proc_cohort, "test")

@@ -2,6 +2,8 @@
 
 import json
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cfpolicy
 from cfpolicy import cli, gail
 from cfpolicy.cohort import load_cohort_dir, save_cohort_dir
 from cfpolicy.errors import SchemaMismatchError, TrainingDivergenceError
@@ -167,6 +170,97 @@ def test_bad_synth_input_is_config_error(tmp_path, capsys, flag, value, message)
                      flag, value, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()  # rejected before anything is written
+
+
+def _exit_code(argv) -> int:
+    """``cli.main(argv)``'s exit code, also when argument parsing exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def dyn_model(pipeline_dirs, tmp_path_factory):
+    path = tmp_path_factory.mktemp("dyn") / "dyn.npz"
+    assert cli.main(["train-dyn", "--cohort", str(pipeline_dirs["proc"]), "--epochs", "1",
+                     "--max-windows", "100", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("counterfactual", "--eps", "nan"),
+    ("counterfactual", "--eps", "-0.5"),
+    ("counterfactual", "--eps", "0"),
+    ("counterfactual", "--eps", "inf"),
+    ("train-bc", "--batch", "0"),
+    ("train-bc", "--hidden", "64,0"),
+    ("train-bc", "--max-windows", "0"),
+    ("train-dyn", "--batch", "0"),
+    ("train-dyn", "--hidden", "0"),
+    ("train-dyn", "--max-windows", "-3"),
+    ("train-gail", "--iterations", "0"),
+    ("train-gail", "--horizon", "0"),
+    ("train-gail", "--episodes", "0"),
+    ("train-gail", "--batch", "0"),
+    ("train-bc", "--lr", "nan"),
+    ("train-dyn", "--lr", "0"),
+    ("train-gail", "--lr", "inf")])
+def test_out_of_range_option_is_config_error(pipeline_dirs, dyn_model, tmp_path, capsys,
+                                             command, option, value):
+    out = tmp_path / "out"
+    inputs = {"counterfactual": ["--model", str(pipeline_dirs["model"]), "--target", "gender=F"],
+              "train-bc": ["--epochs", "1"], "train-dyn": ["--epochs", "1"],
+              "train-gail": ["--dynamics", str(dyn_model), "--iterations", "1"]}[command]
+    capsys.readouterr()
+    # the option under test comes last, so it overrides any default above
+    assert _exit_code([command] + inputs + [option] + value.split(",") + [
+        "--cohort", str(pipeline_dirs["proc"]), "--out", str(out)]) == 2
+    assert f"argument {option}: must be" in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize("kind", ["no-meta", "truncated", "zip-magic", "text"])
+def test_file_that_is_not_a_checkpoint_is_config_error(pipeline_dirs, tmp_path, capsys, kind):
+    bad, proc = tmp_path / "bad.npz", str(pipeline_dirs["proc"])
+    if kind == "no-meta":
+        np.savez(bad, **{"arr.W": np.zeros(3)})
+    elif kind == "truncated":
+        bad.write_bytes(pipeline_dirs["model"].read_bytes()[:300])
+    else:
+        bad.write_bytes(b"PK\x03\x04 not a zip" if kind == "zip-magic" else b"not a model")
+    for argv in (["eval", "--model", str(bad), "--cohort", proc],
+                 ["counterfactual", "--model", str(bad), "--cohort", proc,
+                  "--target", "gender=F", "--out", str(tmp_path / "cf")],
+                 ["train-gail", "--cohort", proc, "--dynamics", str(bad),
+                  "--out", str(tmp_path / "gail.npz")]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv[0]
+        assert f"{bad} is not a checkpoint" in capsys.readouterr().err, argv[0]
+    assert not (tmp_path / "cf").exists() and not (tmp_path / "gail.npz").exists()
+
+
+@pytest.mark.parametrize("kind", ["{}", "[]", "bc-metrics", "not-json"])
+def test_file_that_is_not_a_report_is_config_error(pipeline_dirs, tmp_path, capsys, kind):
+    path, out = tmp_path / "report.json", tmp_path / "out"
+    if kind == "bc-metrics":
+        shutil.copy(str(pipeline_dirs["model"]) + ".metrics.json", path)
+    else:
+        path.write_text("{" if kind == "not-json" else kind, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["report", "--report", str(path), "--out", str(out)]) == 2
+    assert f"{path} is not a discrepancy report" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import sys, cfpolicy; "
+            "print([m for m in sys.modules if m.startswith('cfpolicy.')])")
+    src = str(Path(cfpolicy.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _corrupt(src, dst, key, cut):

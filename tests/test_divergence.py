@@ -143,8 +143,8 @@ def test_mmd_identical_samples_and_bandwidth_fallback(rng):
     assert mmd_rbf(x, x) == pytest.approx(0.0, abs=1e-9)
     with pytest.warns(UserWarning, match="bandwidth"):
         assert mmd_rbf(np.zeros(5), np.zeros(5)) == 0.0
-    with pytest.raises(ValueError):
-        mmd_rbf(np.zeros(1), np.zeros(5))
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        mmd_rbf(np.zeros((0, 2)), np.zeros((5, 2)))
 
 
 def test_explicit_bandwidth_is_respected(rng):
@@ -164,8 +164,8 @@ def _sample(draw, n, dims, integer):
 def mmd_samples(draw):
     dims = draw(st.integers(1, 3))
     integer = draw(st.booleans())
-    x = _sample(draw, draw(st.integers(2, 14)), dims, integer)
-    y = _sample(draw, draw(st.integers(2, 14)), dims, integer)
+    x = _sample(draw, draw(st.integers(1, 14)), dims, integer)
+    y = _sample(draw, draw(st.integers(1, 14)), dims, integer)
     return x, y
 
 
@@ -185,6 +185,10 @@ def _check_against_bruteforce(x, y):
 @settings(deadline=None, max_examples=200)
 @given(mmd_samples())
 @example(([(0.0,), (1.0,)], [(1.0,), (0.0,)]))
+# one row on a side, as at the ragged tail of a per-timestep report
+@example(([(0.5, 1.0)], [(2.0, 0.0)]))
+@example(([(0.5, 1.0)], [(1.0, 2.0), (3.0, 0.0), (3.0, 0.0), (0.5, 1.0), (2.0, 2.0)]))
+@example(([(0.0,), (1.0,), (1.0,), (4.0,)], [(2.0,)]))
 # squared distances underflow to 0 unless the points are scaled first
 @example(([(0.0,), (0.0,)], [(0.0,), (5.77e-248,)]))
 @example(([(0.0,), (0.0,)], [(0.0,), (2.0,), (2.0,)]))
@@ -247,7 +251,6 @@ def test_policy_distribution_mean_probs(subgroup_policy, proc_cohort):
     dist = empirical_action_dist(subgroup_policy, proc_cohort, "test")
     assert dist.probs.shape == (25,)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-9)
-    assert dist.probs_argmax.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_per_timestep_distributions(proc_cohort):
@@ -275,7 +278,7 @@ def test_counterfactual_report_structure(subgroup_policy, proc_cohort, tmp_path)
     assert report.source_subgroup == "gender=M"
     assert report.target_subgroup == "gender=F"
     assert report.conventions["kl_direction"] == "realized||counterfactual"
-    assert report.conventions["counterfactual_probs"] == "mean-predicted (argmax secondary)"
+    assert report.conventions["counterfactual_probs"] == "mean of predicted probability vectors"
     assert all(len(v) > 0 for v in report.per_timestep.values())
     n_test_f = len(filter_subgroup(proc_cohort, SubgroupKey("gender", "F")).by_split("test"))
     assert report.sample_sizes["per_timestep"] == [n_test_f] * proc_cohort.trajectories[0].T
@@ -371,6 +374,10 @@ def test_ragged_cohort_report(subgroup_policy, proc_cohort):
                                                   for t in range(horizon)]
     assert all(len(v) == horizon for v in report.per_timestep.values())
     assert all(np.isfinite(v) for series in report.per_timestep.values() for v in series)
+    # the tail entry holds one encounter; its MMD is that of one row per side
+    assert report.sample_sizes["per_timestep"][-1] == 1
+    real_t = empirical_action_dist(None, filter_subgroup(ragged, key), "test",
+                                   per_timestep=True)
 
     # entry t holds the predictions on the windows of the encounters reaching t
     cf_t = empirical_action_dist(subgroup_policy, filter_subgroup(ragged, key), "test",
@@ -379,3 +386,6 @@ def test_ragged_cohort_report(subgroup_policy, proc_cohort):
         windows = np.stack([state_window(tr.states, t).reshape(-1)
                             for tr in test_trajs if tr.T > t])
         assert np.array_equal(cf_t[t].probs, predict(subgroup_policy, windows).mean(axis=0))
+    tail = [[(d.fluid[0], d.vaso[0])] for d in (real_t[-1], cf_t[-1])]
+    assert tail[0] != tail[1]
+    assert report.per_timestep["mmd"][-1] == pytest.approx(brute_mmd(*tail), abs=1e-12)

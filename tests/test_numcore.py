@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from cfpolicy.errors import SchemaMismatchError, TrainingDivergenceError
 from cfpolicy.gail import GailConfig, StochasticPolicy, policy_update
 from cfpolicy.numcore import (Adam, BatchNorm, Mlp, MlpSpec, ParamTensor,
-                              RecurrentRegressor, finite_difference_check, fit,
-                              load_checkpoint, mse_loss, nll_loss, rmse_loss,
-                              save_checkpoint, softmax)
+                              RecurrentRegressor, fit, load_checkpoint, mse_loss,
+                              nll_loss, rmse_loss, save_checkpoint, softmax)
+from gradcheck import finite_difference_check
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +59,9 @@ def test_mse_loss_oracle(rng):
 # gradient checks
 
 
-def _mlp_gradcheck(seed, head, loss):
+def _mlp_gradcheck(seed, loss):
     rng = np.random.default_rng(seed)
-    spec = MlpSpec(widths=(5, 8, 6, 3), batch_norm=True, output_head=head)
+    spec = MlpSpec(widths=(5, 8, 6, 3), batch_norm=True)
     mlp = Mlp(spec, rng)
     x = rng.normal(size=(9, 5))
     if loss is nll_loss:
@@ -80,12 +80,12 @@ def _mlp_gradcheck(seed, head, loss):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_mlp_gradcheck_regression(seed):
-    assert _mlp_gradcheck(seed, "linear", rmse_loss) < 1e-4
+    assert _mlp_gradcheck(seed, rmse_loss) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_mlp_gradcheck_classification(seed):
-    assert _mlp_gradcheck(seed, "softmax", nll_loss) < 1e-4
+    assert _mlp_gradcheck(seed, nll_loss) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -126,7 +126,7 @@ def test_batchnorm_eval_mode_gradcheck(rng):
 
 
 def test_batchnorm_running_stats_update(rng):
-    bn = BatchNorm(3, momentum=0.9)
+    bn = BatchNorm(3)
     x = rng.normal(size=(32, 3)) * 2 + 1
     bn.forward(x, train=True)
     assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=0))
@@ -146,6 +146,8 @@ def test_lstm_rejects_wrong_window(rng):
     net = RecurrentRegressor(4, 3, 2, rng)
     with pytest.raises(SchemaMismatchError):
         net.forward(np.zeros((2, 4, 4)))
+    with pytest.raises(SchemaMismatchError):  # one unbatched window
+        net.forward(np.zeros((3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +156,7 @@ def test_lstm_rejects_wrong_window(rng):
 
 def test_adam_single_step_oracle():
     p = ParamTensor(np.array([1.0, -2.0]))
-    opt = Adam([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam([p], lr=0.1)
     g = np.array([0.5, -3.0])
     p.grad = g.copy()
     opt.step()

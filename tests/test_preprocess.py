@@ -9,7 +9,7 @@ from cfpolicy.cohort import CohortDataset, FeatureSchema, PatientTrajectory
 from cfpolicy.errors import DegenerateBinningError, MissingFeatureError
 from cfpolicy.preprocess import (ActionBinning, N_ACTIONS, N_BINS_PER_DRUG,
                                  NormStats, _bin_dose, action_index_to_doses,
-                                 apply_norm, bin_action, bin_actions_batch,
+                                 apply_norm, bin_actions_batch,
                                  denormalize_actions, fit_binning,
                                  fit_norm_stats, impute, invert_norm_feature,
                                  norepi_equivalent, normalize_actions,
@@ -139,12 +139,9 @@ def test_bin_dose_rules():
 def test_joint_index_layout():
     binning = ActionBinning(fluid_cutoffs=np.array([1.0, 2.0, 3.0]),
                             vaso_cutoffs=np.array([0.1, 0.2, 0.3]))
-    assert bin_action((0.0, 0.0), binning) == 0
-    assert bin_action((99.0, 99.0), binning) == N_ACTIONS - 1
-    assert bin_action((1.5, 0.0), binning) == 2 * N_BINS_PER_DRUG
-    assert bin_action((0.0, 0.15), binning) == 2
-    batch = bin_actions_batch(np.array([[1.5, 0.15]]), binning)
-    assert batch[0] == 2 * N_BINS_PER_DRUG + 2
+    doses = np.array([[0.0, 0.0], [99.0, 99.0], [1.5, 0.0], [0.0, 0.15], [1.5, 0.15]])
+    assert bin_actions_batch(doses, binning).tolist() == [
+        0, N_ACTIONS - 1, 2 * N_BINS_PER_DRUG, 2, 2 * N_BINS_PER_DRUG + 2]
 
 
 @settings(deadline=None, max_examples=50)

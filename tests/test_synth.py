@@ -1,6 +1,7 @@
 """Synthetic generator: determinism, planted disparity, missingness."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,41 @@ from hypothesis import strategies as st
 from cfpolicy.cohort import CohortDataset, PatientTrajectory
 from cfpolicy.numcore import sigmoid
 from cfpolicy.synth import (FLUID_POLICY, MIN_FEATURES, VASO_POLICY, GroundTruth,
-                            SynthConfig, _lab_coefficients, expected_vaso_gap,
-                            generate, inject_missingness, load_ground_truth,
-                            make_schema, save_ground_truth, severity_step)
+                            PolicyParams, SynthConfig, _lab_coefficients, generate,
+                            inject_missingness, make_schema, save_ground_truth,
+                            severity_step)
+
+
+def expected_vaso_gap(truth: GroundTruth, cohort: CohortDataset) -> float:
+    """Noiseless-policy expectation of the subgroup dose gap.
+
+    Averages the vasopressor policy with and without the planted offset
+    over every ground-truth severity sample; the Monte-Carlo realized gap
+    should match this because dose noise is mean-one multiplicative.
+    """
+    by_group = {True: [], False: []}
+    for tr in cohort.trajectories:
+        sev = truth.severity[tr.id]
+        flag = tr.attributes[truth.disparity_attribute] == truth.disparity_value
+        by_group[flag].append(np.asarray(sev))
+    base = np.concatenate(by_group[False])
+    shifted = np.concatenate(by_group[True])
+    mean_base = truth.vaso_policy.dose(base).mean()
+    mean_shifted = truth.vaso_policy.dose(shifted, -truth.disparity_delta).mean()
+    return float(mean_base - mean_shifted)
+
+
+def load_ground_truth(path) -> GroundTruth:
+    """The ground-truth record that ``save_ground_truth`` wrote to ``path``."""
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    return GroundTruth(
+        severity={k: np.array(v) for k, v in obj["severity"].items()},
+        fluid_policy=PolicyParams(**obj["fluid_policy"]),
+        vaso_policy=PolicyParams(**obj["vaso_policy"]),
+        disparity_delta=obj["disparity_delta"],
+        disparity_attribute=obj["disparity_attribute"],
+        disparity_value=obj["disparity_value"],
+    )
 
 
 def reference_generate(config):
