@@ -64,9 +64,10 @@ def mmd_rbf(x, y, bandwidth: Optional[float] = None, *,
     ``info`` receives the bandwidth used and whether the fallback was taken.
 
     Points and bandwidth are first scaled by the power of two that brings
-    the largest coordinate span into [0.5, 1), so squared distances of tiny
-    spans do not underflow; outside the subnormal range the scaling is
-    exact and changes no result.
+    the largest coordinate span into [0.5, 1), so no coordinate difference
+    overflows; outside the subnormal range the scaling is exact and changes
+    no result. Distances far below the span do not underflow either: the
+    kernels scale each difference before squaring it.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -26,22 +26,49 @@ def _distinct(a):
     return rows, counts.astype(np.float64)
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) squared Euclidean distances, summed coordinate by
-    coordinate from squared differences (no |a|^2 + |b|^2 - 2ab cancellation)."""
+def _scaled_sq_dists(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances in units of sigma, summed
+    coordinate by coordinate from squared differences (no |a|^2 + |b|^2 - 2ab
+    cancellation). Each difference is divided by sigma before it is squared,
+    so a distance of the order of sigma does not underflow however small
+    sigma is; one far beyond it overflows to inf, whose kernel value is 0."""
+    d2 = np.zeros((len(a), len(b)))
+    with np.errstate(over="ignore"):
+        for k in range(a.shape[1]):
+            diff = (a[:, k, None] - b[None, :, k]) / sigma
+            d2 += diff * diff
+    return d2
+
+
+# Below this a sum of squared differences may have lost digits to underflow.
+_TINY_SQ = 2.0 ** -900
+
+
+def _dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances. The few pairs whose sum of
+    squares is so small that it may have underflowed are recomputed as in
+    ``math.dist``: their differences are divided by the largest of them
+    before they are squared."""
     d2 = np.zeros((len(a), len(b)))
     for k in range(a.shape[1]):
         diff = a[:, k, None] - b[None, :, k]
         d2 += diff * diff
-    return d2
+    d = np.sqrt(d2)
+    i, j = np.nonzero(d2 < _TINY_SQ)
+    if i.size:
+        diffs = np.abs(a[i] - b[j])
+        m = diffs.max(axis=1)
+        q = diffs / np.where(m > 0.0, m, 1.0)[:, None]
+        d[i, j] = m * np.sqrt(np.sum(q * q, axis=1))
+    return d
 
 
-def _kernel_sum(a, wa, b, wb, gamma: float) -> float:
+def _kernel_sum(a, wa, b, wb, sigma: float) -> float:
     """wa^T K(a, b) wb for the RBF kernel, a block of rows of a at a time."""
     rows = max(1, BLOCK_ENTRIES // len(b))
     total = 0.0
     for s in range(0, len(a), rows):
-        k = np.exp(-gamma * _sq_dists(a[s:s + rows], b))
+        k = np.exp(-0.5 * _scaled_sq_dists(a[s:s + rows], b, sigma))
         total += wa[s:s + rows] @ (k @ wb)
     return total
 
@@ -54,39 +81,43 @@ def rbf_mmd2_biased(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
     """
     x, wx = _distinct(x)
     y, wy = _distinct(y)
-    gamma = 1.0 / (2.0 * sigma * sigma)
+    sigma = float(sigma)
     nx, ny = wx.sum(), wy.sum()
-    kxx = _kernel_sum(x, wx, x, wx, gamma) / (nx * nx)
-    kyy = _kernel_sum(y, wy, y, wy, gamma) / (ny * ny)
-    kxy = _kernel_sum(x, wx, y, wy, gamma) / (nx * ny)
+    kxx = _kernel_sum(x, wx, x, wx, sigma) / (nx * nx)
+    kyy = _kernel_sum(y, wy, y, wy, sigma) / (ny * ny)
+    kxy = _kernel_sum(x, wx, y, wy, sigma) / (nx * ny)
     return float(kxx + kyy - 2.0 * kxy)
 
 
 def _pair_blocks(u: np.ndarray, w: np.ndarray):
-    """Squared distance and weight w_i * w_j of every pair i < j of rows of u,
-    one block of rows at a time."""
+    """Distance and weight w_i * w_j of every pair i < j of rows of u, one
+    block of rows at a time."""
     n = len(u)
     s = 0
     while s < n - 1:
         e = min(n - 1, s + max(1, BLOCK_ENTRIES // (n - s)))
         upper = np.arange(n - s)[None, :] > np.arange(e - s)[:, None]
-        yield _sq_dists(u[s:e], u[s:])[upper], (w[s:e, None] * w[None, s:])[upper]
+        yield _dists(u[s:e], u[s:])[upper], (w[s:e, None] * w[None, s:])[upper]
         s = e
 
 
 def _pair_order_stats(u: np.ndarray, w: np.ndarray, ranks) -> dict:
-    """Values at the given 0-based ranks of the weighted multiset of squared
+    """Values at the given 0-based ranks of the weighted multiset of
     distances between distinct rows of u (pair i < j has weight w_i * w_j).
 
     Each pass over the pairs histograms those inside an interval [lo, hi)
     and narrows it to the bin that holds the rank, until the pairs inside
     fit one block; those alone are then sorted.
     """
-    # Every computed squared distance is <= this bound: each floating-point
-    # step is monotone and the sum runs in the same order as in _sq_dists.
+    # Every computed distance is <= this bound: each floating-point step is
+    # monotone, and a sum of squares in _dists runs in the order of the sum
+    # here; a recomputed distance is at most the largest span times the
+    # square root of the number of columns.
+    spans = u.max(axis=0) - u.min(axis=0)
     bound = 0.0
-    for span in u.max(axis=0) - u.min(axis=0):
+    for span in spans:
         bound += span * span
+    bound = max(np.sqrt(bound), np.max(spans) * np.sqrt(float(u.shape[1])))
     out = {}
     for r in ranks:
         if r in out:
@@ -97,9 +128,9 @@ def _pair_order_stats(u: np.ndarray, w: np.ndarray, ranks) -> dict:
             edges = np.minimum(np.linspace(lo, hi, _MEDIAN_BINS + 1), hi)
             weight = np.zeros(_MEDIAN_BINS)
             count = np.zeros(_MEDIAN_BINS, dtype=np.int64)
-            for d2, pw in _pair_blocks(u, w):
-                inside = (d2 >= lo) & (d2 < hi)
-                b = np.searchsorted(edges, d2[inside], side="right") - 1
+            for d, pw in _pair_blocks(u, w):
+                inside = (d >= lo) & (d < hi)
+                b = np.searchsorted(edges, d[inside], side="right") - 1
                 weight += np.bincount(b, weights=pw[inside], minlength=_MEDIAN_BINS)
                 count += np.bincount(b, minlength=_MEDIAN_BINS)
             cum = below + np.cumsum(weight)
@@ -113,9 +144,9 @@ def _pair_order_stats(u: np.ndarray, w: np.ndarray, ranks) -> dict:
                 break
         else:
             vals, wts = [], []
-            for d2, pw in _pair_blocks(u, w):
-                inside = (d2 >= lo) & (d2 < hi)
-                vals.append(d2[inside])
+            for d, pw in _pair_blocks(u, w):
+                inside = (d >= lo) & (d < hi)
+                vals.append(d[inside])
                 wts.append(pw[inside])
             vals = np.concatenate(vals)
             order = np.argsort(vals, kind="stable")
@@ -142,8 +173,8 @@ def median_pairwise_distance(points) -> float:
     pairs = n * (n - 1) // 2
     ranks = ((pairs - 1) // 2, pairs // 2)
     zero = int(np.sum(w * (w - 1.0))) // 2  # pairs of identical rows
-    d2 = _pair_order_stats(u, w, sorted({r - zero for r in ranks if r >= zero}))
-    lo, hi = (np.sqrt(d2[r - zero]) if r >= zero else 0.0 for r in ranks)
+    d = _pair_order_stats(u, w, sorted({r - zero for r in ranks if r >= zero}))
+    lo, hi = (d[r - zero] if r >= zero else 0.0 for r in ranks)
     return float(0.5 * (lo + hi))
 
 

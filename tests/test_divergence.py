@@ -58,7 +58,8 @@ def brute_mmd(x, y):
     sigma = brute_bandwidth(list(x) + list(y))
 
     def k(a, b):
-        return math.exp(-(math.dist(_point(a), _point(b)) / sigma) ** 2 / 2)
+        r = math.dist(_point(a), _point(b)) / sigma
+        return math.exp(-r * r / 2)  # r * r gives inf, not OverflowError, far out
 
     kxx = sum(k(a, b) for a in x for b in x) / len(x) ** 2
     kyy = sum(k(a, b) for a in y for b in y) / len(y) ** 2
@@ -191,6 +192,9 @@ def _check_against_bruteforce(x, y):
 @example(([(0.0,), (1.0,), (1.0,), (4.0,)], [(2.0,)]))
 # squared distances underflow to 0 unless the points are scaled first
 @example(([(0.0,), (0.0,)], [(0.0,), (5.77e-248,)]))
+# ... or when the median distance is far below the span
+@example(([(0.0,), (0.0,), (0.0,), (2.988579002148598e-209,)], [(1.0,)]))
+@example(([(0.0, 0.0), (0.0, 0.0), (3e-200, 4e-200)], [(0.0, 0.0), (1.0, 1.0)]))
 @example(([(0.0,), (0.0,)], [(0.0,), (2.0,), (2.0,)]))
 @example(([(1.0, 2.0), (1.0, 2.0)], [(1.0, 2.0), (3.0, 0.0), (3.0, 0.0), (0.5, 1.0)]))
 @example(([(0.0, 0.0, 1.0), (2.0, 0.0, 1.0), (0.0, 0.0, 1.0)],
