@@ -15,8 +15,8 @@ import numpy as np
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import WINDOW, state_window
 from .errors import EmptySubgroupError, SchemaMismatchError, UndefinedMetricError
-from .numcore import (Adam, Mlp, MlpSpec, fit, load_checkpoint, nll_loss, rmse_loss,
-                      save_checkpoint, softmax)
+from .numcore import (Adam, Mlp, MlpSpec, fit, infer, load_checkpoint, nll_loss,
+                      rmse_loss, save_checkpoint, softmax)
 from .preprocess import N_ACTIONS, ActionBinning, NormStats
 
 # Reference evaluation constants from the original credentialed clinical
@@ -99,12 +99,13 @@ def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
 
 def predict(policy: BcPolicy, window: np.ndarray) -> np.ndarray:
     """(B, 3*M) flattened windows -> (B, 25) probability vectors or (B, 2)
-    normalized dose pairs."""
+    normalized dose pairs, through ``infer``: each row's output depends on
+    that row alone, in memory bounded by one block."""
     x = np.asarray(window, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != policy.input_width:
         raise SchemaMismatchError(
             f"expected (B, {policy.input_width}) windows, got {x.shape}")
-    out = policy.mlp.forward(x, train=False)
+    out = infer(policy.mlp, x)
     if policy.mode == "classification":
         out = softmax(out)
     return out

@@ -42,6 +42,14 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _nonnegative_finite(text: str) -> float:
+    """A float option that must be finite and at least 0."""
+    value = float(text)
+    if not 0 <= value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _write_config(args: argparse.Namespace, directory: Path, name: str = "run_config.json"):
     directory.mkdir(parents=True, exist_ok=True)
     resolved = {k: (str(v) if isinstance(v, Path) else v)
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=_count, default=16)
     p.add_argument("--batch", type=_count, default=64)
     p.add_argument("--lr", type=_positive_finite, default=3e-4)
-    p.add_argument("--entropy-coef", type=float, default=0.03)
+    p.add_argument("--entropy-coef", type=_nonnegative_finite, default=0.03)
     p.add_argument("--convention", choices=gail.CONVENTIONS, default="paper-eq")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_train_gail)

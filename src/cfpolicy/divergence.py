@@ -133,14 +133,15 @@ def _histogram(labels: np.ndarray) -> np.ndarray:
 
 def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
                           split: str = "test", per_timestep: bool = False):
-    """Pooled (or per-timestep list of) action distributions.
+    """The pooled action distribution, or with ``per_timestep`` the pair
+    (pooled, per-timestep list).
 
-    With ``policy=None`` the realized distribution of recorded expert
-    actions is returned; otherwise the policy's predictions on the same
-    states. Doses are reported in raw units. Trajectories may differ in
-    length: the pooled distribution takes every timestep of each, and entry
-    t of the per-timestep list (t below the longest length) takes the
-    trajectories that reach t.
+    With ``policy=None`` the distributions are of the recorded expert
+    actions; otherwise of the policy's predictions on the same states, from
+    one ``predict`` call over the split. Doses are reported in raw units.
+    Trajectories may differ in length: the pooled distribution takes every
+    timestep of each, and entry t of the per-timestep list (t below the
+    longest length) takes the trajectories that reach t.
     """
     trajs = cohort.by_split(split)
     if not trajs:
@@ -151,32 +152,28 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
         labels = np.concatenate([tr.action_bins for tr in trajs])
         doses = denormalize_actions(stats, np.concatenate([tr.actions for tr in trajs]))
     else:
-        windows = np.concatenate(
-            [state_window(tr.states, np.arange(tr.T)).reshape(tr.T, -1) for tr in trajs])
+        out = predict(policy, np.concatenate(
+            [state_window(tr.states, np.arange(tr.T)).reshape(tr.T, -1) for tr in trajs]))
+        if policy.mode == "classification":
+            doses = action_index_to_doses(np.argmax(out, axis=1), cohort.binning)
+        else:
+            doses = denormalize_actions(stats, out)
+            labels = bin_actions_batch(np.maximum(doses, 0.0), cohort.binning)
 
     def dist(rows) -> ActionDistribution:
-        if policy is None:
-            h = _histogram(labels[rows])
-            return ActionDistribution(probs=h, n=rows.size,
-                                      fluid=doses[rows, 0], vaso=doses[rows, 1])
-        # one prediction call per group: BLAS rounding of a row can depend on
-        # the rows batched with it, so a single call over all rows would move
-        # the per-timestep values in their last digits
-        out = predict(policy, windows[rows])
-        if policy.mode == "classification":
-            doses_cf = action_index_to_doses(np.argmax(out, axis=1), cohort.binning)
-            return ActionDistribution(probs=out.mean(axis=0), n=rows.size,
-                                      fluid=doses_cf[:, 0], vaso=doses_cf[:, 1])
-        doses_cf = denormalize_actions(stats, out)
-        h = _histogram(bin_actions_batch(np.maximum(doses_cf, 0.0), cohort.binning))
-        return ActionDistribution(probs=h, n=rows.size,
-                                  fluid=doses_cf[:, 0], vaso=doses_cf[:, 1])
+        if policy is not None and policy.mode == "classification":
+            probs = out[rows].mean(axis=0)
+        else:
+            probs = _histogram(labels[rows])
+        return ActionDistribution(probs=probs, n=rows.size,
+                                  fluid=doses[rows, 0], vaso=doses[rows, 1])
 
-    if per_timestep:
-        by_t = np.argsort(t_rows, kind="stable")
-        return [dist(rows) for rows in
-                np.split(by_t, np.cumsum(np.bincount(t_rows))[:-1])]
-    return dist(np.arange(t_rows.size))
+    pooled = dist(np.arange(t_rows.size))
+    if not per_timestep:
+        return pooled
+    by_t = np.argsort(t_rows, kind="stable")
+    return pooled, [dist(rows) for rows in
+                    np.split(by_t, np.cumsum(np.bincount(t_rows))[:-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +216,28 @@ class DiscrepancyReport:
 
     @classmethod
     def load(cls, path) -> "DiscrepancyReport":
-        """The report saved at ``path``; a file that is not one raises
-        CfPolicyError naming it."""
+        """The report saved at ``path``; a file that is not one, down to a
+        field of the wrong type, raises CfPolicyError naming it."""
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-            return cls(**obj)
+            report = cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+            report._check_types()
         except (TypeError, ValueError) as exc:
             raise CfPolicyError(f"{path} is not a discrepancy report: {exc}") from exc
+        return report
+
+    def _check_types(self) -> None:
+        """TypeError unless each field has the type ``save`` writes, metric
+        values are numbers and every series is a non-empty list of them."""
+        for name, kind in _REPORT_TYPES.items():
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError(f"{name} is a {type(getattr(self, name)).__name__}")
+        series = [*(self.per_timestep or {}).values(), *self.mean_actions.values()]
+        if not all(isinstance(v, list) and v for v in series):
+            raise TypeError("a per-timestep series is not a non-empty list")
+        values = [*self.metrics.values(), *self.control.values(),
+                  *(v for values in series for v in values)]
+        if not all(isinstance(v, (int, float)) for v in values):
+            raise TypeError("a metric value is not a number")
 
     def to_csv(self, path) -> None:
         """Flat CSV of every metric cell (aggregate, control, per-timestep)."""
@@ -240,6 +252,13 @@ class DiscrepancyReport:
                 for name, series in self.per_timestep.items():
                     for t, v in enumerate(series):
                         writer.writerow(["per_timestep", t, name, repr(v)])
+
+
+_REPORT_TYPES = {
+    "source_subgroup": str, "target_subgroup": str, "metrics": dict, "control": dict,
+    "per_timestep": (dict, type(None)), "mean_actions": dict, "eps": (int, float),
+    "sample_sizes": dict, "seed": int, "conventions": dict,
+}
 
 
 def _pair_metrics(realized: ActionDistribution, counterfactual: ActionDistribution,
@@ -267,8 +286,10 @@ def counterfactual_report(policy: BcPolicy, cohort: CohortDataset,
     subgroup and the source-trained policy's counterfactual predictions,
     with a same-subgroup control baseline."""
     target_cohort = filter_subgroup(cohort, target)
-    realized = empirical_action_dist(None, target_cohort, "test")
-    counterfactual = empirical_action_dist(policy, target_cohort, "test")
+    realized = empirical_action_dist(None, target_cohort, "test", per_timestep)
+    counterfactual = empirical_action_dist(policy, target_cohort, "test", per_timestep)
+    if per_timestep:
+        (realized, real_t), (counterfactual, cf_t) = realized, counterfactual
     metrics, mmd_info = _pair_metrics(realized, counterfactual, eps)
     infos = [mmd_info]
 
@@ -284,8 +305,6 @@ def counterfactual_report(policy: BcPolicy, cohort: CohortDataset,
     mean_actions = {}
     sample_sizes = {"target": realized.n, "counterfactual": counterfactual.n}
     if per_timestep:
-        real_t = empirical_action_dist(None, target_cohort, "test", per_timestep=True)
-        cf_t = empirical_action_dist(policy, target_cohort, "test", per_timestep=True)
         pairs = [_pair_metrics(r, c, eps) for r, c in zip(real_t, cf_t)]
         per_t = {name: [m[name] for m, _ in pairs]
                  for name in ("kl", "kl_reverse", "js", "mmd", "w1_fluid", "w1_vaso")}

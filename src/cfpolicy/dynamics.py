@@ -16,7 +16,8 @@ import numpy as np
 
 from .cohort import CohortDataset
 from .errors import EmptySubgroupError, RolloutBlowupError
-from .numcore import Adam, RecurrentRegressor, fit, load_checkpoint, mse_loss, save_checkpoint
+from .numcore import (Adam, RecurrentRegressor, fit, infer, load_checkpoint, mse_loss,
+                      save_checkpoint)
 
 WINDOW = 3
 STATE_CLIP = 8.0
@@ -99,9 +100,10 @@ def train_dynamics(cohort: CohortDataset, hp: DynHyperParams = DynHyperParams())
 
 
 def eval_dynamics_mse(model: TransitionModel, cohort: CohortDataset, split: str = "test"):
-    """(model MSE, predict-zero-delta baseline MSE) over a split."""
+    """(model MSE, predict-zero-delta baseline MSE) over a split, predicted
+    by ``infer`` in bounded memory."""
     X, Y = _collect_windows(cohort, split)
-    mse_model, _ = mse_loss(model.predict_delta(X), Y)
+    mse_model, _ = mse_loss(infer(model.net, X), Y)
     mse_zero, _ = mse_loss(np.zeros_like(Y), Y)
     return mse_model, mse_zero
 

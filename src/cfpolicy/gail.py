@@ -52,6 +52,11 @@ class GailConfig:
     disc_hidden: tuple = (64, 64, 64)
 
     def __post_init__(self):
+        rates = (self.lr, self.disc_lr, self.kl_penalty, self.entropy_coef,
+                 self.kl_target, self.gamma)
+        if not np.all(np.isfinite(rates)):
+            raise ValueError("lr, disc_lr, kl_penalty, entropy_coef, kl_target and "
+                             "gamma must be finite")
         if self.lr <= 0 or self.batch <= 0 or self.kl_penalty <= 0:
             raise ValueError("lr, batch and kl_penalty must be positive")
         if self.entropy_coef < 0:

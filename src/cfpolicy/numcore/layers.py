@@ -1,7 +1,8 @@
 """Dense / batch-norm / ReLU layers and the fixed MLP built from them.
 
-Backprop is hand-written per layer; each layer caches what its backward
-pass needs during forward. One forward must precede each backward.
+Backprop is hand-written per layer; each layer caches in ``_cache`` what
+its backward pass needs during forward. One forward must precede each
+backward.
 """
 
 from __future__ import annotations
@@ -86,19 +87,21 @@ class Dense:
         bound = 1.0 / np.sqrt(n_in)
         self.W = ParamTensor(rng.uniform(-bound, bound, size=(n_in, n_out)))
         self.b = ParamTensor(rng.uniform(-bound, bound, size=n_out))
-        self._x = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.shape[1] != self.W.value.shape[0]:
             raise SchemaMismatchError(
                 f"dense layer expects width {self.W.value.shape[0]}, got {x.shape[1]}")
-        self._x = x
+        self._cache = x
         return x @ self.W.value + self.b.value
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        np.matmul(self._x.T, dy, out=self.W.grad)
+    def backward(self, dy: np.ndarray, input_grad: bool = True):
+        """Fill the parameter gradients; returns the input gradient, or None
+        without ``input_grad``."""
+        np.matmul(self._cache.T, dy, out=self.W.grad)
         dy.sum(axis=0, out=self.b.grad)
-        return dy @ self.W.value.T
+        return dy @ self.W.value.T if input_grad else None
 
     def params(self):
         return {"W": self.W, "b": self.b}
@@ -150,14 +153,14 @@ class BatchNorm:
 
 class Relu:
     def __init__(self):
-        self._mask = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        self._cache = x > 0
+        return x * self._cache
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._mask
+        return dy * self._cache
 
     def params(self):
         return {}
@@ -200,10 +203,16 @@ class Mlp:
             out = layer.forward(out, train=train)
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, dout: np.ndarray) -> None:
+        """Fill every parameter gradient. No caller reads the gradient with
+        respect to the input, so it is not computed."""
+        for layer in reversed(self.layers[1:]):
             dout = layer.backward(dout)
-        return dout
+        self.layers[0].backward(dout, input_grad=False)
+
+    def clear_cache(self) -> None:
+        for layer in self.layers:
+            layer._cache = None
 
     def params(self) -> dict:
         out = {}

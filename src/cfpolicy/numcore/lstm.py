@@ -51,8 +51,9 @@ class RecurrentRegressor:
         self._cache = steps
         return self.head.forward(h, train=train)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        """dy: (B, n_out) -> gradient w.r.t. the input window (B, 3, n_in)."""
+    def backward(self, dy: np.ndarray) -> None:
+        """dy: (B, n_out); fills every parameter gradient. No caller reads the
+        gradient with respect to the input window, so it is not computed."""
         steps = self._cache
         H = self.hidden
         dh = self.head.backward(dy)
@@ -62,7 +63,6 @@ class RecurrentRegressor:
         dWx, dWh, db = self.Wx.grad, self.Wh.grad, self.b.grad
         for slot in (dWx, dWh, db):
             slot.fill(0.0)
-        dx = np.zeros((B, self.WINDOW, self.n_in))
         for t in range(self.WINDOW - 1, -1, -1):
             x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
             dc = dc + dh * o * (1.0 - tanh_c ** 2)
@@ -79,10 +79,11 @@ class RecurrentRegressor:
             dWx += x_t.T @ dz
             dWh += h_prev.T @ dz
             db += dz.sum(axis=0)
-            dx[:, t, :] = dz @ self.Wx.value.T
             dh = dz @ self.Wh.value.T
             dc = dc * f
-        return dx
+
+    def clear_cache(self) -> None:
+        self._cache = self.head._cache = None
 
     def params(self) -> dict:
         out = {"Wx": self.Wx, "Wh": self.Wh, "b": self.b}

@@ -1,4 +1,5 @@
-"""The minibatch training loop shared by every supervised model."""
+"""The minibatch training loop and the blocked inference shared by every
+model."""
 
 from __future__ import annotations
 
@@ -8,17 +9,46 @@ import numpy as np
 
 from ..errors import TrainingDivergenceError
 
+# rows per inference forward; a fixed block shape makes each output row's
+# bits independent of the rows computed with it
+BLOCK = 256
+
+
+def infer(model, X) -> np.ndarray:
+    """``model.forward(X, train=False)`` run in BLOCK-row calls.
+
+    Every call gets a full block, the last one padded with zero rows, so an
+    output row depends on its input row alone, not on the number or order
+    of the other rows. Activation memory is one block's whatever len(X) is,
+    and the model's backward cache is dropped on return.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    block = np.zeros((BLOCK,) + X.shape[1:])
+    out = None
+    for start in range(0, max(n, 1), BLOCK):
+        rows = X[start:start + BLOCK]
+        block[:len(rows)] = rows
+        block[len(rows):] = 0.0
+        model.clear_cache()  # so one block's activations are alive, not two
+        y = model.forward(block, train=False)
+        if out is None:
+            out = np.empty((n,) + y.shape[1:])
+        out[start:start + len(rows)] = y[:len(rows)]
+    model.clear_cache()
+    return out
+
 
 def fit(model, opt, loss_fn, X, Y, Xv, Yv, *, epochs: int, batch: int,
         rng: np.random.Generator, patience: Optional[int] = None) -> list:
     """Shuffled minibatch descent that keeps the best-validation snapshot.
 
-    ``model`` provides forward(x, train), backward(grad), state() and
-    load_state(); ``loss_fn(pred, target)`` returns (loss, grad). Training
-    stops early once ``patience`` epochs pass without a new best validation
-    loss (never when ``patience`` is None). The model ends on its
-    best-validation state. Returns one (mean train loss, val loss) pair per
-    epoch run.
+    ``model`` provides forward(x, train), backward(grad), clear_cache(),
+    state() and load_state(); ``loss_fn(pred, target)`` returns (loss, grad).
+    The validation predictions come from ``infer``. Training stops early
+    once ``patience`` epochs pass without a new best validation loss (never
+    when ``patience`` is None). The model ends on its best-validation state.
+    Returns one (mean train loss, val loss) pair per epoch run.
     """
     best_loss, best_state, best_epoch = np.inf, None, -1
     history = []
@@ -34,7 +64,7 @@ def fit(model, opt, loss_fn, X, Y, Xv, Yv, *, epochs: int, batch: int,
             model.backward(grad)
             opt.step()
             total += loss * len(idx)
-        val_loss, _ = loss_fn(model.forward(Xv, train=False), Yv)
+        val_loss, _ = loss_fn(infer(model, Xv), Yv)
         history.append((total / n, val_loss))
         if val_loss < best_loss:
             best_loss, best_epoch = val_loss, epoch

@@ -127,21 +127,30 @@ def test_train_dyn_and_gail(pipeline_dirs, tmp_path):
     ["train-bc", "--mode", "regression", "--epochs", "3", "--max-windows", "400"],
     ["train-dyn", "--epochs", "2", "--max-windows", "300"],
     ["synth", "--n", "30", "--t", "30", "--features", "12", "--delta", "0.5",
-     "--missing-rate", "0.1"]],
-    ids=["bc-classification", "bc-regression", "dyn", "synth"])
+     "--missing-rate", "0.1"],
+    ["counterfactual", "--target", "gender=F", "--per-timestep"]],
+    ids=["bc-classification", "bc-regression", "dyn", "synth", "counterfactual"])
 def test_same_seed_gives_same_bytes(pipeline_dirs, tmp_path, argv):
     if argv[0] == "synth":
-        _synth_twice(tmp_path, argv + ["--seed", "3"])
+        files = _out_dir_twice(tmp_path, argv + ["--seed", "3"])
+        assert {"cohort.csv", "cohort.csv.npz", "ground_truth.json"} <= files.keys()
+        assert b",," in files["cohort.csv"]  # the missing-rate mask took effect
+    elif argv[0] == "counterfactual":
+        files = _out_dir_twice(tmp_path, argv + [
+            "--model", str(pipeline_dirs["model"]), "--cohort", str(pipeline_dirs["proc"]),
+            "--seed", "3"])
+        assert {"report.json", "report.csv", "metrics_per_timestep.svg"} <= files.keys()
     else:
         _run_twice(tmp_path, argv + ["--cohort", str(pipeline_dirs["proc"]),
                                      "--seed", "3"], ".metrics.json")
 
 
-def _synth_twice(tmp_path, argv):
-    """Run ``synth`` twice with the same seed into the same (emptied)
+def _out_dir_twice(tmp_path, argv):
+    """Run a command twice with the same seed into the same (emptied)
     directory; both runs must write the same files with the same bytes (npz
-    members compared, since the zip headers carry write times)."""
-    out = tmp_path / "raw"
+    members compared, since the zip headers carry write times). Returns the
+    first run's files by name."""
+    out = tmp_path / "out"
     runs = []
     for _ in range(2):
         shutil.rmtree(out, ignore_errors=True)
@@ -155,8 +164,7 @@ def _synth_twice(tmp_path, argv):
                 files[path.name] = path.read_bytes()
         runs.append(files)
     assert runs[0] == runs[1]
-    assert {"cohort.csv", "cohort.csv.npz", "ground_truth.json"} <= runs[0].keys()
-    assert b",," in runs[0]["cohort.csv"]  # the missing-rate mask took effect
+    return runs[0]
 
 
 @pytest.mark.parametrize("flag,value,message", [
@@ -205,7 +213,10 @@ def dyn_model(pipeline_dirs, tmp_path_factory):
     ("train-gail", "--batch", "0"),
     ("train-bc", "--lr", "nan"),
     ("train-dyn", "--lr", "0"),
-    ("train-gail", "--lr", "inf")])
+    ("train-gail", "--lr", "inf"),
+    ("train-gail", "--entropy-coef", "nan"),
+    ("train-gail", "--entropy-coef", "inf"),
+    ("train-gail", "--entropy-coef", "-1")])
 def test_out_of_range_option_is_config_error(pipeline_dirs, dyn_model, tmp_path, capsys,
                                              command, option, value):
     out = tmp_path / "out"
@@ -240,17 +251,20 @@ def test_file_that_is_not_a_checkpoint_is_config_error(pipeline_dirs, tmp_path, 
     assert not (tmp_path / "cf").exists() and not (tmp_path / "gail.npz").exists()
 
 
-@pytest.mark.parametrize("kind", ["{}", "[]", "bc-metrics", "not-json"])
+@pytest.mark.parametrize("kind", ["{}", "[]", "bc-metrics", "not-json", "metrics-list"])
 def test_file_that_is_not_a_report_is_config_error(pipeline_dirs, tmp_path, capsys, kind):
     path, out = tmp_path / "report.json", tmp_path / "out"
     if kind == "bc-metrics":
         shutil.copy(str(pipeline_dirs["model"]) + ".metrics.json", path)
+    elif kind == "metrics-list":  # every report key, one of the wrong type
+        report = json.loads((pipeline_dirs["cf"] / "report.json").read_text())
+        path.write_text(json.dumps(dict(report, metrics=[])), encoding="utf-8")
     else:
         path.write_text("{" if kind == "not-json" else kind, encoding="utf-8")
     capsys.readouterr()
     assert cli.main(["report", "--report", str(path), "--out", str(out)]) == 2
     assert f"{path} is not a discrepancy report" in capsys.readouterr().err
-    assert not out.exists()
+    assert not out.exists()  # so no report.csv either
 
 
 def test_package_import_loads_no_submodule():

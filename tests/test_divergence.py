@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfpolicy import kernels
+from cfpolicy import divergence, kernels
 from cfpolicy.bc import BcHyperParams, predict, train_bc
 from cfpolicy.cohort import SubgroupKey, filter_subgroup
 from cfpolicy.divergence import (DEFAULT_EPS, DiscrepancyReport,
@@ -258,15 +258,33 @@ def test_policy_distribution_mean_probs(subgroup_policy, proc_cohort):
 
 
 def test_per_timestep_distributions(proc_cohort):
-    dists = empirical_action_dist(None, proc_cohort, "test", per_timestep=True)
+    pooled, dists = empirical_action_dist(None, proc_cohort, "test", per_timestep=True)
     T = proc_cohort.by_split("test")[0].T
     assert len(dists) == T
+    assert np.array_equal(pooled.probs, empirical_action_dist(None, proc_cohort, "test").probs)
 
 
 def _pooled_doses(policy, cohort, key):
     sub = filter_subgroup(cohort, key)
     dists = [empirical_action_dist(p, sub, "test") for p in (None, policy)]
     return np.concatenate([np.stack([d.fluid, d.vaso], axis=1) for d in dists])
+
+
+@pytest.mark.parametrize("per_timestep", [False, True])
+def test_counterfactual_predicts_once_per_subgroup(subgroup_policy, proc_cohort,
+                                                   monkeypatch, per_timestep):
+    calls = []
+
+    def counted(policy, windows):
+        calls.append(len(windows))
+        return predict(policy, windows)
+
+    monkeypatch.setattr(divergence, "predict", counted)
+    target = SubgroupKey("gender", "F")
+    counterfactual_report(subgroup_policy, proc_cohort, target, per_timestep=per_timestep)
+    # the target's windows, then the source subgroup's for the control
+    assert calls == [sum(tr.T for tr in filter_subgroup(proc_cohort, key).by_split("test"))
+                     for key in (target, subgroup_policy.source_subgroup)]
 
 
 def test_counterfactual_report_structure(subgroup_policy, proc_cohort, tmp_path):
@@ -380,12 +398,12 @@ def test_ragged_cohort_report(subgroup_policy, proc_cohort):
     assert all(np.isfinite(v) for series in report.per_timestep.values() for v in series)
     # the tail entry holds one encounter; its MMD is that of one row per side
     assert report.sample_sizes["per_timestep"][-1] == 1
-    real_t = empirical_action_dist(None, filter_subgroup(ragged, key), "test",
-                                   per_timestep=True)
+    _, real_t = empirical_action_dist(None, filter_subgroup(ragged, key), "test",
+                                      per_timestep=True)
 
     # entry t holds the predictions on the windows of the encounters reaching t
-    cf_t = empirical_action_dist(subgroup_policy, filter_subgroup(ragged, key), "test",
-                                 per_timestep=True)
+    _, cf_t = empirical_action_dist(subgroup_policy, filter_subgroup(ragged, key), "test",
+                                    per_timestep=True)
     for t in (0, int(lengths.min()), horizon - 1):
         windows = np.stack([state_window(tr.states, t).reshape(-1)
                             for tr in test_trajs if tr.T > t])

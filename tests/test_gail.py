@@ -125,6 +125,14 @@ def test_config_validation():
     assert set(CONVENTIONS) == {"paper-eq", "gail-orig"}
 
 
+@pytest.mark.parametrize("name", ["lr", "disc_lr", "kl_penalty", "entropy_coef",
+                                  "kl_target", "gamma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_rates(name, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        GailConfig(**{name: value})
+
+
 def test_discriminator_output_clamped(rng):
     disc = Discriminator(4, rng, hidden=(8,))
     x = rng.normal(size=(10, 4)) * 100

@@ -1,6 +1,8 @@
 """Hand-written neural-network core: gradients, optimizers, training loop,
 checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 from cfpolicy.errors import SchemaMismatchError, TrainingDivergenceError
 from cfpolicy.gail import GailConfig, StochasticPolicy, policy_update
 from cfpolicy.numcore import (Adam, BatchNorm, Mlp, MlpSpec, ParamTensor,
-                              RecurrentRegressor, fit, load_checkpoint, mse_loss,
+                              RecurrentRegressor, fit, infer, load_checkpoint, mse_loss,
                               nll_loss, rmse_loss, save_checkpoint, softmax)
+from cfpolicy.numcore.training import BLOCK
 from gradcheck import finite_difference_check
 
 
@@ -148,6 +151,57 @@ def test_lstm_rejects_wrong_window(rng):
         net.forward(np.zeros((2, 4, 4)))
     with pytest.raises(SchemaMismatchError):  # one unbatched window
         net.forward(np.zeros((3, 4)))
+
+
+def _inference_model(kind, n_in, hidden, rng):
+    """A BC-style batch-norm MLP with moved running statistics, or a
+    dynamics-style LSTM, and the shape of one input row."""
+    if kind == "mlp":
+        mlp = Mlp(MlpSpec(widths=(n_in, hidden, hidden, 25), batch_norm=True), rng)
+        mlp.forward(rng.normal(size=(64, n_in)) * 2 + 1, train=True)
+        return mlp, (n_in,)
+    return RecurrentRegressor(n_in, hidden, 12, rng), (3, n_in)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["mlp", "lstm"]), n_in=st.sampled_from([5, 14, 36]),
+       hidden=st.sampled_from([8, 64]), blocks=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_infer_rows_do_not_depend_on_the_other_rows(kind, n_in, hidden, blocks, seed,
+                                                    data):
+    rng = np.random.default_rng(seed)
+    model, row = _inference_model(kind, n_in, hidden, rng)
+    n = data.draw(st.integers((blocks - 1) * BLOCK + 1, blocks * BLOCK), label="rows")
+    X = rng.normal(size=(n,) + row)
+    ref = infer(model, X)
+    assert ref.shape[0] == n
+    assert np.allclose(ref, model.forward(X, train=False), rtol=0, atol=1e-12)
+    perm = rng.permutation(n)
+    assert infer(model, X[perm]).tobytes() == ref[perm].tobytes()
+    k = data.draw(st.integers(1, n), label="subset")
+    subset = rng.choice(n, k, replace=False)
+    assert infer(model, X[subset]).tobytes() == ref[subset].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mlp", "lstm"])
+def test_infer_memory_does_not_grow_with_rows(kind, rng):
+    model, row = _inference_model(kind, 36, 64, rng)
+
+    def peak_beyond_output(n):
+        X = rng.normal(size=(n,) + row)
+        tracemalloc.start()
+        try:
+            out = infer(model, X)
+            return tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    small = peak_beyond_output(BLOCK)
+    # 256 KiB is a few block-sized arrays; one forward over all 4,096 rows
+    # keeps several MB of activations
+    assert peak_beyond_output(16 * BLOCK) <= small + 256 * 1024
+    for obj in (model.layers if kind == "mlp" else (model, model.head)):
+        assert obj._cache is None  # a backward after infer cannot reuse a block
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +449,9 @@ class _ScriptedModel:
         return np.full((1, 1), self.val_losses[self.epoch])
 
     def backward(self, grad):
+        pass
+
+    def clear_cache(self):
         pass
 
     def state(self):
