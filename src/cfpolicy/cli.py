@@ -22,8 +22,20 @@ from .preprocess import preprocess_cohort
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 
 
+def _seed(text: str) -> int:
+    """A seed option: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value}")
+    return value
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("CFPOLICY_SEED", "0"))
+    """The seed of a command run without --seed: CFPOLICY_SEED, else 0."""
+    text = os.environ.get("CFPOLICY_SEED", "0")
+    if not text.isdecimal():  # the digits that int() reads; no sign
+        raise CfPolicyError(f"CFPOLICY_SEED must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _count(text: str) -> int:
@@ -241,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=int, default=40)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--missing-rate", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="split, impute, normalize, bin actions")
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train-bc", help="behavioral cloning")
@@ -257,24 +269,24 @@ def build_parser() -> argparse.ArgumentParser:
                    default="classification")
     p.add_argument("--subgroup", default=None, help="attr=value, e.g. gender=M")
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--epochs", type=_count, default=300)
     p.add_argument("--batch", type=_count, default=64)
     p.add_argument("--lr", type=_positive_finite, default=3e-4)
     p.add_argument("--patience", type=int, default=30)
     p.add_argument("--hidden", type=_count, nargs="+", default=[64, 64])
     p.add_argument("--max-windows", type=_count, default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_train_bc)
 
     p = sub.add_parser("train-dyn", help="state-transition environment model")
     p.add_argument("--cohort", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=15)
+    p.add_argument("--epochs", type=_count, default=15)
     p.add_argument("--batch", type=_count, default=64)
     p.add_argument("--lr", type=_positive_finite, default=3e-4)
     p.add_argument("--hidden", type=_count, default=64)
     p.add_argument("--max-windows", type=_count, default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_train_dyn)
 
     p = sub.add_parser("train-gail", help="adversarial imitation learning")
@@ -289,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=_positive_finite, default=3e-4)
     p.add_argument("--entropy-coef", type=_nonnegative_finite, default=0.03)
     p.add_argument("--convention", choices=gail.CONVENTIONS, default="paper-eq")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_train_gail)
 
     p = sub.add_parser("eval", help="evaluate a BC policy")
@@ -307,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-timestep", action="store_true")
     p.add_argument("--allow-self", action="store_true")
     p.add_argument("--eps", type=_positive_finite, default=divergence.DEFAULT_EPS)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_counterfactual)
 
     p = sub.add_parser("report", help="re-render CSV/SVG from a report JSON")
@@ -322,6 +334,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:  # read only by commands with --seed
+            args.seed = _default_seed()
         return args.func(args)
     except (TrainingDivergenceError, RolloutBlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)

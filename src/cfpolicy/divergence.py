@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -198,18 +198,7 @@ class DiscrepancyReport:
     })
 
     def to_json(self) -> dict:
-        return {
-            "source_subgroup": self.source_subgroup,
-            "target_subgroup": self.target_subgroup,
-            "metrics": self.metrics,
-            "control": self.control,
-            "per_timestep": self.per_timestep,
-            "mean_actions": self.mean_actions,
-            "eps": self.eps,
-            "sample_sizes": self.sample_sizes,
-            "seed": self.seed,
-            "conventions": self.conventions,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2), encoding="utf-8")

@@ -14,8 +14,8 @@ __all__ = [
 # float64 arrays of this size at a time, so their memory does not grow with
 # the number of points.
 BLOCK_ENTRIES = 1 << 18
-# Histogram bins per narrowing pass of the median search.
-_MEDIAN_BINS = 1024
+# Bits of a distance's bit pattern that one pass of the median search fixes.
+_DIGIT_BITS = 16
 
 
 def _distinct(a):
@@ -105,56 +105,50 @@ def _pair_order_stats(u: np.ndarray, w: np.ndarray, ranks) -> dict:
     """Values at the given 0-based ranks of the weighted multiset of
     distances between distinct rows of u (pair i < j has weight w_i * w_j).
 
-    Each pass over the pairs histograms those inside an interval [lo, hi)
-    and narrows it to the bin that holds the rank, until the pairs inside
-    fit one block; those alone are then sorted.
+    A radix select on the uint64 bit patterns of the distances, which order
+    as nonnegative floats do: each pass over the pairs bincounts the next
+    digit of those that share the bits fixed so far and keeps the bin that
+    holds the rank, until the pairs left fit one block and are sorted, or
+    every bit is fixed and is the value.
     """
-    # Every computed distance is <= this bound: each floating-point step is
-    # monotone, and a sum of squares in _dists runs in the order of the sum
-    # here; a recomputed distance is at most the largest span times the
-    # square root of the number of columns.
-    spans = u.max(axis=0) - u.min(axis=0)
-    bound = 0.0
-    for span in spans:
-        bound += span * span
-    bound = max(np.sqrt(bound), np.max(spans) * np.sqrt(float(u.shape[1])))
     out = {}
     for r in ranks:
         if r in out:
             continue
-        lo, hi, below = 0.0, np.nextafter(bound, np.inf), 0.0
+        prefix, shift, below = 0, 63, 0.0  # bits >= shift; the sign bit is 0
         n_inside = len(u) * (len(u) - 1) // 2
-        while n_inside > BLOCK_ENTRIES:
-            edges = np.minimum(np.linspace(lo, hi, _MEDIAN_BINS + 1), hi)
-            weight = np.zeros(_MEDIAN_BINS)
-            count = np.zeros(_MEDIAN_BINS, dtype=np.int64)
+        while n_inside > BLOCK_ENTRIES and shift > 0:
+            step = min(_DIGIT_BITS, shift)
+            shift -= step
+            weight = np.zeros(1 << step)
+            count = np.zeros(1 << step, dtype=np.int64)
             for d, pw in _pair_blocks(u, w):
-                inside = (d >= lo) & (d < hi)
-                b = np.searchsorted(edges, d[inside], side="right") - 1
-                weight += np.bincount(b, weights=pw[inside], minlength=_MEDIAN_BINS)
-                count += np.bincount(b, minlength=_MEDIAN_BINS)
+                b = d.view(np.uint64) >> shift
+                b -= np.uint64(prefix << step)  # below the prefix wraps round
+                inside = b < (1 << step)
+                b = b[inside].view(np.int64)
+                weight += np.bincount(b, weights=pw[inside], minlength=1 << step)
+                count += np.bincount(b, minlength=1 << step)
+                del b, inside  # not held while the next block is built
             cum = below + np.cumsum(weight)
             k = int(np.searchsorted(cum, r, side="right"))
             below = cum[k] - weight[k]
-            lo, hi, n_inside = edges[k], edges[k + 1], int(count[k])
-            if np.nextafter(lo, np.inf) >= hi:  # the bin holds the one value lo
-                for q in ranks:
-                    if below <= q < cum[k]:
-                        out[q] = lo
-                break
+            prefix, n_inside = (prefix << step) | k, int(count[k])
+        if n_inside > BLOCK_ENTRIES:  # every bit is fixed: the pairs left equal it
+            vals, cum = np.array([prefix], dtype=np.uint64).view(np.float64), [cum[k]]
         else:
             vals, wts = [], []
             for d, pw in _pair_blocks(u, w):
-                inside = (d >= lo) & (d < hi)
+                inside = (d.view(np.uint64) >> shift) == prefix
                 vals.append(d[inside])
                 wts.append(pw[inside])
             vals = np.concatenate(vals)
             order = np.argsort(vals, kind="stable")
             vals = vals[order]
             cum = below + np.cumsum(np.concatenate(wts)[order])
-            for q in ranks:
-                if below <= q < cum[-1]:
-                    out[q] = vals[np.searchsorted(cum, q, side="right")]
+        for q in ranks:
+            if below <= q < cum[-1]:
+                out[q] = vals[np.searchsorted(cum, q, side="right")]
     return out
 
 

@@ -216,7 +216,12 @@ def dyn_model(pipeline_dirs, tmp_path_factory):
     ("train-gail", "--lr", "inf"),
     ("train-gail", "--entropy-coef", "nan"),
     ("train-gail", "--entropy-coef", "inf"),
-    ("train-gail", "--entropy-coef", "-1")])
+    ("train-gail", "--entropy-coef", "-1"),
+    ("train-bc", "--epochs", "0"),
+    ("train-bc", "--epochs", "-3"),
+    ("train-dyn", "--epochs", "0"),
+    ("train-dyn", "--seed", "-1"),
+    ("counterfactual", "--seed", "-1")])
 def test_out_of_range_option_is_config_error(pipeline_dirs, dyn_model, tmp_path, capsys,
                                              command, option, value):
     out = tmp_path / "out"
@@ -420,6 +425,38 @@ def test_default_seed_reads_environment(monkeypatch):
     assert cli._default_seed() == 0
     monkeypatch.setenv("CFPOLICY_SEED", "77")
     assert cli._default_seed() == 77
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+@pytest.mark.parametrize("command", ["synth", "preprocess", "train-bc", "train-dyn",
+                                     "train-gail", "counterfactual"])
+def test_bad_seed_environment_is_config_error(pipeline_dirs, dyn_model, tmp_path, capsys,
+                                              monkeypatch, command, value):
+    out = tmp_path / "out"
+    proc = str(pipeline_dirs["proc"])
+    inputs = {"synth": ["--n", "10", "--t", "5"],
+              "preprocess": ["--cohort", str(pipeline_dirs["raw"])],
+              "train-bc": ["--cohort", proc, "--epochs", "1"],
+              "train-dyn": ["--cohort", proc, "--epochs", "1"],
+              "train-gail": ["--cohort", proc, "--dynamics", str(dyn_model),
+                             "--iterations", "1"],
+              "counterfactual": ["--cohort", proc, "--model", str(pipeline_dirs["model"]),
+                                 "--target", "gender=F"]}[command]
+    monkeypatch.setenv("CFPOLICY_SEED", value)
+    capsys.readouterr()
+    assert _exit_code([command] + inputs + ["--out", str(out)]) == 2
+    assert "CFPOLICY_SEED must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything is written
+    # an explicit --seed is used instead of the variable
+    assert _exit_code([command] + inputs + ["--out", str(out), "--seed", "3"]) == 0
+
+
+def test_commands_without_seed_ignore_seed_environment(pipeline_dirs, tmp_path, monkeypatch):
+    monkeypatch.setenv("CFPOLICY_SEED", "abc")
+    assert cli.main(["eval", "--model", str(pipeline_dirs["model"]), "--cohort",
+                     str(pipeline_dirs["proc"]), "--out", str(tmp_path / "eval.json")]) == 0
+    assert cli.main(["report", "--report", str(pipeline_dirs["cf"] / "report.json"),
+                     "--out", str(tmp_path / "report")]) == 0
 
 
 @settings(max_examples=10, deadline=None,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cfpolicy import kernels
 from cfpolicy.kernels import discounted_returns, fill_series, rbf_mmd2_biased
 
 
@@ -36,6 +37,39 @@ def test_mmd2_one_dimensional_inputs(rng):
     x, y = rng.normal(size=20), rng.normal(size=20) + 1
     assert rbf_mmd2_biased(x, y, 1.0) == pytest.approx(
         rbf_mmd2_biased(x[:, None], y[:, None], 1.0), abs=0)
+
+
+def sorted_median(points):
+    """Mean of the middle order statistics of the sorted upper triangle of
+    ``_dists`` over every row, repeats included."""
+    p = np.asarray(points, dtype=np.float64)
+    d = np.sort(kernels._dists(p, p)[np.triu_indices(len(p), 1)])
+    return float(0.5 * (d[(len(d) - 1) // 2] + d[len(d) // 2]))
+
+
+_coord = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3e-209]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _point_sets(draw):
+    dims = draw(st.integers(1, 3))
+    return draw(st.lists(st.tuples(*[_coord] * dims), min_size=2, max_size=30))
+
+
+# a budget of 5 entries makes the radix search take passes; on the grids
+# more than 5 pairs lie at the median, so every bit of it gets fixed
+@pytest.mark.parametrize("block", [kernels.BLOCK_ENTRIES, 5])
+@settings(deadline=None, max_examples=150)
+@given(_point_sets())
+@example([(float(i),) for i in range(10)])
+@example([(float(i), float(j)) for i in range(4) for j in range(4)])
+@example([(0.0,), (0.0,), (0.0,), (3e-209,)])
+@example([(0.0,), (0.0,), (0.0,), (5.77e-248,)])
+@example([(0.0, 1.0), (0.0, 1.0), (3e-209, 1.0), (5e-324, 1.0), (1.0, 1.0)])
+def test_median_radix_search_equals_sorted_reference(block, points):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK_ENTRIES", block)
+        assert kernels.median_pairwise_distance(points) == sorted_median(points)
 
 
 def test_fill_series_cases():
