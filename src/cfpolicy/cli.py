@@ -107,6 +107,19 @@ def _load_preprocessed(path: str):
     return cohort
 
 
+def _load_bc_for(args, cohort):
+    """The BC policy of --model, which must have been trained on a cohort
+    preprocessed as --cohort was: same normalization and action binning."""
+    policy = bc.load_policy(args.model)
+    for name in ("norm_stats", "binning"):
+        if (json.dumps(getattr(policy, name).to_json())
+                != json.dumps(getattr(cohort, name).to_json())):
+            raise CfPolicyError(
+                f"{args.model} was trained on a cohort preprocessed differently "
+                f"from {args.cohort} ({name} differ)")
+    return policy
+
+
 def cmd_train_bc(args) -> int:
     cohort = _load_preprocessed(args.cohort)
     subgroup = SubgroupKey.parse(args.subgroup) if args.subgroup else None
@@ -176,7 +189,7 @@ def cmd_train_gail(args) -> int:
 
 def cmd_eval(args) -> int:
     cohort = _load_preprocessed(args.cohort)
-    policy = bc.load_policy(args.model)
+    policy = _load_bc_for(args, cohort)
     data = cohort if policy.source_subgroup is None else bc.filter_subgroup(
         cohort, policy.source_subgroup)
     report = bc.eval_report(policy, data, args.split)
@@ -190,7 +203,7 @@ def cmd_eval(args) -> int:
 
 def cmd_counterfactual(args) -> int:
     cohort = _load_preprocessed(args.cohort)
-    policy = bc.load_policy(args.model)
+    policy = _load_bc_for(args, cohort)
     target = SubgroupKey.parse(args.target)
     if policy.source_subgroup is not None and policy.source_subgroup == target \
             and not args.allow_self:
@@ -272,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_count, default=300)
     p.add_argument("--batch", type=_count, default=64)
     p.add_argument("--lr", type=_positive_finite, default=3e-4)
-    p.add_argument("--patience", type=int, default=30)
+    p.add_argument("--patience", type=_count, default=30)
     p.add_argument("--hidden", type=_count, nargs="+", default=[64, 64])
     p.add_argument("--max-windows", type=_count, default=None)
     p.add_argument("--seed", type=_seed, default=None)

@@ -494,27 +494,59 @@ def save_cohort_dir(cohort: CohortDataset, out_dir) -> None:
             json.dumps(cohort.binning.to_json()), encoding="utf-8")
 
 
+def _sidecar(file: Path, from_json, lengths: dict):
+    """``from_json`` of a cohort-directory JSON file whose array fields have
+    the given lengths; any other file raises IntegrityError naming it."""
+    try:
+        obj = from_json(json.loads(file.read_text(encoding="utf-8")))
+    except (IntegrityError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise IntegrityError(f"{file} is malformed: {exc!r}") from exc
+    for key, n in lengths.items():
+        if np.shape(getattr(obj, key)) != (n,):
+            raise IntegrityError(f"{file}: {key} must hold {n} numbers")
+    return obj
+
+
+def _checked_splits(ids: list):
+    """``from_json`` for splits.json: an object that tags exactly ``ids``."""
+    def from_json(split):
+        if not isinstance(split, dict):
+            raise TypeError("expected an object mapping encounter ids to splits")
+        for i in ids:
+            if i not in split:
+                raise ValueError(f"encounter {i!r} has no split")
+            if split[i] not in SPLIT_TAGS:
+                raise ValueError(f"encounter {i!r} has split {split[i]!r}, "
+                                 f"not one of {SPLIT_TAGS}")
+        extra = set(split).difference(ids)
+        if extra:
+            raise ValueError(f"{min(extra)!r} is not an encounter of the cohort")
+        return split
+    return from_json
+
+
 def load_cohort_dir(path) -> CohortDataset:
-    """Load a cohort directory written by ``save_cohort_dir``."""
+    """Load a cohort directory written by ``save_cohort_dir``; every JSON
+    sidecar is checked against the schema and the cohort's encounters."""
+    from .preprocess import N_BINS_PER_DRUG, ActionBinning, NormStats
     path = Path(path)
-    schema = FeatureSchema.from_json(
-        json.loads((path / "schema.json").read_text(encoding="utf-8")))
+    schema = _sidecar(path / "schema.json", FeatureSchema.from_json, {})
     # a norm-stats sidecar marks a preprocessed cohort: actions are z-scored
     cohort = load_cohort(path / "cohort.csv", schema,
                          allow_negative_actions=(path / "norm_stats.json").exists())
-    splits_file = path / "splits.json"
-    if splits_file.exists():
-        cohort.split = json.loads(splits_file.read_text(encoding="utf-8"))
-    stats_file = path / "norm_stats.json"
-    if stats_file.exists():
-        from .preprocess import NormStats
-        cohort.norm_stats = NormStats.from_json(
-            json.loads(stats_file.read_text(encoding="utf-8")))
-    bin_file = path / "binning.json"
-    if bin_file.exists():
-        from .preprocess import ActionBinning
-        cohort.binning = ActionBinning.from_json(
-            json.loads(bin_file.read_text(encoding="utf-8")))
+    M = schema.n_features
+    sidecars = {
+        "split": ("splits.json", _checked_splits([tr.id for tr in cohort.trajectories]), {}),
+        "norm_stats": ("norm_stats.json", NormStats.from_json, {
+            "means": M, "stds": M, "log_flags": M, "raw_means": M,
+            "action_mean": 2, "action_std": 2}),
+        "binning": ("binning.json", ActionBinning.from_json, {
+            "fluid_cutoffs": 3, "vaso_cutoffs": 3,
+            "fluid_levels": N_BINS_PER_DRUG, "vaso_levels": N_BINS_PER_DRUG}),
+    }
+    for attr, (name, from_json, lengths) in sidecars.items():
+        if (path / name).exists():
+            setattr(cohort, attr, _sidecar(path / name, from_json, lengths))
     return cohort
 
 

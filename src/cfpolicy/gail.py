@@ -12,7 +12,7 @@ silently corrected:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -63,10 +63,6 @@ class GailConfig:
             raise ValueError("entropy coefficient must be nonnegative")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
-
-    def to_json(self) -> dict:
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in ((f, getattr(self, f)) for f in self.__dataclass_fields__)}
 
 
 class Discriminator:
@@ -122,11 +118,16 @@ def disc_accuracy(de: np.ndarray, dg: np.ndarray, convention: str = "paper-eq") 
     return float(correct / (len(de) + len(dg)))
 
 
-def policy_reward(disc: Discriminator, obs: np.ndarray, action_onehot: np.ndarray) -> np.ndarray:
-    """Reward = -log D(s, a), clamped; the discriminator is the learned
-    reward."""
-    x = np.concatenate([np.atleast_2d(obs), np.atleast_2d(action_onehot)], axis=1)
-    return np.clip(-np.log(disc.score(x)), -REWARD_CLAMP, REWARD_CLAMP)
+def pairs(obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Discriminator inputs: (n, D) observations beside the one-hot
+    encodings of their (n,) action indices."""
+    return np.concatenate([obs, np.eye(N_ACTIONS)[actions]], axis=1)
+
+
+def policy_reward(disc: Discriminator, pairs: np.ndarray) -> np.ndarray:
+    """Reward = -log D(s, a) of each state-action pair row, clamped; the
+    discriminator is the learned reward."""
+    return np.clip(-np.log(disc.score(pairs)), -REWARD_CLAMP, REWARD_CLAMP)
 
 
 class StochasticPolicy:
@@ -197,12 +198,10 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
     p_old = softmax(logits)
     param_snap = policy.snapshot()
     opt_snap = opt.state()
-    onehot = np.zeros((n, policy.n_actions))
-    onehot[np.arange(n), actions] = 1.0
+    onehot = np.eye(policy.n_actions)[actions]
 
     lr_scale = 1.0
     for attempt in range(9):
-        last_loss = 0.0
         for step in range(config.inner_steps):
             # the first step of the first attempt runs on the parameters of
             # p_old, whose forward the layer caches still hold
@@ -215,9 +214,6 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
             dz = (adv[:, None] * (p - onehot)
                   + lam * p * (logp + ent_rows[:, None])
                   + beta * (p - p_old)) / n
-            last_loss = float(np.mean(-logp[np.arange(n), actions] * adv)
-                              - lam * np.mean(ent_rows)
-                              + beta * categorical_kl(p_old, p))
             policy.mlp.backward(dz)
             opt.step(lr=config.lr * lr_scale)
         p_new = policy.probs(obs)
@@ -232,8 +228,7 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
         beta = min(beta * 2.0, 1e3)
     elif kl < config.kl_target / 1.5:
         beta = max(beta / 2.0, 1e-3)
-    stats = {"kl": kl, "entropy": mean_entropy(p_new), "loss": last_loss,
-             "lr_scale": lr_scale}
+    stats = {"kl": kl, "entropy": mean_entropy(p_new), "lr_scale": lr_scale}
     return stats, beta
 
 
@@ -268,20 +263,19 @@ def train_gail(cohort: CohortDataset, dyn_model: TransitionModel,
     beta = config.kl_penalty
     log = []
 
-    def onehot(a):
-        out = np.zeros((len(a), N_ACTIONS))
-        out[np.arange(len(a)), a] = 1.0
-        return out
+    def expert_pairs():
+        eidx = rng.choice(len(expert_obs), min(config.batch, len(expert_obs)),
+                          replace=False)
+        return pairs(expert_obs[eidx], expert_actions[eidx])
 
     for it in range(config.iterations):
         ep_obs, ep_act = sample_episodes(policy, rng, config.episodes)
         gen_obs = ep_obs.reshape(-1, obs_dim)
         gen_act = ep_act.reshape(-1)
-        gen_pairs = np.concatenate([gen_obs, onehot(gen_act)], axis=1)
+        gen_pairs = pairs(gen_obs, gen_act)
 
-        rewards = policy_reward(disc, gen_obs, onehot(gen_act))
-        returns = np.concatenate([discounted_returns(r, config.gamma)
-                                  for r in rewards.reshape(ep_act.shape)])
+        rewards = policy_reward(disc, gen_pairs)
+        returns = discounted_returns(rewards.reshape(ep_act.shape), config.gamma).reshape(-1)
         # ridge-regularized linear value baseline, refit each iteration;
         # the ridge term keeps it from interpolating small batches, which
         # would zero every advantage
@@ -295,29 +289,23 @@ def train_gail(cohort: CohortDataset, dyn_model: TransitionModel,
 
         disc_loss = 0.0
         for _ in range(config.disc_steps):
-            eidx = rng.choice(len(expert_obs), min(config.batch, len(expert_obs)),
-                              replace=False)
+            expert = expert_pairs()  # drawn before the generated batch
             gidx = rng.choice(len(gen_pairs), min(config.batch, len(gen_pairs)),
                               replace=False)
-            expert_pairs = np.concatenate(
-                [expert_obs[eidx], onehot(expert_actions[eidx])], axis=1)
-            disc_loss = disc_update(disc, expert_pairs, gen_pairs[gidx],
-                                    disc_opt, config.convention)
+            disc_loss = disc_update(disc, expert, gen_pairs[gidx], disc_opt,
+                                    config.convention)
 
         if config.freeze_policy:
             stats = {"kl": 0.0, "entropy": mean_entropy(policy.probs(gen_obs))}
         else:
             stats, beta = policy_update(policy, gen_obs, gen_act, advantages,
                                         config, policy_opt, beta)
-        eidx = rng.choice(len(expert_obs), min(config.batch, len(expert_obs)),
-                          replace=False)
-        expert_pairs = np.concatenate(
-            [expert_obs[eidx], onehot(expert_actions[eidx])], axis=1)
+        expert = expert_pairs()
         gen_scores = disc.score(gen_pairs)
         log.append({
             "iteration": it,
             "disc_loss": disc_loss,
-            "disc_accuracy": disc_accuracy(disc.score(expert_pairs), gen_scores,
+            "disc_accuracy": disc_accuracy(disc.score(expert), gen_scores,
                                            config.convention),
             "mean_reward": float(rewards.mean()),
             "mean_abs_gap": float(np.abs(gen_scores - 0.5).mean()),
@@ -374,7 +362,7 @@ def save_gail(result: GailResult, path) -> None:
     arrays.update({f"disc.{k}": v for k, v in result.disc.mlp.state().items()})
     meta = {
         "kind": "gail_bundle",
-        "config": result.config.to_json(),
+        "config": asdict(result.config),
         "obs_dim": result.policy.obs_dim,
         "n_actions": result.policy.n_actions,
         "log": result.log,

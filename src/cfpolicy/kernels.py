@@ -189,12 +189,13 @@ def fill_series(values: np.ndarray, fallback: float) -> np.ndarray:
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """Suffix sums G_t = sum_{k>=t} gamma^(k-t) r_k."""
+    """Suffix sums G_t = sum_{k>=t} gamma^(k-t) r_k along the last axis, so
+    an (E, H) array discounts each of its E rows."""
     rewards = np.asarray(rewards, dtype=np.float64)
     gamma = float(gamma)
     out = np.empty_like(rewards)
-    acc = 0.0
-    for t in range(rewards.size - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        out[t] = acc
+    acc = np.zeros(rewards.shape[:-1])
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        acc = rewards[..., t] + gamma * acc
+        out[..., t] = acc
     return out

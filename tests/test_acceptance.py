@@ -27,7 +27,7 @@ from cfpolicy.preprocess import (VASOPRESSOR_FACTORS, action_index_to_doses,
                                  impute, invert_norm_feature,
                                  norepi_equivalent, normalize_actions,
                                  preprocess_cohort)
-from cfpolicy.reward import RewardFn, step_reward
+from cfpolicy.reward import step_reward
 from cfpolicy.synth import SynthConfig, generate
 from gradcheck import finite_difference_check
 
@@ -284,11 +284,9 @@ def test_criterion_6_dynamics(big_proc):
 
 def test_criterion_7_reward_boundaries():
     t0 = time.perf_counter()
-    fn = RewardFn()
 
     def r(m, s):
-        return step_reward(fn, m, s, died_now=False, is_terminal=False,
-                           alive_at_end=True)
+        return step_reward(m, s, died_now=False, is_terminal=False, alive_at_end=True)
 
     assert r(60.0, 120.0) == 0.05          # MAP == 60 earns the bonus
     assert r(80.0, 120.0) == 0.05          # MAP == 80 earns the bonus
@@ -298,9 +296,9 @@ def test_criterion_7_reward_boundaries():
     assert r(70.0, np.nextafter(180.0, 300.0)) == 0.05 - 0.05  # strict crisis
     assert r(50.0, 200.0) == -0.05 - 0.05  # hypo + crisis are additive
     # mortality terms
-    assert step_reward(fn, 70.0, 120.0, False, True, True) == 0.05 + 1.0
-    assert step_reward(fn, 70.0, 120.0, False, True, False) == 0.05 - 1.0
-    assert step_reward(fn, 70.0, 120.0, True, False, False) == 0.05 - 1.0
+    assert step_reward(70.0, 120.0, False, True, True) == 0.05 + 1.0
+    assert step_reward(70.0, 120.0, False, True, False) == 0.05 - 1.0
+    assert step_reward(70.0, 120.0, True, False, False) == 0.05 - 1.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _passed(7, f"MAP/SBP/mortality boundary table exact in {elapsed:.3f}s")

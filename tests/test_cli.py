@@ -219,6 +219,8 @@ def dyn_model(pipeline_dirs, tmp_path_factory):
     ("train-gail", "--entropy-coef", "-1"),
     ("train-bc", "--epochs", "0"),
     ("train-bc", "--epochs", "-3"),
+    ("train-bc", "--patience", "0"),
+    ("train-bc", "--patience", "-5"),
     ("train-dyn", "--epochs", "0"),
     ("train-dyn", "--seed", "-1"),
     ("counterfactual", "--seed", "-1")])
@@ -361,6 +363,65 @@ def test_empty_split_is_config_error(pipeline_dirs, tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"split {named} has no" in err
         assert "need at least one array" not in err
+
+
+def _drop_first(obj):
+    return dict(list(obj.items())[1:])
+
+
+def _retag_first(obj):
+    return {**obj, next(iter(obj)): "foo"}
+
+
+def _without(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+def _shorten(key):
+    return lambda obj: {**obj, key: obj[key][:-1]}
+
+
+@pytest.mark.parametrize("name,edit,named", [
+    ("splits.json", _drop_first, "has no split"),
+    ("splits.json", _retag_first, "has split 'foo'"),
+    ("splits.json", lambda obj: list(obj.items()), "expected an object"),
+    ("splits.json", lambda obj: {**obj, "enc-extra": "train"}, "'enc-extra' is not an encounter"),
+    ("norm_stats.json", _without("means"), "KeyError('means')"),
+    ("norm_stats.json", _shorten("raw_means"), "raw_means must hold 10 numbers"),
+    ("norm_stats.json", _shorten("action_std"), "action_std must hold 2 numbers"),
+    ("binning.json", _without("vaso_cutoffs"), "KeyError('vaso_cutoffs')"),
+    ("binning.json", _without("fluid_levels"), "fluid_levels must hold 5 numbers"),
+    ("binning.json", _shorten("vaso_cutoffs"), "vaso_cutoffs must hold 3 numbers"),
+    ("schema.json", _without("attributes"), "KeyError('attributes')"),
+    ("schema.json", lambda obj: [obj], "TypeError")])
+def test_malformed_sidecar_is_config_error(pipeline_dirs, tmp_path, capsys, name, edit, named):
+    proc = tmp_path / "proc"
+    shutil.copytree(pipeline_dirs["proc"], proc)
+    obj = json.loads((proc / name).read_text(encoding="utf-8"))
+    (proc / name).write_text(json.dumps(edit(obj)), encoding="utf-8")
+    out = tmp_path / "bc.npz"
+    capsys.readouterr()
+    assert cli.main(["train-bc", "--cohort", str(proc), "--epochs", "1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{proc / name}" in err and named in err, err
+    assert not out.exists()
+
+
+def test_model_on_differently_preprocessed_cohort_is_config_error(pipeline_dirs, tmp_path,
+                                                                   capsys):
+    # the same raw cohort split with another seed: other train-split statistics
+    proc = tmp_path / "proc"
+    assert cli.main(["preprocess", "--cohort", str(pipeline_dirs["raw"]), "--seed", "6",
+                     "--out", str(proc)]) == 0
+    model, out = str(pipeline_dirs["model"]), tmp_path / "out"
+    for argv in (["eval", "--out", str(out / "eval.json")],
+                 ["counterfactual", "--target", "gender=F", "--out", str(out)]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--model", model, "--cohort", str(proc)]) == 2
+        err = capsys.readouterr().err
+        assert f"{model} was trained on a cohort preprocessed differently from {proc}" in err
+        assert not out.exists()  # rejected before anything is written
 
 
 def test_cohort_edited_after_preprocess_is_parsed_again(pipeline_dirs, tmp_path, capsys):

@@ -8,10 +8,10 @@ from cfpolicy.errors import RolloutBlowupError, TrainingDivergenceError
 from cfpolicy.gail import (CONVENTIONS, D_CLAMP, REWARD_CLAMP, Discriminator,
                            GailConfig, StochasticPolicy, categorical_kl,
                            disc_accuracy, disc_update, load_gail,
-                           make_episode_sampler, mean_entropy, policy_reward,
-                           policy_update, save_gail, train_gail)
+                           make_episode_sampler, mean_entropy, pairs,
+                           policy_reward, policy_update, save_gail, train_gail)
 from cfpolicy.numcore import Adam, softmax
-from cfpolicy.preprocess import action_index_to_doses, normalize_actions
+from cfpolicy.preprocess import N_ACTIONS, action_index_to_doses, normalize_actions
 
 
 def sequential_sampler(cohort, dyn_model, config):
@@ -58,7 +58,6 @@ def reference_policy_update(policy, obs, actions, advantages, config, opt, beta)
 
     lr_scale = 1.0
     for attempt in range(9):
-        last_loss = 0.0
         for _ in range(config.inner_steps):
             logits = policy.mlp.forward(obs, train=False)
             p = softmax(logits)
@@ -67,9 +66,6 @@ def reference_policy_update(policy, obs, actions, advantages, config, opt, beta)
             dz = (adv[:, None] * (p - onehot)
                   + lam * p * (logp + ent_rows[:, None])
                   + beta * (p - p_old)) / n
-            last_loss = float(np.mean(-logp[np.arange(n), actions] * adv)
-                              - lam * np.mean(ent_rows)
-                              + beta * categorical_kl(p_old, p))
             policy.mlp.backward(dz)
             opt.step(lr=config.lr * lr_scale)
         p_new = policy.probs(obs)
@@ -84,8 +80,7 @@ def reference_policy_update(policy, obs, actions, advantages, config, opt, beta)
         beta = min(beta * 2.0, 1e3)
     elif kl < config.kl_target / 1.5:
         beta = max(beta / 2.0, 1e-3)
-    stats = {"kl": kl, "entropy": mean_entropy(p_new), "loss": last_loss,
-             "lr_scale": lr_scale}
+    stats = {"kl": kl, "entropy": mean_entropy(p_new), "lr_scale": lr_scale}
     return stats, beta
 
 
@@ -174,11 +169,19 @@ def test_disc_accuracy_conventions(rng):
 def test_policy_reward_is_clamped_neg_log_d(rng):
     disc = Discriminator(5 + 3, rng, hidden=(8,))
     obs = rng.normal(size=(6, 5))
-    onehot = np.eye(3)[rng.integers(0, 3, 6)]
-    r = policy_reward(disc, obs, onehot)
-    d = disc.score(np.concatenate([obs, onehot], axis=1))
+    x = np.concatenate([obs, np.eye(3)[rng.integers(0, 3, 6)]], axis=1)
+    r = policy_reward(disc, x)
+    d = disc.score(x)
     assert np.allclose(r, np.clip(-np.log(d), -REWARD_CLAMP, REWARD_CLAMP))
     assert np.all(np.abs(r) <= REWARD_CLAMP)
+
+
+def test_pairs_one_hot_matches_index_assignment(rng):
+    obs = rng.normal(size=(9, 4))
+    actions = rng.integers(0, N_ACTIONS, 9)
+    onehot = np.zeros((9, N_ACTIONS))
+    onehot[np.arange(9), actions] = 1.0
+    assert pairs(obs, actions).tobytes() == np.concatenate([obs, onehot], axis=1).tobytes()
 
 
 def test_policy_update_sign_oracle(rng):

@@ -144,3 +144,13 @@ def test_discounted_returns_oracle(rng):
 def test_gamma_one_is_plain_suffix_sum():
     r = np.array([1.0, 2.0, 3.0])
     assert np.allclose(discounted_returns(r, 1.0), [6.0, 5.0, 3.0])
+
+
+@pytest.mark.parametrize("gamma", [0.99, 1.0])
+def test_discounted_returns_rows_match_one_dimensional_calls(rng, gamma):
+    r = rng.normal(size=(7, 16))
+    r[2] = 0.0
+    r[3, ::2] = -0.0
+    rows = discounted_returns(r, gamma)
+    assert rows.shape == r.shape
+    assert rows.tobytes() == np.stack([discounted_returns(row, gamma) for row in r]).tobytes()
