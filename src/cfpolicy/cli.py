@@ -20,6 +20,7 @@ from .plots import line_chart_svg
 from .preprocess import preprocess_cohort
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
+DIRECTORY_OUT = ("synth", "preprocess", "counterfactual", "report")  # other --out: a file
 
 
 def _seed(text: str) -> int:
@@ -62,6 +63,24 @@ def _nonnegative_finite(text: str) -> float:
     return value
 
 
+def _not_a_directory(path: Path) -> bool:
+    """Whether ``path`` is an existing entry (a dangling link too) that is
+    not a directory."""
+    return (path.exists() or path.is_symlink()) and not path.is_dir()
+
+
+def _check_out(out: str, directory: bool) -> None:
+    """Reject an --out the command could not write, before it does any work."""
+    path = Path(out)
+    if directory and _not_a_directory(path):
+        raise CfPolicyError(f"--out {out} exists and is not a directory")
+    if not directory and path.is_dir():
+        raise CfPolicyError(f"--out {out} is a directory")
+    for parent in path.parents:
+        if _not_a_directory(parent):
+            raise CfPolicyError(f"--out {out}: {parent} is not a directory")
+
+
 def _write_config(args: argparse.Namespace, directory: Path, name: str = "run_config.json"):
     directory.mkdir(parents=True, exist_ok=True)
     resolved = {k: (str(v) if isinstance(v, Path) else v)
@@ -101,23 +120,24 @@ def cmd_preprocess(args) -> int:
 
 def _load_preprocessed(path: str):
     cohort = load_cohort_dir(path)
-    if cohort.split is None or cohort.norm_stats is None or cohort.binning is None:
+    if (cohort.split is None or cohort.norm_stats is None or cohort.binning is None
+            or any(tr.action_bins is None for tr in cohort.trajectories)):
         raise CfPolicyError(
             f"{path} is not a preprocessed cohort directory (run `preprocess` first)")
     return cohort
 
 
-def _load_bc_for(args, cohort):
-    """The BC policy of --model, which must have been trained on a cohort
+def _load_for(load, path: str, args, cohort):
+    """``load(path)``: a model that must have been trained on a cohort
     preprocessed as --cohort was: same normalization and action binning."""
-    policy = bc.load_policy(args.model)
+    model = load(path)
     for name in ("norm_stats", "binning"):
-        if (json.dumps(getattr(policy, name).to_json())
+        if (json.dumps(getattr(model, name).to_json())
                 != json.dumps(getattr(cohort, name).to_json())):
             raise CfPolicyError(
-                f"{args.model} was trained on a cohort preprocessed differently "
+                f"{path} was trained on a cohort preprocessed differently "
                 f"from {args.cohort} ({name} differ)")
-    return policy
+    return model
 
 
 def cmd_train_bc(args) -> int:
@@ -166,7 +186,7 @@ def cmd_train_gail(args) -> int:
     cohort = _load_preprocessed(args.cohort)
     if not Path(args.dynamics).exists():
         raise CfPolicyError(f"dynamics checkpoint {args.dynamics} not found")
-    dyn = dynamics.load_dynamics(args.dynamics)
+    dyn = _load_for(dynamics.load_dynamics, args.dynamics, args, cohort)
     subgroup = SubgroupKey.parse(args.subgroup) if args.subgroup else None
     config = gail.GailConfig(
         lr=args.lr, batch=args.batch, iterations=args.iterations,
@@ -189,7 +209,7 @@ def cmd_train_gail(args) -> int:
 
 def cmd_eval(args) -> int:
     cohort = _load_preprocessed(args.cohort)
-    policy = _load_bc_for(args, cohort)
+    policy = _load_for(bc.load_policy, args.model, args, cohort)
     data = cohort if policy.source_subgroup is None else bc.filter_subgroup(
         cohort, policy.source_subgroup)
     report = bc.eval_report(policy, data, args.split)
@@ -203,7 +223,7 @@ def cmd_eval(args) -> int:
 
 def cmd_counterfactual(args) -> int:
     cohort = _load_preprocessed(args.cohort)
-    policy = _load_bc_for(args, cohort)
+    policy = _load_for(bc.load_policy, args.model, args, cohort)
     target = SubgroupKey.parse(args.target)
     if policy.source_subgroup is not None and policy.source_subgroup == target \
             and not args.allow_self:
@@ -349,6 +369,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) is None:  # read only by commands with --seed
             args.seed = _default_seed()
+        if args.out is not None:  # eval's --out is optional
+            _check_out(args.out, args.command in DIRECTORY_OUT)
         return args.func(args)
     except (TrainingDivergenceError, RolloutBlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)

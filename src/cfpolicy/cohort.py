@@ -13,6 +13,7 @@ deleting it is safe, and it is ignored once the CSV changes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import zipfile
@@ -430,12 +431,29 @@ def load_cohort(path, schema: FeatureSchema,
     return CohortDataset(schema=schema, trajectories=trajectories)
 
 
+def _quoted(column) -> list:
+    """Each cell as ``csv.writer`` writes it inside a longer row: in double
+    quotes if it holds a comma, a double quote or a line break."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = []
+    for cell in column:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((cell, ""))  # a lone empty field would be written as ""
+        out.append(buf.getvalue()[:-3])  # without the trailing ",\r\n"
+    return out
+
+
 def write_cohort(cohort: CohortDataset, path) -> None:
     """Emit the cohort CSV; inverse of ``load_cohort`` (bit-exact round trip).
 
     Cells are built a column at a time (floats as ``repr``, NaN as an empty
-    cell), for 16 encounters at a time to bound the memory strings take.
-    The column companion is written after the CSV is closed."""
+    cell, each encounter's text cells quoted once as ``csv.writer`` would),
+    and the lines of 16 encounters are joined into one string and written
+    at once, which bounds the memory strings take. Float, timestep and bin
+    cells never need quotes. The column companion is written after the CSV
+    is closed."""
     path = Path(path)
     trajs = cohort.trajectories
     attrs = list(cohort.schema.attributes)
@@ -455,43 +473,51 @@ def write_cohort(cohort: CohortDataset, path) -> None:
     bins = np.concatenate([np.empty(0, np.int64)]
                           + [tr.action_bins for tr in trajs if has_bins]).astype(np.int64)
 
+    quoted = [_quoted(column) for column in cells]
+    digits = [str(t) for t in range(int(lengths.max(initial=0)))]
+
     def per_row(chunk, column):  # one cell per trajectory -> one per row
         return [cell for cell, tr in zip(column, chunk) for _ in range(tr.T)]
 
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for lo in range(0, len(trajs), 16):
             chunk = trajs[lo:lo + 16]
             rows = slice(offsets[lo], offsets[lo + len(chunk)])
             floats = [list(map(repr, col.tolist())) for col in values[rows].T]
             for r, j in zip(*np.nonzero(np.isnan(values[rows]))):
                 floats[j][r] = ""
-            text = [per_row(chunk, column[lo:lo + 16]) for column in cells]
-            writer.writerows(zip(
-                text[0], [str(t) for tr in chunk for t in range(tr.T)], *text[1:-2], *floats,
-                *text[-2:], *([list(map(str, bins[rows].tolist()))] if has_bins else [])))
+            text = [per_row(chunk, column[lo:lo + 16]) for column in quoted]
+            fh.write("\r\n".join(map(",".join, zip(
+                text[0], [d for tr in chunk for d in digits[:tr.T]], *text[1:-2], *floats,
+                *text[-2:], *([list(map(str, bins[rows].tolist()))] if has_bins else [])))))
+            fh.write("\r\n")
     np.copyto(values, np.nan, where=np.isnan(values))  # as an empty cell parses
     _write_companion(path, [h.strip() for h in header], values, lengths, cells, bins)
 
 
 def save_cohort_dir(cohort: CohortDataset, out_dir) -> None:
     """Write cohort.csv (with its column companion) + schema.json, plus
-    splits/norm-stats/binning sidecars when the cohort carries them."""
+    splits/norm-stats/binning sidecars when the cohort carries them. A
+    sidecar it does not carry is deleted, so that a reused directory does
+    not describe the new cohort with an old one's statistics."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_cohort(cohort, out_dir / "cohort.csv")
     (out_dir / "schema.json").write_text(
         json.dumps(cohort.schema.to_json(), indent=2), encoding="utf-8")
-    if cohort.split is not None:
-        (out_dir / "splits.json").write_text(
-            json.dumps(cohort.split, indent=2, sort_keys=True), encoding="utf-8")
-    if cohort.norm_stats is not None:
-        (out_dir / "norm_stats.json").write_text(
-            json.dumps(cohort.norm_stats.to_json()), encoding="utf-8")
-    if cohort.binning is not None:
-        (out_dir / "binning.json").write_text(
-            json.dumps(cohort.binning.to_json()), encoding="utf-8")
+    sidecars = {
+        "splits.json": None if cohort.split is None
+        else json.dumps(cohort.split, indent=2, sort_keys=True),
+        "norm_stats.json": None if cohort.norm_stats is None
+        else json.dumps(cohort.norm_stats.to_json()),
+        "binning.json": None if cohort.binning is None else json.dumps(cohort.binning.to_json()),
+    }
+    for name, text in sidecars.items():
+        if text is None:
+            (out_dir / name).unlink(missing_ok=True)
+        else:
+            (out_dir / name).write_text(text, encoding="utf-8")
 
 
 def _sidecar(file: Path, from_json, lengths: dict):

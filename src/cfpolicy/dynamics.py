@@ -15,9 +15,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cohort import CohortDataset
-from .errors import EmptySubgroupError, RolloutBlowupError
+from .errors import CfPolicyError, EmptySubgroupError, RolloutBlowupError
 from .numcore import (Adam, RecurrentRegressor, fit, infer, load_checkpoint, mse_loss,
                       save_checkpoint)
+from .preprocess import ActionBinning, NormStats
 
 WINDOW = 3
 STATE_CLIP = 8.0
@@ -54,6 +55,9 @@ class TransitionModel:
     net: RecurrentRegressor
     n_features: int
     history: list = field(default_factory=list)  # per-epoch train/val MSE
+    # the preprocessing of the training cohort, which a user must share
+    norm_stats: Optional[NormStats] = None
+    binning: Optional[ActionBinning] = None
 
     def predict_delta(self, windows: np.ndarray) -> np.ndarray:
         """windows: (B, 3, M+2) -> (B, M) state deltas."""
@@ -96,7 +100,8 @@ def train_dynamics(cohort: CohortDataset, hp: DynHyperParams = DynHyperParams())
                  rng=rng)
     history = [{"epoch": epoch, "train_mse": train, "val_mse": val}
                for epoch, (train, val) in enumerate(losses)]
-    return TransitionModel(net=net, n_features=M, history=history)
+    return TransitionModel(net=net, n_features=M, history=history,
+                           norm_stats=cohort.norm_stats, binning=cohort.binning)
 
 
 def eval_dynamics_mse(model: TransitionModel, cohort: CohortDataset, split: str = "test"):
@@ -146,7 +151,9 @@ def rollout(model: TransitionModel, policy: Callable[[np.ndarray], np.ndarray],
 def save_dynamics(model: TransitionModel, path) -> None:
     meta = {"kind": "transition_model", "n_features": model.n_features,
             "n_in": model.net.n_in, "hidden": model.net.hidden,
-            "history": model.history}
+            "history": model.history,
+            "norm_stats": None if model.norm_stats is None else model.norm_stats.to_json(),
+            "binning": None if model.binning is None else model.binning.to_json()}
     save_checkpoint(path, model.net.state(), meta)
 
 
@@ -154,9 +161,13 @@ def load_dynamics(path) -> TransitionModel:
     arrays, meta = load_checkpoint(path)
     if meta.get("kind") != "transition_model":
         raise ValueError(f"{path} is not a transition-model checkpoint")
+    if meta.get("norm_stats") is None or meta.get("binning") is None:
+        raise CfPolicyError(f"{path} records no preprocessing of its training cohort "
+                            f"(retrain it with `train-dyn`)")
     net = RecurrentRegressor(meta["n_in"], meta["hidden"], meta["n_features"],
                              np.random.default_rng(0))
     net.load_state(arrays)
-    return TransitionModel(net=net, n_features=meta["n_features"],
-                           history=meta["history"])
+    return TransitionModel(net=net, n_features=meta["n_features"], history=meta["history"],
+                           norm_stats=NormStats.from_json(meta["norm_stats"]),
+                           binning=ActionBinning.from_json(meta["binning"]))
 

@@ -408,20 +408,37 @@ def test_malformed_sidecar_is_config_error(pipeline_dirs, tmp_path, capsys, name
     assert not out.exists()
 
 
-def test_model_on_differently_preprocessed_cohort_is_config_error(pipeline_dirs, tmp_path,
-                                                                   capsys):
+def test_model_on_differently_preprocessed_cohort_is_config_error(pipeline_dirs, dyn_model,
+                                                                   tmp_path, capsys):
     # the same raw cohort split with another seed: other train-split statistics
     proc = tmp_path / "proc"
     assert cli.main(["preprocess", "--cohort", str(pipeline_dirs["raw"]), "--seed", "6",
                      "--out", str(proc)]) == 0
-    model, out = str(pipeline_dirs["model"]), tmp_path / "out"
-    for argv in (["eval", "--out", str(out / "eval.json")],
-                 ["counterfactual", "--target", "gender=F", "--out", str(out)]):
+    bc_model, out = str(pipeline_dirs["model"]), tmp_path / "out"
+    for model, argv in ((bc_model, ["eval", "--model", bc_model, "--out", str(out / "eval.json")]),
+                        (bc_model, ["counterfactual", "--model", bc_model, "--target", "gender=F",
+                                    "--out", str(out)]),
+                        (str(dyn_model), ["train-gail", "--dynamics", str(dyn_model),
+                                          "--iterations", "1", "--out", str(out / "gail.npz")])):
         capsys.readouterr()
-        assert cli.main(argv + ["--model", model, "--cohort", str(proc)]) == 2
+        assert cli.main(argv + ["--cohort", str(proc)]) == 2
         err = capsys.readouterr().err
         assert f"{model} was trained on a cohort preprocessed differently from {proc}" in err
         assert not out.exists()  # rejected before anything is written
+
+
+def test_dynamics_checkpoint_without_preprocessing_is_config_error(pipeline_dirs, dyn_model,
+                                                                   tmp_path, capsys):
+    arrays, meta = load_checkpoint(dyn_model)
+    old = tmp_path / "old_dyn.npz"
+    save_checkpoint(old, arrays, {k: v for k, v in meta.items()
+                                  if k not in ("norm_stats", "binning")})
+    out = tmp_path / "gail.npz"
+    capsys.readouterr()
+    assert cli.main(["train-gail", "--cohort", str(pipeline_dirs["proc"]), "--dynamics",
+                     str(old), "--iterations", "1", "--out", str(out)]) == 2
+    assert f"{old} records no preprocessing of its training cohort" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cohort_edited_after_preprocess_is_parsed_again(pipeline_dirs, tmp_path, capsys):
@@ -448,6 +465,69 @@ def test_missing_cohort_is_config_error(tmp_path):
 def test_unpreprocessed_cohort_is_config_error(pipeline_dirs, tmp_path):
     assert cli.main(["train-bc", "--cohort", str(pipeline_dirs["raw"]),
                      "--out", str(tmp_path / "m.npz")]) == 2
+
+
+def test_raw_cohort_written_over_a_preprocessed_one_is_not_preprocessed(tmp_path, capsys):
+    # the raw cohort must not inherit the sidecars of the one it replaces
+    d = tmp_path / "d"
+    synth = ["synth", "--n", "40", "--t", "8", "--features", "8", "--out", str(d)]
+    assert cli.main(synth + ["--seed", "1"]) == 0
+    assert cli.main(["preprocess", "--cohort", str(d), "--seed", "1", "--out", str(d)]) == 0
+    assert (d / "norm_stats.json").exists()
+    assert cli.main(synth + ["--seed", "2"]) == 0
+    for name in ("splits.json", "norm_stats.json", "binning.json"):
+        assert not (d / name).exists(), name
+    out = tmp_path / "m.npz"
+    for argv in (["train-bc", "--mode", "classification"], ["train-bc", "--mode", "regression"],
+                 ["train-dyn"]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--cohort", str(d), "--epochs", "1", "--out", str(out)]) == 2
+        assert "run `preprocess` first" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cohort_without_action_bins_is_not_preprocessed(pipeline_dirs, tmp_path, capsys):
+    # every sidecar present, but the CSV has no action_bin column
+    cohort = load_cohort_dir(pipeline_dirs["proc"])
+    d = tmp_path / "proc"
+    save_cohort_dir(replace(cohort, trajectories=[replace(tr, action_bins=None)
+                                                  for tr in cohort.trajectories]), d)
+    assert (d / "binning.json").exists()
+    assert "action_bin" not in (d / "cohort.csv").read_text(encoding="utf-8").splitlines()[0]
+    out = tmp_path / "m.npz"
+    capsys.readouterr()
+    assert cli.main(["train-bc", "--cohort", str(d), "--epochs", "1", "--out", str(out)]) == 2
+    assert "run `preprocess` first" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["taken", "under-a-file"])
+@pytest.mark.parametrize("command", ["synth", "preprocess", "train-bc", "train-dyn",
+                                     "train-gail", "eval", "counterfactual", "report"])
+def test_unwritable_out_is_config_error(pipeline_dirs, dyn_model, tmp_path, capsys,
+                                        command, case):
+    proc = str(pipeline_dirs["proc"])
+    inputs = {"synth": ["--n", "10", "--t", "5"],
+              "preprocess": ["--cohort", str(pipeline_dirs["raw"])],
+              "train-bc": ["--cohort", proc, "--epochs", "1"],
+              "train-dyn": ["--cohort", proc, "--epochs", "1"],
+              "train-gail": ["--cohort", proc, "--dynamics", str(dyn_model),
+                             "--iterations", "1"],
+              "eval": ["--cohort", proc, "--model", str(pipeline_dirs["model"])],
+              "counterfactual": ["--cohort", proc, "--model", str(pipeline_dirs["model"]),
+                                 "--target", "gender=F"],
+              "report": ["--report", str(pipeline_dirs["cf"] / "report.json")]}[command]
+    blocker = tmp_path / "blocker"
+    if case == "taken" and command not in cli.DIRECTORY_OUT:
+        blocker.mkdir()  # a directory where the command writes a file
+    else:
+        blocker.write_text("x", encoding="utf-8")
+    out = blocker if case == "taken" else blocker / "sub" / "out"
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main([command] + inputs + ["--out", str(out)]) == 2
+    assert f"--out {out}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # no output, config or metrics file
 
 
 def test_bad_subgroup_is_config_error(pipeline_dirs, tmp_path):

@@ -497,6 +497,30 @@ def test_columnar_io_matches_row_reference(tmp_path, monkeypatch, cohort, allow_
     assert (tmp / "ours2.csv").read_bytes() == (tmp / "ref2.csv").read_bytes()
 
 
+@pytest.mark.parametrize("with_bins", [False, True])
+def test_writer_quotes_text_cells_as_the_row_reference(tmp_path, with_bins):
+    # ids a whole-row split on commas or line breaks would cut, an attribute
+    # label with a comma, and a survivor whose mortality_step cell is empty
+    rng = np.random.default_rng(0)
+    trajs = [PatientTrajectory(
+        id=tid, attributes={"gender": gender, "site": site},
+        states=rng.normal(size=(T, 3)), actions=np.abs(rng.normal(size=(T, 2))),
+        mortality_step=mort, outcome_alive=mort is None,
+        action_bins=np.arange(T, dtype=np.int64) if with_bins else None)
+        for tid, gender, site, T, mort in ((",\r\n", "M", "a,b", 3, 1),
+                                           ('a"b', "F", 'say "hi"', 2, None),
+                                           (" x ", "M", "c", 4, 0))]
+    trajs[0].states[1, 2] = np.nan
+    cohort = CohortDataset(schema=REF_SCHEMA, trajectories=trajs)
+    path = tmp_path / "c.csv"
+    write_cohort(cohort, path)
+    reference_write_cohort(cohort, tmp_path / "ref.csv")
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _assert_same_load(load_cohort(path, REF_SCHEMA), cohort)  # from the companion
+    (tmp_path / "c.csv.npz").unlink()
+    _assert_same_load(load_cohort(path, REF_SCHEMA), cohort)  # from the text
+
+
 # Schemas the written cohorts are loaded with: the one they were written
 # with, one whose vocabulary rejects an attribute value, one whose header
 # differs in a feature name.

@@ -207,4 +207,6 @@ def test_dynamics_save_load_round_trip(tmp_path, tiny_dyn, rng):
     x = rng.normal(size=(4, 3, tiny_dyn.n_features + 2))
     assert np.array_equal(back.predict_delta(x), tiny_dyn.predict_delta(x))
     assert back.history == tiny_dyn.history
+    assert back.norm_stats.to_json() == tiny_dyn.norm_stats.to_json()
+    assert back.binning.to_json() == tiny_dyn.binning.to_json()
 
