@@ -14,7 +14,7 @@ import numpy as np
 
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import WINDOW, state_window
-from .errors import EmptySubgroupError, SchemaMismatchError, UndefinedMetricError
+from .errors import EmptySubgroupError, SchemaMismatchError, UndefinedMetricError, check
 from .numcore import (Adam, Mlp, MlpSpec, fit, infer, load_checkpoint, nll_loss,
                       rmse_loss, save_checkpoint, softmax)
 from .preprocess import N_ACTIONS, ActionBinning, NormStats
@@ -27,6 +27,7 @@ REFERENCE_METRICS = {
     "continuous_action_regression_rmse_fluid": {"mean": 0.68, "std": 0.05},
     "continuous_action_regression_rmse_vasopressor": {"mean": 0.41, "std": 0.06},
 }
+MODES = ("classification", "regression")
 
 
 @dataclass
@@ -72,7 +73,7 @@ def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
              hp: BcHyperParams = BcHyperParams()) -> BcPolicy:
     """Minimize RMSE (regression) or NLL (classification) on the subgroup's
     train split; returns the best-validation checkpoint."""
-    if mode not in ("regression", "classification"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     data = cohort if subgroup is None else filter_subgroup(cohort, subgroup)
     rng = np.random.default_rng(hp.seed)
@@ -194,6 +195,14 @@ def eval_report(policy: BcPolicy, cohort: CohortDataset, split: str = "test",
     return report
 
 
+def _meta_spec(M) -> dict:
+    """What ``save_policy`` writes for M features (``n_features`` is checked first)."""
+    return {"kind": ("bc_policy",), "format_version": int, "mode": MODES, "n_features": int,
+            "widths": [int, ...], "source_subgroup": (None, [str, 2]),
+            "norm_stats": NormStats.spec(M), "binning": ActionBinning.SPEC,
+            "history": [{"epoch": int, "train_loss": float, "val_loss": float}, ...]}
+
+
 def save_policy(policy: BcPolicy, path) -> None:
     meta = {
         "kind": "bc_policy",
@@ -211,8 +220,11 @@ def save_policy(policy: BcPolicy, path) -> None:
 
 def load_policy(path) -> BcPolicy:
     arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != "bc_policy":
-        raise ValueError(f"{path} is not a BC policy checkpoint")
+    check(meta, _meta_spec(meta.get("n_features")), str(path))
+    n_out = N_ACTIONS if meta["mode"] == "classification" else 2
+    if meta["widths"][-1] != n_out:
+        raise SchemaMismatchError(f"{path}: widths: a {meta['mode']} policy has {n_out} "
+                                  f"outputs, not {meta['widths'][-1]}")
     mlp = Mlp(MlpSpec(widths=tuple(meta["widths"]), batch_norm=True),
               np.random.default_rng(0))
     mlp.load_state(arrays)

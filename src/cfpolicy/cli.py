@@ -20,7 +20,14 @@ from .plots import line_chart_svg
 from .preprocess import preprocess_cohort
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
-DIRECTORY_OUT = ("synth", "preprocess", "counterfactual", "report")  # other --out: a file
+# the paths each command writes, made from its --out; a trailing "/" marks a directory
+OUTPUTS = {
+    "synth": ("{}/",), "preprocess": ("{}/",), "counterfactual": ("{}/",), "report": ("{}/",),
+    "eval": ("{}",),
+    "train-bc": ("{}", "{}.metrics.json", "{}.config.json"),
+    "train-dyn": ("{}", "{}.metrics.json", "{}.config.json"),
+    "train-gail": ("{}", "{}.log.jsonl", "{}.config.json"),
+}
 
 
 def _seed(text: str) -> int:
@@ -69,24 +76,28 @@ def _not_a_directory(path: Path) -> bool:
     return (path.exists() or path.is_symlink()) and not path.is_dir()
 
 
-def _check_out(out: str, directory: bool) -> None:
+def _outputs(args) -> list:
+    """The paths of OUTPUTS for this command and --out."""
+    return [Path(template.format(Path(args.out))) for template in OUTPUTS[args.command]]
+
+
+def _check_out(args) -> None:
     """Reject an --out the command could not write, before it does any work."""
-    path = Path(out)
-    if directory and _not_a_directory(path):
-        raise CfPolicyError(f"--out {out} exists and is not a directory")
-    if not directory and path.is_dir():
-        raise CfPolicyError(f"--out {out} is a directory")
-    for parent in path.parents:
+    for parent in Path(args.out).parents:
         if _not_a_directory(parent):
-            raise CfPolicyError(f"--out {out}: {parent} is not a directory")
+            raise CfPolicyError(f"--out {args.out}: {parent} is not a directory")
+    for template, path in zip(OUTPUTS[args.command], _outputs(args)):
+        if template.endswith("/") and _not_a_directory(path):
+            raise CfPolicyError(f"--out {args.out}: {path} exists and is not a directory")
+        if not template.endswith("/") and path.is_dir():
+            raise CfPolicyError(f"--out {args.out}: {path} is a directory")
 
 
-def _write_config(args: argparse.Namespace, directory: Path, name: str = "run_config.json"):
-    directory.mkdir(parents=True, exist_ok=True)
+def _write_config(args: argparse.Namespace, path: Path):
+    path.parent.mkdir(parents=True, exist_ok=True)
     resolved = {k: (str(v) if isinstance(v, Path) else v)
                 for k, v in vars(args).items() if k != "func"}
-    (directory / name).write_text(json.dumps(resolved, indent=2, sort_keys=True),
-                                  encoding="utf-8")
+    path.write_text(json.dumps(resolved, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def cmd_synth(args) -> int:
@@ -101,7 +112,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     save_cohort_dir(cohort, out)
     synth.save_ground_truth(truth, out / "ground_truth.json")
-    _write_config(args, out)
+    _write_config(args, out / "run_config.json")
     print(f"wrote {len(cohort)} trajectories to {out}")
     return EXIT_OK
 
@@ -113,7 +124,7 @@ def cmd_preprocess(args) -> int:
     processed = preprocess_cohort(cohort)
     out = Path(args.out)
     save_cohort_dir(processed, out)
-    _write_config(args, out)
+    _write_config(args, out / "run_config.json")
     print(f"preprocessed cohort written to {out}")
     return EXIT_OK
 
@@ -148,7 +159,7 @@ def cmd_train_bc(args) -> int:
                           hidden=tuple(args.hidden),
                           max_windows=args.max_windows)
     policy = bc.train_bc(cohort, subgroup, args.mode, hp)
-    out = Path(args.out)
+    out, metrics_path, config_path = _outputs(args)
     out.parent.mkdir(parents=True, exist_ok=True)
     bc.save_policy(policy, out)
     # a val split of one action class leaves the AUROC undefined; the
@@ -156,9 +167,8 @@ def cmd_train_bc(args) -> int:
     report = bc.eval_report(policy, cohort if subgroup is None
                             else bc.filter_subgroup(cohort, subgroup), "val",
                             allow_undefined=True)
-    metrics_path = out.with_suffix(out.suffix + ".metrics.json")
     metrics_path.write_text(json.dumps(report, indent=2), encoding="utf-8")
-    _write_config(args, out.parent, out.name + ".config.json")
+    _write_config(args, config_path)
     print(f"checkpoint: {out}\nmetrics: {metrics_path}")
     return EXIT_OK
 
@@ -169,23 +179,20 @@ def cmd_train_dyn(args) -> int:
                                  hidden=args.hidden, seed=args.seed,
                                  max_windows=args.max_windows)
     model = dynamics.train_dynamics(cohort, hp)
-    out = Path(args.out)
+    out, metrics_path, config_path = _outputs(args)
     out.parent.mkdir(parents=True, exist_ok=True)
     dynamics.save_dynamics(model, out)
     mse_model, mse_zero = dynamics.eval_dynamics_mse(model, cohort, "test")
-    metrics_path = out.with_suffix(out.suffix + ".metrics.json")
     metrics_path.write_text(json.dumps(
         {"test_mse": mse_model, "zero_delta_baseline_mse": mse_zero,
          "history": model.history}, indent=2), encoding="utf-8")
-    _write_config(args, out.parent, out.name + ".config.json")
+    _write_config(args, config_path)
     print(f"checkpoint: {out}\ntest MSE {mse_model:.5f} vs zero-delta {mse_zero:.5f}")
     return EXIT_OK
 
 
 def cmd_train_gail(args) -> int:
     cohort = _load_preprocessed(args.cohort)
-    if not Path(args.dynamics).exists():
-        raise CfPolicyError(f"dynamics checkpoint {args.dynamics} not found")
     dyn = _load_for(dynamics.load_dynamics, args.dynamics, args, cohort)
     subgroup = SubgroupKey.parse(args.subgroup) if args.subgroup else None
     config = gail.GailConfig(
@@ -193,14 +200,13 @@ def cmd_train_gail(args) -> int:
         horizon=args.horizon, episodes=args.episodes, seed=args.seed,
         convention=args.convention, entropy_coef=args.entropy_coef)
     result = gail.train_gail(cohort, dyn, config, subgroup)
-    out = Path(args.out)
+    out, log_path, config_path = _outputs(args)
     out.parent.mkdir(parents=True, exist_ok=True)
     gail.save_gail(result, out)
-    log_path = out.with_suffix(out.suffix + ".log.jsonl")
     with log_path.open("w", encoding="utf-8") as fh:
         for entry in result.log:
             fh.write(json.dumps(entry) + "\n")
-    _write_config(args, out.parent, out.name + ".config.json")
+    _write_config(args, config_path)
     last = result.log[-1]
     print(f"checkpoint: {out}\nfinal disc accuracy {last['disc_accuracy']:.3f}, "
           f"entropy {last['entropy']:.3f}, kl {last['kl']:.4f}")
@@ -237,7 +243,7 @@ def cmd_counterfactual(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report.save(out / "report.json")
     report.to_csv(out / "report.csv")
-    _write_config(args, out)
+    _write_config(args, out / "run_config.json")
     _render_report(report, out)
     print(f"{'metric':<12}{'value':>12}{'control':>12}")
     for name, v in report.metrics.items():
@@ -298,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-bc", help="behavioral cloning")
     p.add_argument("--cohort", required=True)
-    p.add_argument("--mode", choices=("classification", "regression"),
+    p.add_argument("--mode", choices=bc.MODES,
                    default="classification")
     p.add_argument("--subgroup", default=None, help="attr=value, e.g. gender=M")
     p.add_argument("--out", required=True)
@@ -370,7 +376,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) is None:  # read only by commands with --seed
             args.seed = _default_seed()
         if args.out is not None:  # eval's --out is optional
-            _check_out(args.out, args.command in DIRECTORY_OUT)
+            _check_out(args)
         return args.func(args)
     except (TrainingDivergenceError, RolloutBlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)

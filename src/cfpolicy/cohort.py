@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import EmptySubgroupError, IntegrityError, ParseError
+from .errors import EmptySubgroupError, IntegrityError, ParseError, read_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .preprocess import ActionBinning, NormStats
@@ -59,6 +59,9 @@ class FeatureSchema:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
+    SPEC = {"features": [{"name": str, "kind": FEATURE_KINDS, "log_normalized": bool}, ...],
+            "attributes": {str: [str, ...]}}
+
     def to_json(self) -> dict:
         return {
             "features": [
@@ -74,7 +77,7 @@ class FeatureSchema:
         return cls(
             names=tuple(f["name"] for f in feats),
             kinds=tuple(f["kind"] for f in feats),
-            log_normalized=tuple(bool(f["log_normalized"]) for f in feats),
+            log_normalized=tuple(f["log_normalized"] for f in feats),
             attributes={a: tuple(v) for a, v in obj["attributes"].items()},
         )
 
@@ -520,59 +523,27 @@ def save_cohort_dir(cohort: CohortDataset, out_dir) -> None:
             (out_dir / name).write_text(text, encoding="utf-8")
 
 
-def _sidecar(file: Path, from_json, lengths: dict):
-    """``from_json`` of a cohort-directory JSON file whose array fields have
-    the given lengths; any other file raises IntegrityError naming it."""
-    try:
-        obj = from_json(json.loads(file.read_text(encoding="utf-8")))
-    except (IntegrityError, KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise IntegrityError(f"{file} is malformed: {exc!r}") from exc
-    for key, n in lengths.items():
-        if np.shape(getattr(obj, key)) != (n,):
-            raise IntegrityError(f"{file}: {key} must hold {n} numbers")
-    return obj
-
-
-def _checked_splits(ids: list):
-    """``from_json`` for splits.json: an object that tags exactly ``ids``."""
-    def from_json(split):
-        if not isinstance(split, dict):
-            raise TypeError("expected an object mapping encounter ids to splits")
-        for i in ids:
-            if i not in split:
-                raise ValueError(f"encounter {i!r} has no split")
-            if split[i] not in SPLIT_TAGS:
-                raise ValueError(f"encounter {i!r} has split {split[i]!r}, "
-                                 f"not one of {SPLIT_TAGS}")
-        extra = set(split).difference(ids)
-        if extra:
-            raise ValueError(f"{min(extra)!r} is not an encounter of the cohort")
-        return split
-    return from_json
-
-
 def load_cohort_dir(path) -> CohortDataset:
     """Load a cohort directory written by ``save_cohort_dir``; every JSON
-    sidecar is checked against the schema and the cohort's encounters."""
-    from .preprocess import N_BINS_PER_DRUG, ActionBinning, NormStats
+    sidecar must match the spec of the object it holds."""
+    from .preprocess import ActionBinning, NormStats
     path = Path(path)
-    schema = _sidecar(path / "schema.json", FeatureSchema.from_json, {})
+    try:
+        schema = FeatureSchema.from_json(read_json(path / "schema.json", FeatureSchema.SPEC))
+    except IntegrityError as exc:  # a rule no spec states, e.g. unique feature names
+        raise IntegrityError(f"{path / 'schema.json'}: {exc}") from exc
     # a norm-stats sidecar marks a preprocessed cohort: actions are z-scored
     cohort = load_cohort(path / "cohort.csv", schema,
                          allow_negative_actions=(path / "norm_stats.json").exists())
-    M = schema.n_features
     sidecars = {
-        "split": ("splits.json", _checked_splits([tr.id for tr in cohort.trajectories]), {}),
-        "norm_stats": ("norm_stats.json", NormStats.from_json, {
-            "means": M, "stds": M, "log_flags": M, "raw_means": M,
-            "action_mean": 2, "action_std": 2}),
-        "binning": ("binning.json", ActionBinning.from_json, {
-            "fluid_cutoffs": 3, "vaso_cutoffs": 3,
-            "fluid_levels": N_BINS_PER_DRUG, "vaso_levels": N_BINS_PER_DRUG}),
+        "split": ("splits.json", dict, {tr.id: SPLIT_TAGS for tr in cohort.trajectories}),
+        "norm_stats": ("norm_stats.json", NormStats.from_json,
+                       NormStats.spec(schema.n_features)),
+        "binning": ("binning.json", ActionBinning.from_json, ActionBinning.SPEC),
     }
-    for attr, (name, from_json, lengths) in sidecars.items():
+    for attr, (name, from_json, spec) in sidecars.items():
         if (path / name).exists():
-            setattr(cohort, attr, _sidecar(path / name, from_json, lengths))
+            setattr(cohort, attr, from_json(read_json(path / name, spec)))
     return cohort
 
 

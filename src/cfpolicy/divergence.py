@@ -22,7 +22,7 @@ import numpy as np
 from .bc import BcPolicy, predict
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import state_window
-from .errors import CfPolicyError, EmptySubgroupError
+from .errors import EmptySubgroupError, read_json
 from .kernels import median_pairwise_distance, rbf_mmd2_biased
 from .preprocess import (N_ACTIONS, action_index_to_doses, bin_actions_batch,
                          denormalize_actions)
@@ -180,6 +180,24 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
 # report
 
 
+METRICS = ("kl", "kl_reverse", "js", "mmd", "w1_fluid", "w1_vaso")
+_METRIC_VALUES = {name: float for name in METRICS}
+_SIZES = {"target": int, "counterfactual": int}
+# what ``DiscrepancyReport.save`` writes for the reports ``counterfactual_report`` makes
+_REPORT_SPEC = {
+    "source_subgroup": str, "target_subgroup": str,
+    "metrics": _METRIC_VALUES, "control": ({}, _METRIC_VALUES),
+    "per_timestep": (None, {name: [float, ...] for name in METRICS}),
+    "mean_actions": {str: [float, ...]}, "eps": float,
+    "sample_sizes": (_SIZES, {**_SIZES, "per_timestep": [int, ...]}), "seed": int,
+    "conventions": {"kl_direction": str, "counterfactual_probs": str,
+                    "quantile_convention": str,
+                    "mmd_bandwidth": {"method": str, "aggregate": float,
+                                      "control": (None, float),
+                                      "zero_distance_fallbacks": int}},
+}
+
+
 @dataclass
 class DiscrepancyReport:
     source_subgroup: str
@@ -206,27 +224,8 @@ class DiscrepancyReport:
     @classmethod
     def load(cls, path) -> "DiscrepancyReport":
         """The report saved at ``path``; a file that is not one, down to a
-        field of the wrong type, raises CfPolicyError naming it."""
-        try:
-            report = cls(**json.loads(Path(path).read_text(encoding="utf-8")))
-            report._check_types()
-        except (TypeError, ValueError) as exc:
-            raise CfPolicyError(f"{path} is not a discrepancy report: {exc}") from exc
-        return report
-
-    def _check_types(self) -> None:
-        """TypeError unless each field has the type ``save`` writes, metric
-        values are numbers and every series is a non-empty list of them."""
-        for name, kind in _REPORT_TYPES.items():
-            if not isinstance(getattr(self, name), kind):
-                raise TypeError(f"{name} is a {type(getattr(self, name)).__name__}")
-        series = [*(self.per_timestep or {}).values(), *self.mean_actions.values()]
-        if not all(isinstance(v, list) and v for v in series):
-            raise TypeError("a per-timestep series is not a non-empty list")
-        values = [*self.metrics.values(), *self.control.values(),
-                  *(v for values in series for v in values)]
-        if not all(isinstance(v, (int, float)) for v in values):
-            raise TypeError("a metric value is not a number")
+        value of the wrong type, raises CfPolicyError naming it and the key."""
+        return cls(**read_json(path, _REPORT_SPEC))
 
     def to_csv(self, path) -> None:
         """Flat CSV of every metric cell (aggregate, control, per-timestep)."""
@@ -241,13 +240,6 @@ class DiscrepancyReport:
                 for name, series in self.per_timestep.items():
                     for t, v in enumerate(series):
                         writer.writerow(["per_timestep", t, name, repr(v)])
-
-
-_REPORT_TYPES = {
-    "source_subgroup": str, "target_subgroup": str, "metrics": dict, "control": dict,
-    "per_timestep": (dict, type(None)), "mean_actions": dict, "eps": (int, float),
-    "sample_sizes": dict, "seed": int, "conventions": dict,
-}
 
 
 def _pair_metrics(realized: ActionDistribution, counterfactual: ActionDistribution,
@@ -295,8 +287,7 @@ def counterfactual_report(policy: BcPolicy, cohort: CohortDataset,
     sample_sizes = {"target": realized.n, "counterfactual": counterfactual.n}
     if per_timestep:
         pairs = [_pair_metrics(r, c, eps) for r, c in zip(real_t, cf_t)]
-        per_t = {name: [m[name] for m, _ in pairs]
-                 for name in ("kl", "kl_reverse", "js", "mmd", "w1_fluid", "w1_vaso")}
+        per_t = {name: [m[name] for m, _ in pairs] for name in METRICS}
         infos.extend(info for _, info in pairs)
         sample_sizes["per_timestep"] = [d.n for d in real_t]
         mean_actions[f"{target}:realized_fluid"] = [float(d.fluid.mean()) for d in real_t]

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cohort import CohortDataset
-from .errors import CfPolicyError, EmptySubgroupError, RolloutBlowupError
+from .errors import EmptySubgroupError, RolloutBlowupError, check
 from .numcore import (Adam, RecurrentRegressor, fit, infer, load_checkpoint, mse_loss,
                       save_checkpoint)
 from .preprocess import ActionBinning, NormStats
@@ -54,10 +54,10 @@ class DynHyperParams:
 class TransitionModel:
     net: RecurrentRegressor
     n_features: int
-    history: list = field(default_factory=list)  # per-epoch train/val MSE
     # the preprocessing of the training cohort, which a user must share
-    norm_stats: Optional[NormStats] = None
-    binning: Optional[ActionBinning] = None
+    norm_stats: NormStats
+    binning: ActionBinning
+    history: list = field(default_factory=list)  # per-epoch train/val MSE
 
     def predict_delta(self, windows: np.ndarray) -> np.ndarray:
         """windows: (B, 3, M+2) -> (B, M) state deltas."""
@@ -148,26 +148,28 @@ def rollout(model: TransitionModel, policy: Callable[[np.ndarray], np.ndarray],
     return states[:, WINDOW - 1:], actions[:, WINDOW - 1:]
 
 
+def _meta_spec(M) -> dict:
+    """What ``save_dynamics`` writes for M features (``n_features`` is checked first)."""
+    return {"kind": ("transition_model",), "format_version": int, "n_features": int,
+            "n_in": int, "hidden": int,
+            "history": [{"epoch": int, "train_mse": float, "val_mse": float}, ...],
+            "norm_stats": NormStats.spec(M), "binning": ActionBinning.SPEC}
+
+
 def save_dynamics(model: TransitionModel, path) -> None:
     meta = {"kind": "transition_model", "n_features": model.n_features,
             "n_in": model.net.n_in, "hidden": model.net.hidden,
-            "history": model.history,
-            "norm_stats": None if model.norm_stats is None else model.norm_stats.to_json(),
-            "binning": None if model.binning is None else model.binning.to_json()}
+            "history": model.history, "norm_stats": model.norm_stats.to_json(),
+            "binning": model.binning.to_json()}
     save_checkpoint(path, model.net.state(), meta)
 
 
 def load_dynamics(path) -> TransitionModel:
     arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != "transition_model":
-        raise ValueError(f"{path} is not a transition-model checkpoint")
-    if meta.get("norm_stats") is None or meta.get("binning") is None:
-        raise CfPolicyError(f"{path} records no preprocessing of its training cohort "
-                            f"(retrain it with `train-dyn`)")
+    check(meta, _meta_spec(meta.get("n_features")), str(path))
     net = RecurrentRegressor(meta["n_in"], meta["hidden"], meta["n_features"],
                              np.random.default_rng(0))
     net.load_state(arrays)
     return TransitionModel(net=net, n_features=meta["n_features"], history=meta["history"],
                            norm_stats=NormStats.from_json(meta["norm_stats"]),
                            binning=ActionBinning.from_json(meta["binning"]))
-

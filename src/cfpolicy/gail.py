@@ -12,7 +12,7 @@ silently corrected:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .bc import build_dataset
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import TransitionModel, rollout, state_window
-from .errors import EmptySubgroupError, TrainingDivergenceError
+from .errors import EmptySubgroupError, TrainingDivergenceError, check
 from .kernels import discounted_returns
 from .numcore import Adam, Mlp, MlpSpec, load_checkpoint, save_checkpoint, sigmoid, softmax
 from .preprocess import N_ACTIONS, action_index_to_doses, normalize_actions
@@ -357,6 +357,19 @@ def make_episode_sampler(cohort: CohortDataset, dyn_model: TransitionModel,
     return sample_episodes
 
 
+# the metadata ``save_gail`` writes; each config field's spec follows its
+# annotation, and the one string field is the convention
+_META_SPEC = {
+    "kind": ("gail_bundle",), "format_version": int,
+    "config": {f.name: {"float": float, "int": int, "bool": bool, "str": CONVENTIONS,
+                        "tuple": [int, ...]}[f.type] for f in fields(GailConfig)},
+    "obs_dim": int, "n_actions": int,
+    "log": [{"iteration": int, "disc_loss": float, "disc_accuracy": float,
+             "mean_reward": float, "mean_abs_gap": float, "entropy": float, "kl": float,
+             "beta": float}, ...],
+}
+
+
 def save_gail(result: GailResult, path) -> None:
     arrays = {f"policy.{k}": v for k, v in result.policy.state().items()}
     arrays.update({f"disc.{k}": v for k, v in result.disc.mlp.state().items()})
@@ -372,12 +385,9 @@ def save_gail(result: GailResult, path) -> None:
 
 def load_gail(path) -> GailResult:
     arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != "gail_bundle":
-        raise ValueError(f"{path} is not a GAIL checkpoint")
-    cfg_json = dict(meta["config"])
-    cfg_json["policy_hidden"] = tuple(cfg_json["policy_hidden"])
-    cfg_json["disc_hidden"] = tuple(cfg_json["disc_hidden"])
-    config = GailConfig(**cfg_json)
+    cfg_json = check(meta, _META_SPEC, str(path))["config"]
+    config = GailConfig(**{**cfg_json, "policy_hidden": tuple(cfg_json["policy_hidden"]),
+                           "disc_hidden": tuple(cfg_json["disc_hidden"])})
     rng = np.random.default_rng(0)
     policy = StochasticPolicy(meta["obs_dim"], rng, n_actions=meta["n_actions"],
                               hidden=config.policy_hidden)

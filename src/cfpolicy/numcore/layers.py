@@ -68,16 +68,20 @@ class ParamTensor:
         self._value, self._grad, self._bound = value, grad, True
 
 
-def checked_array(arrays: dict, key: str, shape: tuple) -> np.ndarray:
-    """``arrays[key]`` as float64, or SchemaMismatchError when the array is
-    missing or not of ``shape`` (a checkpoint that does not fit the model)."""
-    if key not in arrays:
-        raise SchemaMismatchError(f"checkpoint has no array {key!r}")
-    out = np.asarray(arrays[key], dtype=np.float64)
-    if out.shape != tuple(shape):
-        raise SchemaMismatchError(
-            f"checkpoint array {key!r} has shape {out.shape}, expected {tuple(shape)}")
-    return out
+def checked_arrays(arrays: dict, state: dict) -> dict:
+    """``arrays`` as float64 copies, or SchemaMismatchError unless they have
+    exactly the keys and shapes of the model ``state`` (a checkpoint that
+    does not fit the model)."""
+    for key, value in state.items():
+        if key not in arrays:
+            raise SchemaMismatchError(f"checkpoint has no array {key!r}")
+        if np.shape(arrays[key]) != value.shape:
+            raise SchemaMismatchError(f"checkpoint array {key!r} has shape "
+                                      f"{np.shape(arrays[key])}, expected {value.shape}")
+    for key in arrays:
+        if key not in state:
+            raise SchemaMismatchError(f"checkpoint array {key!r} is not one of the model's")
+    return {key: np.array(value, dtype=np.float64) for key, value in arrays.items()}
 
 
 class Dense:
@@ -232,14 +236,12 @@ class Mlp:
 
     def load_state(self, arrays: dict) -> None:
         """Copy ``arrays`` (as from ``state``) into the model; raises
-        SchemaMismatchError when an array is missing or misshapen."""
+        SchemaMismatchError when an array is missing, misshapen or extra."""
+        arrays = checked_arrays(arrays, self.state())
         for k, p in self.params().items():
-            p.value = checked_array(arrays, k, p.shape)
+            p.value = arrays[k]
             p.grad.fill(0.0)
         for i, layer in enumerate(self.layers):
             if isinstance(layer, BatchNorm):
-                width = layer.gamma.shape
-                layer.running_mean = np.array(
-                    checked_array(arrays, f"layer{i}.running_mean", width))
-                layer.running_var = np.array(
-                    checked_array(arrays, f"layer{i}.running_var", width))
+                layer.running_mean = arrays[f"layer{i}.running_mean"]
+                layer.running_var = arrays[f"layer{i}.running_var"]

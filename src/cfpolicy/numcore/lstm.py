@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SchemaMismatchError
-from .layers import Dense, ParamTensor, checked_array
+from .layers import Dense, ParamTensor, checked_arrays
 from .losses import sigmoid
 
 
@@ -96,7 +96,8 @@ class RecurrentRegressor:
 
     def load_state(self, arrays: dict) -> None:
         """Copy ``arrays`` (as from ``state``) into the model; raises
-        SchemaMismatchError when an array is missing or misshapen."""
+        SchemaMismatchError when an array is missing, misshapen or extra."""
+        arrays = checked_arrays(arrays, self.state())
         for k, p in self.params().items():
-            p.value = checked_array(arrays, k, p.shape)
+            p.value = arrays[k]
             p.grad.fill(0.0)

@@ -47,26 +47,20 @@ class NormStats:
     action_mean: np.ndarray  # (2,)
     action_std: np.ndarray   # (2,)
 
+    @staticmethod
+    def spec(M) -> dict:
+        """What ``to_json`` writes for M features."""
+        return {"means": [float, M], "stds": [float, M], "log_flags": [bool, M],
+                "raw_means": [float, M], "action_mean": [float, 2], "action_std": [float, 2]}
+
     def to_json(self) -> dict:
-        return {
-            "means": self.means.tolist(),
-            "stds": self.stds.tolist(),
-            "log_flags": self.log_flags.astype(bool).tolist(),
-            "raw_means": self.raw_means.tolist(),
-            "action_mean": self.action_mean.tolist(),
-            "action_std": self.action_std.tolist(),
-        }
+        return {name: value.tolist() for name, value in vars(self).items()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "NormStats":
-        return cls(
-            means=np.array(obj["means"], dtype=np.float64),
-            stds=np.array(obj["stds"], dtype=np.float64),
-            log_flags=np.array(obj["log_flags"], dtype=bool),
-            raw_means=np.array(obj["raw_means"], dtype=np.float64),
-            action_mean=np.array(obj["action_mean"], dtype=np.float64),
-            action_std=np.array(obj["action_std"], dtype=np.float64),
-        )
+        """The statistics in ``obj``, which matches ``spec``."""
+        return cls(**{name: np.array(value, dtype=bool if name == "log_flags" else np.float64)
+                      for name, value in obj.items()})
 
 
 @dataclass
@@ -81,29 +75,22 @@ class ActionBinning:
 
     fluid_cutoffs: np.ndarray  # (3,) ascending
     vaso_cutoffs: np.ndarray   # (3,) ascending
-    fluid_levels: Optional[np.ndarray] = None  # (5,)
-    vaso_levels: Optional[np.ndarray] = None   # (5,)
+    fluid_levels: np.ndarray   # (5,)
+    vaso_levels: np.ndarray    # (5,)
+
+    SPEC = {"quantile_convention": ("linear",),
+            "fluid_cutoffs": [float, 3], "vaso_cutoffs": [float, 3],
+            "fluid_levels": [float, N_BINS_PER_DRUG], "vaso_levels": [float, N_BINS_PER_DRUG]}
 
     def to_json(self) -> dict:
-        return {
-            "quantile_convention": "linear",
-            "fluid_cutoffs": self.fluid_cutoffs.tolist(),
-            "vaso_cutoffs": self.vaso_cutoffs.tolist(),
-            "fluid_levels": None if self.fluid_levels is None else self.fluid_levels.tolist(),
-            "vaso_levels": None if self.vaso_levels is None else self.vaso_levels.tolist(),
-        }
+        return {"quantile_convention": "linear",
+                **{name: value.tolist() for name, value in vars(self).items()}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ActionBinning":
-        def arr(key):
-            v = obj.get(key)
-            return None if v is None else np.array(v, dtype=np.float64)
-        return cls(
-            fluid_cutoffs=np.array(obj["fluid_cutoffs"], dtype=np.float64),
-            vaso_cutoffs=np.array(obj["vaso_cutoffs"], dtype=np.float64),
-            fluid_levels=arr("fluid_levels"),
-            vaso_levels=arr("vaso_levels"),
-        )
+        """The binning in ``obj``, which matches ``SPEC``."""
+        return cls(**{name: np.array(value, dtype=np.float64)
+                      for name, value in obj.items() if name != "quantile_convention"})
 
 
 def _binary_mask(cohort: CohortDataset) -> np.ndarray:
@@ -204,16 +191,12 @@ def fit_binning(cohort: CohortDataset) -> ActionBinning:
     """25/50/75% quantile cutoffs of nonzero train doses, plus bin levels."""
     train = cohort.by_split("train")
     doses = np.concatenate([tr.actions for tr in train], axis=0)
-    cutoffs = []
+    cutoffs, levels = [], []
     for d, name in ((0, "fluid"), (1, "vaso")):
         nonzero = doses[:, d][doses[:, d] > 0]
         if nonzero.size == 0:
             raise DegenerateBinningError(f"no nonzero {name} doses in train split")
-        cutoffs.append(np.quantile(nonzero, [0.25, 0.5, 0.75], method="linear"))
-    binning = ActionBinning(fluid_cutoffs=cutoffs[0], vaso_cutoffs=cutoffs[1])
-
-    levels = []
-    for d, cuts in ((0, binning.fluid_cutoffs), (1, binning.vaso_cutoffs)):
+        cuts = np.quantile(nonzero, [0.25, 0.5, 0.75], method="linear")
         lv = np.zeros(N_BINS_PER_DRUG)
         bins = _bin_dose(doses[:, d], cuts)
         for b in range(1, N_BINS_PER_DRUG):
@@ -222,9 +205,10 @@ def fit_binning(cohort: CohortDataset) -> ActionBinning:
                 lv[b] = np.median(members)
             else:  # collapsed cutoffs can empty a bin; fall back to the cutoff
                 lv[b] = cuts[min(b - 1, len(cuts) - 1)]
+        cutoffs.append(cuts)
         levels.append(lv)
-    binning.fluid_levels, binning.vaso_levels = levels
-    return binning
+    return ActionBinning(fluid_cutoffs=cutoffs[0], vaso_cutoffs=cutoffs[1],
+                         fluid_levels=levels[0], vaso_levels=levels[1])
 
 
 def _bin_dose(dose: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:

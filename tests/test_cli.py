@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline and exit-code contract."""
 
+import copy
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import cfpolicy
 from cfpolicy import cli, gail
 from cfpolicy.cohort import load_cohort_dir, save_cohort_dir
-from cfpolicy.errors import SchemaMismatchError, TrainingDivergenceError
+from cfpolicy.errors import CfPolicyError, SchemaMismatchError, TrainingDivergenceError
 from cfpolicy.numcore import load_checkpoint, save_checkpoint
 from cfpolicy.synth import SynthConfig, generate, inject_missingness
 
@@ -238,15 +240,16 @@ def test_out_of_range_option_is_config_error(pipeline_dirs, dyn_model, tmp_path,
     assert not out.exists()  # rejected before anything is written
 
 
-@pytest.mark.parametrize("kind", ["no-meta", "truncated", "zip-magic", "text"])
+@pytest.mark.parametrize("kind", ["no-meta", "truncated", "zip-magic", "text", "missing"])
 def test_file_that_is_not_a_checkpoint_is_config_error(pipeline_dirs, tmp_path, capsys, kind):
     bad, proc = tmp_path / "bad.npz", str(pipeline_dirs["proc"])
     if kind == "no-meta":
         np.savez(bad, **{"arr.W": np.zeros(3)})
     elif kind == "truncated":
         bad.write_bytes(pipeline_dirs["model"].read_bytes()[:300])
-    else:
+    elif kind != "missing":
         bad.write_bytes(b"PK\x03\x04 not a zip" if kind == "zip-magic" else b"not a model")
+    named = str(bad) if kind == "missing" else f"{bad} is not a checkpoint"
     for argv in (["eval", "--model", str(bad), "--cohort", proc],
                  ["counterfactual", "--model", str(bad), "--cohort", proc,
                   "--target", "gender=F", "--out", str(tmp_path / "cf")],
@@ -254,23 +257,37 @@ def test_file_that_is_not_a_checkpoint_is_config_error(pipeline_dirs, tmp_path, 
                   "--out", str(tmp_path / "gail.npz")]):
         capsys.readouterr()
         assert cli.main(argv) == 2, argv[0]
-        assert f"{bad} is not a checkpoint" in capsys.readouterr().err, argv[0]
+        assert named in capsys.readouterr().err, argv[0]
     assert not (tmp_path / "cf").exists() and not (tmp_path / "gail.npz").exists()
 
 
-@pytest.mark.parametrize("kind", ["{}", "[]", "bc-metrics", "not-json", "metrics-list"])
+@pytest.mark.parametrize("kind", ["{}", "[]", "bc-metrics", "not-json", "metrics-list",
+                                  "missing", "kl-nan", "kl-bool", "sample-sizes"])
 def test_file_that_is_not_a_report_is_config_error(pipeline_dirs, tmp_path, capsys, kind):
     path, out = tmp_path / "report.json", tmp_path / "out"
+    report = json.loads((pipeline_dirs["cf"] / "report.json").read_text())
+    edits = {"metrics-list": {"metrics": []},  # every report key, one of the wrong type
+             "kl-nan": {"metrics": {**report["metrics"], "kl": float("nan")}},
+             "kl-bool": {"metrics": {**report["metrics"], "kl": True}},
+             "sample-sizes": {"sample_sizes": {"a": "b"}}}
     if kind == "bc-metrics":
         shutil.copy(str(pipeline_dirs["model"]) + ".metrics.json", path)
-    elif kind == "metrics-list":  # every report key, one of the wrong type
-        report = json.loads((pipeline_dirs["cf"] / "report.json").read_text())
-        path.write_text(json.dumps(dict(report, metrics=[])), encoding="utf-8")
-    else:
+    elif kind in edits:
+        path.write_text(json.dumps({**report, **edits[kind]}), encoding="utf-8")
+    elif kind != "missing":
         path.write_text("{" if kind == "not-json" else kind, encoding="utf-8")
+    named = {"{}": f"{path}: source_subgroup: missing",
+             "[]": f"{path}: expected an object, got a list",
+             "bc-metrics": f"{path}: target_subgroup: missing",
+             "not-json": f"{path}: not JSON",
+             "metrics-list": f"{path}: metrics: expected an object, got a list",
+             "missing": str(path),
+             "kl-nan": f"{path}: metrics.kl: expected a finite number, got nan",
+             "kl-bool": f"{path}: metrics.kl: expected a finite number, got True",
+             "sample-sizes": f"{path}: sample_sizes.target: missing"}[kind]
     capsys.readouterr()
     assert cli.main(["report", "--report", str(path), "--out", str(out)]) == 2
-    assert f"{path} is not a discrepancy report" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not out.exists()  # so no report.csv either
 
 
@@ -285,18 +302,21 @@ def test_package_import_loads_no_submodule():
 
 
 def _corrupt(src, dst, key, cut):
-    """Copy a checkpoint, dropping array ``key`` or (``cut``) keeping only
-    its first element."""
+    """Copy a checkpoint, dropping array ``key`` (adding it if absent) or
+    (``cut``) keeping only its first element."""
     arrays, meta = load_checkpoint(src)
     if cut:
         arrays[key] = arrays[key].reshape(-1)[:1]
-    else:
+    elif key in arrays:
         del arrays[key]
+    else:
+        arrays[key] = np.zeros(1)
     save_checkpoint(dst, arrays, meta)
     return dst
 
 
-@pytest.mark.parametrize("key,cut", [("layer0.b", True), ("layer4.beta", False)])
+@pytest.mark.parametrize("key,cut", [("layer0.b", True), ("layer4.beta", False),
+                                     ("layer9.W", False)])
 def test_malformed_bc_checkpoint_is_config_error(pipeline_dirs, tmp_path, capsys,
                                                  key, cut):
     bad = _corrupt(pipeline_dirs["model"], tmp_path / "bad.npz", key, cut)
@@ -322,6 +342,16 @@ def test_malformed_dynamics_and_gail_bundles_are_rejected(pipeline_dirs, tmp_pat
     for key, cut in (("policy.layer0.W", True), ("disc.layer2.b", False)):
         with pytest.raises(SchemaMismatchError, match=key.split(".", 1)[1]):
             gail.load_gail(_corrupt(bundle, tmp_path / "bad_gail.npz", key, cut))
+    arrays, meta = load_checkpoint(bundle)
+    bad = tmp_path / "bad_meta.npz"
+    for edit, named in (
+            (_with(config={**meta["config"], "extra": 1}), "config.extra: unexpected key"),
+            (_with(config={**meta["config"], "policy_hidden": "x"}),
+             "config.policy_hidden: expected a list, got 'x'"),
+            (_without("log"), "log: missing")):
+        save_checkpoint(bad, arrays, edit(meta))
+        with pytest.raises(CfPolicyError, match=re.escape(f"{bad}: {named}")):
+            gail.load_gail(bad)
 
 
 def test_subgroup_without_train_split_is_config_error(pipeline_dirs, tmp_path, capsys):
@@ -381,19 +411,39 @@ def _shorten(key):
     return lambda obj: {**obj, key: obj[key][:-1]}
 
 
+def _with(**values):
+    return lambda obj: {**obj, **values}
+
+
 @pytest.mark.parametrize("name,edit,named", [
-    ("splits.json", _drop_first, "has no split"),
-    ("splits.json", _retag_first, "has split 'foo'"),
-    ("splits.json", lambda obj: list(obj.items()), "expected an object"),
-    ("splits.json", lambda obj: {**obj, "enc-extra": "train"}, "'enc-extra' is not an encounter"),
-    ("norm_stats.json", _without("means"), "KeyError('means')"),
-    ("norm_stats.json", _shorten("raw_means"), "raw_means must hold 10 numbers"),
-    ("norm_stats.json", _shorten("action_std"), "action_std must hold 2 numbers"),
-    ("binning.json", _without("vaso_cutoffs"), "KeyError('vaso_cutoffs')"),
-    ("binning.json", _without("fluid_levels"), "fluid_levels must hold 5 numbers"),
-    ("binning.json", _shorten("vaso_cutoffs"), "vaso_cutoffs must hold 3 numbers"),
-    ("schema.json", _without("attributes"), "KeyError('attributes')"),
-    ("schema.json", lambda obj: [obj], "TypeError")])
+    pytest.param("splits.json", _drop_first, "{first}: missing",
+                 id="splits.json-_drop_first-has no split"),
+    pytest.param("splits.json", _retag_first,
+                 "{first}: expected one of 'train', 'val', 'test', got 'foo'",
+                 id="splits.json-_retag_first-has split 'foo'"),
+    pytest.param("splits.json", lambda obj: list(obj.items()), "expected an object, got a list",
+                 id="splits.json-<lambda>-expected an object"),
+    pytest.param("splits.json", lambda obj: {**obj, "enc-extra": "train"},
+                 "enc-extra: unexpected key",
+                 id="splits.json-<lambda>-'enc-extra' is not an encounter"),
+    pytest.param("norm_stats.json", _without("means"), "means: missing",
+                 id="norm_stats.json-<lambda>-KeyError('means')"),
+    pytest.param("norm_stats.json", _shorten("raw_means"), "raw_means: expected 10 items, got 9",
+                 id="norm_stats.json-<lambda>-raw_means must hold 10 numbers"),
+    pytest.param("norm_stats.json", _shorten("action_std"), "action_std: expected 2 items, got 1",
+                 id="norm_stats.json-<lambda>-action_std must hold 2 numbers"),
+    pytest.param("binning.json", _without("vaso_cutoffs"), "vaso_cutoffs: missing",
+                 id="binning.json-<lambda>-KeyError('vaso_cutoffs')"),
+    pytest.param("binning.json", _without("fluid_levels"), "fluid_levels: missing",
+                 id="binning.json-<lambda>-fluid_levels must hold 5 numbers"),
+    pytest.param("binning.json", _shorten("vaso_cutoffs"), "vaso_cutoffs: expected 3 items, got 2",
+                 id="binning.json-<lambda>-vaso_cutoffs must hold 3 numbers"),
+    pytest.param("schema.json", _without("attributes"), "attributes: missing",
+                 id="schema.json-<lambda>-KeyError('attributes')"),
+    pytest.param("schema.json", lambda obj: [obj], "expected an object, got a list",
+                 id="schema.json-<lambda>-TypeError"),
+    pytest.param("schema.json", lambda obj: {**obj, "features": obj["features"] * 2},
+                 "feature names must be unique", id="schema.json-duplicate-feature")])
 def test_malformed_sidecar_is_config_error(pipeline_dirs, tmp_path, capsys, name, edit, named):
     proc = tmp_path / "proc"
     shutil.copytree(pipeline_dirs["proc"], proc)
@@ -404,7 +454,7 @@ def test_malformed_sidecar_is_config_error(pipeline_dirs, tmp_path, capsys, name
     assert cli.main(["train-bc", "--cohort", str(proc), "--epochs", "1",
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"{proc / name}" in err and named in err, err
+    assert f"{proc / name}: {named.format(first=next(iter(obj)))}" in err, err
     assert not out.exists()
 
 
@@ -437,7 +487,44 @@ def test_dynamics_checkpoint_without_preprocessing_is_config_error(pipeline_dirs
     capsys.readouterr()
     assert cli.main(["train-gail", "--cohort", str(pipeline_dirs["proc"]), "--dynamics",
                      str(old), "--iterations", "1", "--out", str(out)]) == 2
-    assert f"{old} records no preprocessing of its training cohort" in capsys.readouterr().err
+    assert f"{old}: norm_stats: missing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model,edit,command,named", [
+    ("bc", _with(norm_stats={"means": []}), "counterfactual",
+     "norm_stats.means: expected 10 items, got 0"),
+    ("bc", _with(binning={"fluid_cutoffs": [1, 2, 3]}), "counterfactual",
+     "binning.quantile_convention: missing"),
+    ("bc", lambda m: {**m, "binning": _without("fluid_cutoffs")(m["binning"])}, "eval",
+     "binning.fluid_cutoffs: missing"),
+    ("bc", _with(norm_stats=None), "counterfactual", "norm_stats: expected an object, got None"),
+    ("bc", _with(binning="x"), "counterfactual", "binning: expected an object, got 'x'"),
+    ("bc", _with(source_subgroup=5), "eval", "source_subgroup: expected a list, got 5"),
+    ("bc", _without("history"), "eval", "history: missing"),
+    ("bc", _with(history=5), "counterfactual", "history: expected a list, got 5"),
+    ("bc", _with(mode="bogus"), "eval",
+     "mode: expected one of 'classification', 'regression', got 'bogus'"),
+    ("bc", _with(mode="regression"), "counterfactual",
+     "widths: a regression policy has 2 outputs, not 25"),
+    ("bc", _with(n_features="x"), "eval", "n_features: expected an integer, got 'x'"),
+    ("dyn", _with(norm_stats={"means": []}), "train-gail",
+     "norm_stats.means: expected 10 items, got 0"),
+    ("dyn", _without("history"), "train-gail", "history: missing"),
+    ("dyn", _with(hidden="x"), "train-gail", "hidden: expected an integer, got 'x'")])
+def test_malformed_checkpoint_metadata_is_config_error(pipeline_dirs, dyn_model, tmp_path, capsys,
+                                                       model, edit, command, named):
+    arrays, meta = load_checkpoint(pipeline_dirs["model"] if model == "bc" else dyn_model)
+    bad, out = tmp_path / "bad.npz", tmp_path / "out"
+    save_checkpoint(bad, arrays, edit(meta))
+    argv = {"eval": ["eval", "--model", str(bad), "--out", str(out)],
+            "counterfactual": ["counterfactual", "--model", str(bad), "--target", "gender=F",
+                               "--out", str(out)],
+            "train-gail": ["train-gail", "--dynamics", str(bad), "--iterations", "1",
+                           "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert cli.main(argv + ["--cohort", str(pipeline_dirs["proc"])]) == 2
+    assert f"{bad}: {named}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -501,9 +588,9 @@ def test_cohort_without_action_bins_is_not_preprocessed(pipeline_dirs, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["taken", "under-a-file"])
-@pytest.mark.parametrize("command", ["synth", "preprocess", "train-bc", "train-dyn",
-                                     "train-gail", "eval", "counterfactual", "report"])
+@pytest.mark.parametrize("command,case", [
+    (command, case) for command in cli.OUTPUTS for case in ("taken", "under-a-file")] + [
+    (command, "beside") for command in ("train-bc", "train-dyn", "train-gail")])
 def test_unwritable_out_is_config_error(pipeline_dirs, dyn_model, tmp_path, capsys,
                                         command, case):
     proc = str(pipeline_dirs["proc"])
@@ -518,11 +605,14 @@ def test_unwritable_out_is_config_error(pipeline_dirs, dyn_model, tmp_path, caps
                                  "--target", "gender=F"],
               "report": ["--report", str(pipeline_dirs["cf"] / "report.json")]}[command]
     blocker = tmp_path / "blocker"
-    if case == "taken" and command not in cli.DIRECTORY_OUT:
+    out = {"taken": blocker, "under-a-file": blocker / "sub" / "out",
+           "beside": tmp_path / "m.npz"}[case]
+    if case == "beside":  # a directory where the command writes a file beside --out
+        Path(cli.OUTPUTS[command][1].format(out)).mkdir()
+    elif case == "taken" and not cli.OUTPUTS[command][0].endswith("/"):
         blocker.mkdir()  # a directory where the command writes a file
     else:
         blocker.write_text("x", encoding="utf-8")
-    out = blocker if case == "taken" else blocker / "sub" / "out"
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert cli.main([command] + inputs + ["--out", str(out)]) == 2
@@ -642,3 +732,87 @@ def test_ragged_cohort_runs_through_every_command(tmp_path, capsys, lengths, see
                 assert cli.main(["eval", "--model", str(bc_model), "--cohort", str(proc),
                                  "--split", "val"]) == 2
                 assert "2 distinct labels" in capsys.readouterr().err
+
+
+def _edit_json(obj, edit, path, choice):
+    """A copy of the JSON object ``obj`` with one ``edit`` at the key path
+    that the indices ``path`` pick, one container level per index."""
+    obj = copy.deepcopy(obj)
+    if edit == "identity":
+        return obj
+
+    def pick(container, i):
+        keys = sorted(container) if isinstance(container, dict) else range(len(container))
+        return keys[i % len(keys)]
+
+    container, key = obj, pick(obj, path[0])
+    for i in path[1:]:
+        if not isinstance(container[key], (dict, list)) or not container[key]:
+            break
+        container, key = container[key], pick(container[key], i)
+    value = container[key]
+    if edit == "drop":  # a missing key, or a list one item shorter
+        del container[key]
+    elif edit == "grow" and isinstance(value, list) and value:
+        value.append(value[-1])
+    elif edit == "grow" and isinstance(container, list):
+        container.append(value)
+    elif edit == "retype":
+        others = [v for v in (None, True, 5, 2.5, "x", [], {}) if type(v) is not type(value)]
+        container[key] = others[choice % len(others)]
+    elif edit == "nonfinite":
+        container[key] = (float("nan"), float("inf"), float("-inf"))[choice % 3]
+    elif edit == "outside":  # no allowed value
+        container[key] = "bogus"
+    return obj
+
+
+@pytest.mark.parametrize("target", ["schema.json", "splits.json", "norm_stats.json",
+                                    "binning.json", "bc.npz", "dyn.npz", "report.json"])
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edit=st.sampled_from(["identity", "drop", "grow", "retype", "nonfinite", "outside",
+                             "truncate"]),
+       path=st.lists(st.integers(0, 99), min_size=1, max_size=4), choice=st.integers(0, 99))
+@example(edit="identity", path=[0], choice=0)
+def test_edited_input_file_runs_or_is_config_error(pipeline_dirs, dyn_model, tmp_path, capsys,
+                                                   target, edit, path, choice):
+    # one edit of one file a command reads; it runs, or exits 2 writing nothing
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    proc, out, edited = pipeline_dirs["proc"], root / "out", root / target
+    if target.endswith(".npz"):
+        src = pipeline_dirs["model"] if target == "bc.npz" else dyn_model
+        arrays, meta = load_checkpoint(src)
+        if edit == "truncate":
+            _corrupt(src, edited, sorted(arrays)[choice % len(arrays)], True)
+        else:
+            save_checkpoint(edited, arrays, _edit_json(meta, edit, path, choice))
+    else:
+        src = pipeline_dirs["cf"] / target
+        if target != "report.json":  # a sidecar: edit it in a copy of the cohort directory
+            proc = root / "proc"
+            shutil.copytree(pipeline_dirs["proc"], proc)
+            src = edited = proc / target
+        text = src.read_text(encoding="utf-8")
+        edited.write_text(text[:len(text) // 2] if edit == "truncate" else
+                          json.dumps(_edit_json(json.loads(text), edit, path, choice)),
+                          encoding="utf-8")
+    commands = {
+        "bc.npz": [["eval", "--model", str(edited), "--cohort", str(proc),
+                    "--out", str(out / "e.json")],
+                   ["counterfactual", "--model", str(edited), "--cohort", str(proc),
+                    "--target", "gender=F", "--out", str(out / "cf")]],
+        "dyn.npz": [["train-gail", "--dynamics", str(edited), "--cohort", str(proc),
+                     "--iterations", "1", "--episodes", "2", "--horizon", "3",
+                     "--out", str(out / "g.npz")]],
+        "report.json": [["report", "--report", str(edited), "--out", str(out / "report")]],
+    }.get(target, [["train-bc", "--cohort", str(proc), "--epochs", "1", "--max-windows", "100",
+                    "--out", str(out / "bc.npz")]])
+    for argv in commands:
+        before = sorted(root.rglob("*"))
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in ((0,) if edit == "identity" else (0, 2)), (argv[0], code, err)
+        if code == 2:
+            assert sorted(root.rglob("*")) == before, (argv[0], err)

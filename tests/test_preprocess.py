@@ -138,7 +138,8 @@ def test_bin_dose_rules():
 
 def test_joint_index_layout():
     binning = ActionBinning(fluid_cutoffs=np.array([1.0, 2.0, 3.0]),
-                            vaso_cutoffs=np.array([0.1, 0.2, 0.3]))
+                            vaso_cutoffs=np.array([0.1, 0.2, 0.3]),
+                            fluid_levels=np.arange(5.0), vaso_levels=np.arange(5.0) / 10)
     doses = np.array([[0.0, 0.0], [99.0, 99.0], [1.5, 0.0], [0.0, 0.15], [1.5, 0.15]])
     assert bin_actions_batch(doses, binning).tolist() == [
         0, N_ACTIONS - 1, 2 * N_BINS_PER_DRUG, 2, 2 * N_BINS_PER_DRUG + 2]
