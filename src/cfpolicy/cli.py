@@ -20,9 +20,17 @@ from .plots import line_chart_svg
 from .preprocess import preprocess_cohort
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
-# the paths each command writes, made from its --out; a trailing "/" marks a directory
+# the paths each command writes, made from its --out; a trailing "/" marks a
+# directory. A cohort directory's list includes the sidecars save_cohort_dir
+# deletes when the cohort has none, and a report directory's every chart.
+_COHORT_DIR = ("{}/", "{}/cohort.csv", "{}/cohort.csv.npz", "{}/schema.json",
+               "{}/splits.json", "{}/norm_stats.json", "{}/binning.json", "{}/run_config.json")
+_REPORT_DIR = ("{}/", "{}/report.csv", "{}/mean_vaso.svg", "{}/mean_fluid.svg",
+               "{}/metrics_per_timestep.svg")
 OUTPUTS = {
-    "synth": ("{}/",), "preprocess": ("{}/",), "counterfactual": ("{}/",), "report": ("{}/",),
+    "synth": _COHORT_DIR + ("{}/ground_truth.json",), "preprocess": _COHORT_DIR,
+    "counterfactual": _REPORT_DIR + ("{}/report.json", "{}/run_config.json"),
+    "report": _REPORT_DIR,
     "eval": ("{}",),
     "train-bc": ("{}", "{}.metrics.json", "{}.config.json"),
     "train-dyn": ("{}", "{}.metrics.json", "{}.config.json"),

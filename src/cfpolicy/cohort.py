@@ -311,11 +311,13 @@ def load_cohort(path, schema: FeatureSchema,
     dose cells are finite numbers or empty (missing); doses may not be
     missing. Raw doses must be nonnegative; pass
     ``allow_negative_actions=True`` for cohorts whose actions were already
-    z-normalized. The float columns and the other columns are each parsed
+    z-normalized. An ``action_bin`` cell is empty or a joint action index
+    in 0..N_ACTIONS-1. The float columns and the other columns are each parsed
     in one ``np.loadtxt`` call, or read from the companion ``write_cohort``
     left for these exact bytes, and checked as whole arrays; of several
     faults, the one a row-by-row parser meets first is raised.
     """
+    from .preprocess import N_ACTIONS  # preprocess imports this module
     path = Path(path)
     attrs = list(schema.attributes)
     M, k = schema.n_features, len(attrs)
@@ -382,7 +384,8 @@ def load_cohort(path, schema: FeatureSchema,
     alive = np.isin(text[:, 3 + k], ("1", "true", "True"))
     binned = text[:, -1] != "" if has_bin else np.zeros(len(text), bool)
     bins, bad = _ints(np.where(binned, text[:, -1], "0"))  # 0 where a row has no bin
-    flag(bad, lambda r: ParseError(r + 2, f"bad action_bin {text[r, 4 + k]!r}"))
+    flag(bad | (bins < 0) | (bins >= N_ACTIONS),
+         lambda r: ParseError(r + 2, f"bad action_bin {text[r, 4 + k]!r}"))
 
     # group rows by (first appearance of id, timestep); an equal neighbour is a duplicate
     _, first, inverse = np.unique(ids[:n], return_index=True, return_inverse=True)

@@ -116,40 +116,55 @@ class BatchNorm:
 
     Train mode normalizes by batch mean/population variance and updates
     running stats with momentum 0.9; eval mode is a fixed affine map.
+    ``running_mean`` and ``running_var`` are the rows of one ``running``
+    array, so one momentum step updates both.
     """
 
     def __init__(self, width: int):
         self.gamma = ParamTensor(np.ones(width))
         self.beta = ParamTensor(np.zeros(width))
-        self.running_mean = np.zeros(width)
-        self.running_var = np.ones(width)
+        self.running = np.array([np.zeros(width), np.ones(width)])
+        self.running_mean, self.running_var = self.running
+        self._batch = np.empty_like(self.running)  # this batch's mean and variance
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if train:  # the arithmetic of x.mean and x.var, with the mean taken once
             n = x.shape[0]
-            mu = np.add.reduce(x, axis=0) / n
+            mu, var = self._batch
+            np.add.reduce(x, axis=0, out=mu)
+            mu /= n
             d = x - mu
-            var = np.add.reduce(d * d, axis=0) / n
-            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mu
-            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
+            np.add.reduce(d * d, axis=0, out=var)
+            var /= n
+            self.running *= BN_MOMENTUM
+            self.running += (1 - BN_MOMENTUM) * self._batch
         else:
             d = x - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = d * inv_std
-        self._cache = (xhat, inv_std, train, x.shape[0])
-        return self.gamma.value * xhat + self.beta.value
+        d *= inv_std  # d is now x-hat
+        self._cache = (d, inv_std, train, x.shape[0])
+        out = self.gamma.value * d
+        out += self.beta.value
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        """Train mode: the compact form (gamma inv_std / n)(n dy - sum(dy)
+        - xhat sum(dy xhat)), whose two sums are the beta and gamma
+        gradients (Ioffe & Szegedy 2015, section 3)."""
         xhat, inv_std, train, n = self._cache
-        (dy * xhat).sum(axis=0, out=self.gamma.grad)
-        dy.sum(axis=0, out=self.beta.grad)
-        dxhat = dy * self.gamma.value
+        t = dy * xhat
+        np.add.reduce(t, axis=0, out=self.gamma.grad)
+        np.add.reduce(dy, axis=0, out=self.beta.grad)
         if not train:
-            return dxhat * inv_std
-        return (inv_std / n) * (
-            n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+            return dy * self.gamma.value * inv_std
+        np.multiply(xhat, self.gamma.grad, out=t)
+        dx = n * dy
+        dx -= self.beta.grad
+        dx -= t
+        dx *= self.gamma.value * inv_std / n
+        return dx
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -243,5 +258,5 @@ class Mlp:
             p.grad.fill(0.0)
         for i, layer in enumerate(self.layers):
             if isinstance(layer, BatchNorm):
-                layer.running_mean = arrays[f"layer{i}.running_mean"]
-                layer.running_var = arrays[f"layer{i}.running_var"]
+                layer.running_mean[...] = arrays[f"layer{i}.running_mean"]
+                layer.running_var[...] = arrays[f"layer{i}.running_var"]

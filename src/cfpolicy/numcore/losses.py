@@ -11,9 +11,10 @@ def sigmoid(x):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def rmse_loss(pred: np.ndarray, target: np.ndarray):
@@ -32,12 +33,13 @@ def nll_loss(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log softmax probability of the true class."""
     labels = np.asarray(labels, dtype=np.int64)
     n = logits.shape[0]
+    rows = np.arange(n)
     p = softmax(logits)
-    picked = np.clip(p[np.arange(n), labels], 1e-300, None)
-    loss = float(-np.mean(np.log(picked)))
-    grad = p.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    picked = np.maximum(p[rows, labels], 1e-300)
+    loss = float(-(np.add.reduce(np.log(picked, out=picked)) / n))
+    p[rows, labels] -= 1.0  # p becomes the gradient
+    p /= n
+    return loss, p
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):

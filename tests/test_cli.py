@@ -590,7 +590,8 @@ def test_cohort_without_action_bins_is_not_preprocessed(pipeline_dirs, tmp_path,
 
 @pytest.mark.parametrize("command,case", [
     (command, case) for command in cli.OUTPUTS for case in ("taken", "under-a-file")] + [
-    (command, "beside") for command in ("train-bc", "train-dyn", "train-gail")])
+    (command, "beside") for command in ("train-bc", "train-dyn", "train-gail")] + [
+    (command, "inside") for command in ("synth", "preprocess", "counterfactual", "report")])
 def test_unwritable_out_is_config_error(pipeline_dirs, dyn_model, tmp_path, capsys,
                                         command, case):
     proc = str(pipeline_dirs["proc"])
@@ -606,9 +607,13 @@ def test_unwritable_out_is_config_error(pipeline_dirs, dyn_model, tmp_path, caps
               "report": ["--report", str(pipeline_dirs["cf"] / "report.json")]}[command]
     blocker = tmp_path / "blocker"
     out = {"taken": blocker, "under-a-file": blocker / "sub" / "out",
-           "beside": tmp_path / "m.npz"}[case]
+           "beside": tmp_path / "m.npz", "inside": tmp_path / "out"}[case]
     if case == "beside":  # a directory where the command writes a file beside --out
         Path(cli.OUTPUTS[command][1].format(out)).mkdir()
+    elif case == "inside":  # a directory at a file written inside --out after others
+        inside = {"synth": "schema.json", "preprocess": "binning.json",
+                  "counterfactual": "report.csv", "report": "metrics_per_timestep.svg"}
+        (out / inside[command]).mkdir(parents=True)
     elif case == "taken" and not cli.OUTPUTS[command][0].endswith("/"):
         blocker.mkdir()  # a directory where the command writes a file
     else:

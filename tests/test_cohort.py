@@ -326,7 +326,8 @@ def test_infinite_cells_rejected(tmp_path):
 
 @pytest.mark.parametrize("column, cell", [
     ("timestep", "1.0"), ("mortality_step", "x"), ("mortality_step", "1.5"),
-    ("outcome_alive", "yes"), ("outcome_alive", ""), ("action_bin", "b")])
+    ("outcome_alive", "yes"), ("outcome_alive", ""), ("action_bin", "b"),
+    ("action_bin", "25"), ("action_bin", "-3")])
 def test_malformed_int_and_flag_cells_are_parse_errors(tmp_path, column, cell):
     path = tmp_path / "bad.csv"
     header = HEADER.strip().split(",") + ["action_bin"]
@@ -335,6 +336,19 @@ def test_malformed_int_and_flag_cells_are_parse_errors(tmp_path, column, cell):
     path.write_text(",".join(header) + "\n" + "a,0,M,70,1.0,10,0.1,,1,3\n"
                     + ",".join(row) + "\n")
     with pytest.raises(ParseError, match=f"bad {column} '{cell}'") as exc:
+        load_cohort(path, SCHEMA)
+    assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("bad_bin", [25, -3])
+def test_out_of_range_bin_in_companion_is_parse_error(tmp_path, monkeypatch, bad_bin):
+    traj = PatientTrajectory(
+        id="a", attributes={"gender": "M"}, states=np.ones((2, 2)), actions=np.ones((2, 2)),
+        mortality_step=None, outcome_alive=True, action_bins=np.array([3, bad_bin]))
+    path = tmp_path / "c.csv"
+    write_cohort(CohortDataset(schema=SCHEMA, trajectories=[traj]), path)
+    monkeypatch.setattr(cohort_module, "_parse_columns", _no_text_parse)
+    with pytest.raises(ParseError, match=f"bad action_bin '{bad_bin}'") as exc:
         load_cohort(path, SCHEMA)
     assert exc.value.line_no == 3
 

@@ -13,6 +13,7 @@ from cfpolicy.gail import GailConfig, StochasticPolicy, policy_update
 from cfpolicy.numcore import (Adam, BatchNorm, Mlp, MlpSpec, ParamTensor,
                               RecurrentRegressor, fit, infer, load_checkpoint, mse_loss,
                               nll_loss, rmse_loss, save_checkpoint, softmax)
+from cfpolicy.numcore.layers import BN_EPS, BN_MOMENTUM
 from cfpolicy.numcore.training import BLOCK
 from gradcheck import finite_difference_check
 
@@ -49,6 +50,44 @@ def test_nll_loss_oracle(rng):
     expected = -np.mean([np.log(p[i, labels[i]]) for i in range(5)])
     assert loss == pytest.approx(expected, abs=1e-12)
     assert grad.shape == logits.shape
+
+
+# Reference: the softmax and nll_loss that the in-place forms replaced; the
+# current ones must give the same bytes.
+
+def reference_softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_nll_loss(logits, labels):
+    labels = np.asarray(labels, dtype=np.int64)
+    n = logits.shape[0]
+    p = reference_softmax(logits)
+    picked = np.clip(p[np.arange(n), labels], 1e-300, None)
+    loss = float(-np.mean(np.log(picked)))
+    grad = p.copy()
+    grad[np.arange(n), labels] -= 1.0
+    return loss, grad / n
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 80), classes=st.integers(1, 25), log_scale=st.floats(-2, 3.5),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=3, classes=25, log_scale=3.5, seed=0)  # true classes of probability 0
+def test_nll_loss_and_softmax_match_reference_bytes(n, classes, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(n, classes)) * 10.0 ** log_scale
+    labels = rng.integers(0, classes, n)
+    before = logits.copy()
+    loss, grad = nll_loss(logits, labels)
+    want_loss, want_grad = reference_nll_loss(logits, labels)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    assert softmax(logits).tobytes() == reference_softmax(logits).tobytes()
+    assert softmax(logits[0]).tobytes() == reference_softmax(logits[0]).tobytes()
+    assert logits.tobytes() == before.tobytes()  # the input is not written
 
 
 def test_mse_loss_oracle(rng):
@@ -137,6 +176,86 @@ def test_batchnorm_running_stats_update(rng):
     before = bn.running_mean.copy()
     bn.forward(x, train=False)  # eval mode must not move the stats
     assert np.array_equal(bn.running_mean, before)
+
+
+# Reference: the batch-norm forward and backward that the current ones
+# replaced. The forward kept two running arrays, each rebound by its own
+# momentum step; the backward was the expanded form through dxhat.
+
+def reference_batchnorm_forward(bn, x, stats, train):
+    """The old forward of ``bn``'s parameters on ``x``; ``stats`` is the
+    [running_mean, running_var] list it reads and, in train mode, rebinds."""
+    if train:
+        n = x.shape[0]
+        mu = np.add.reduce(x, axis=0) / n
+        d = x - mu
+        var = np.add.reduce(d * d, axis=0) / n
+        stats[0] = BN_MOMENTUM * stats[0] + (1 - BN_MOMENTUM) * mu
+        stats[1] = BN_MOMENTUM * stats[1] + (1 - BN_MOMENTUM) * var
+    else:
+        d = x - stats[0]
+        var = stats[1]
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = d * inv_std
+    return bn.gamma.value * xhat + bn.beta.value
+
+
+def reference_batchnorm_backward(bn, dy):
+    """The old train-mode backward from ``bn``'s cache: (dx, dgamma, dbeta)."""
+    xhat, inv_std, train, n = bn._cache
+    assert train
+    dxhat = dy * bn.gamma.value
+    dx = (inv_std / n) * (
+        n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    return dx, (dy * xhat).sum(axis=0), dy.sum(axis=0)
+
+
+def _random_batchnorm(rng, width):
+    bn = BatchNorm(width)
+    bn.gamma.value = rng.normal(size=width) * 2
+    bn.beta.value = rng.normal(size=width)
+    return bn
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 80), width=st.integers(1, 64), log_scale=st.floats(-4, 4),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, width=64, log_scale=0.0, seed=0)  # the single row of a ragged last batch
+@example(n=2, width=3, log_scale=0.0, seed=0)  # x-hat is +-1: the gradient cancels to ~0
+def test_compact_batchnorm_backward_matches_reference(n, width, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    bn = _random_batchnorm(rng, width)
+    x = rng.normal(size=(n, width)) * 10.0 ** log_scale + rng.normal(size=width)
+    x[:, 0] = 1.5  # a constant column: zero batch variance
+    bn.forward(x, train=True)
+    dy = rng.normal(size=(n, width))
+    want_dx, want_dgamma, want_dbeta = reference_batchnorm_backward(bn, dy)
+    dx = bn.backward(dy)
+    assert bn.gamma.grad.tobytes() == want_dgamma.tobytes()
+    assert bn.beta.grad.tobytes() == want_dbeta.tobytes()
+    # the gradient's scale: the largest magnitude of the three terms summed
+    xhat, inv_std, _, _ = bn._cache
+    scale = (np.abs(bn.gamma.value * inv_std / n) * (
+        n * np.abs(dy) + np.abs(want_dbeta) + np.abs(xhat * want_dgamma))).max()
+    assert np.abs(dx - want_dx).max() <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=st.integers(1, 64), sizes=st.lists(st.integers(1, 80), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_batchnorm_forward_and_running_stats_match_reference_bytes(width, sizes, seed):
+    rng = np.random.default_rng(seed)
+    bn = _random_batchnorm(rng, width)
+    stats = [np.zeros(width), np.ones(width)]
+    for n in sizes:
+        x = rng.normal(size=(n, width)) * 3 + 1
+        assert bn.forward(x, train=True).tobytes() == \
+            reference_batchnorm_forward(bn, x, stats, True).tobytes()
+        assert bn.running_mean.tobytes() == stats[0].tobytes()
+        assert bn.running_var.tobytes() == stats[1].tobytes()
+    x = rng.normal(size=(sizes[0], width))
+    assert bn.forward(x, train=False).tobytes() == \
+        reference_batchnorm_forward(bn, x, stats, False).tobytes()
 
 
 def test_dense_shape_mismatch(rng):
@@ -393,6 +512,11 @@ def test_fit_restore_keeps_parameters_bound(rng):
     opt = Adam(mlp.params().values(), lr=0.05)
     X, Y = rng.normal(size=(20, 3)), rng.normal(size=(20, 2))
     fit(mlp, opt, mse_loss, X, Y, X[:6], Y[:6], epochs=4, batch=8, rng=rng)
+    # the restored running statistics are still the ones a train forward moves
+    before = {k: v.copy() for k, v in mlp.state().items()}
+    mlp.forward(X, train=True)
+    for key in ("layer1.running_mean", "layer1.running_var"):
+        assert not np.array_equal(mlp.state()[key], before[key]), key
     _assert_bound_and_trains(mlp, opt, X)
 
 
