@@ -57,8 +57,14 @@ class GailConfig:
         if not np.all(np.isfinite(rates)):
             raise ValueError("lr, disc_lr, kl_penalty, entropy_coef, kl_target and "
                              "gamma must be finite")
-        if self.lr <= 0 or self.batch <= 0 or self.kl_penalty <= 0:
-            raise ValueError("lr, batch and kl_penalty must be positive")
+        if min(self.lr, self.disc_lr, self.batch, self.kl_penalty, self.kl_target) <= 0:
+            raise ValueError("lr, disc_lr, batch, kl_penalty and kl_target must be positive")
+        if not 0 < self.gamma <= 1:
+            raise ValueError("gamma must be in (0, 1]")
+        if min(self.iterations, self.horizon, self.episodes, self.inner_steps,
+               self.disc_steps) < 1:
+            raise ValueError("iterations, horizon, episodes, inner_steps and disc_steps "
+                             "must be >= 1")
         if self.entropy_coef < 0:
             raise ValueError("entropy coefficient must be nonnegative")
         if self.convention not in CONVENTIONS:
@@ -184,6 +190,13 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
     """KL-penalized policy-gradient step with backtracking so the batch
     KL(pi_old || pi_new) never exceeds the trust-region target.
 
+    ``opt`` is the optimizer built over the policy's parameters, so its flat
+    ``value`` buffer is the whole policy. Each attempt takes
+    ``inner_steps`` Adam steps; an attempt over the target is undone and the
+    next one runs at half the step size. When all 9 attempts overshoot, the
+    policy and optimizer are left as they were, with ``kl`` and ``lr_scale``
+    reported as 0.0. Beta adapts to the last attempt's KL either way.
+
     Returns (stats dict, adapted beta).
     """
     if not np.all(np.isfinite(advantages)):
@@ -196,7 +209,7 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
 
     logits = policy.mlp.forward(obs, train=False)
     p_old = softmax(logits)
-    param_snap = policy.snapshot()
+    param_snap = opt.value.copy()
     opt_snap = opt.state()
     onehot = np.eye(policy.n_actions)[actions]
 
@@ -218,17 +231,21 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
             opt.step(lr=config.lr * lr_scale)
         p_new = policy.probs(obs)
         kl = categorical_kl(p_old, p_new)
-        if kl <= config.kl_target or attempt == 8:
+        if kl <= config.kl_target:
             break
-        policy.load_state(param_snap)
+        opt.value[...] = param_snap
         opt.load_state(opt_snap)
         lr_scale *= 0.5
+    else:  # every attempt overshot: the policy keeps its parameters
+        lr_scale, p_new = 0.0, p_old
 
     if kl > config.kl_target * 1.5:
         beta = min(beta * 2.0, 1e3)
     elif kl < config.kl_target / 1.5:
         beta = max(beta / 2.0, 1e-3)
-    stats = {"kl": kl, "entropy": mean_entropy(p_new), "lr_scale": lr_scale}
+    # a rejected step moved the policy by nothing
+    stats = {"kl": kl if lr_scale else 0.0, "entropy": mean_entropy(p_new),
+             "lr_scale": lr_scale}
     return stats, beta
 
 

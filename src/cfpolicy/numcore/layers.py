@@ -2,7 +2,9 @@
 
 Backprop is hand-written per layer; each layer caches in ``_cache`` what
 its backward pass needs during forward. One forward must precede each
-backward.
+backward. Hidden activations and input gradients are written into per-layer
+``Workspace`` arrays, so a training step allocates no batch-sized
+temporaries for them; only a model's head returns a fresh array.
 """
 
 from __future__ import annotations
@@ -84,28 +86,63 @@ def checked_arrays(arrays: dict, state: dict) -> dict:
     return {key: np.array(value, dtype=np.float64) for key, value in arrays.items()}
 
 
-class Dense:
-    """Affine layer y = x W + b with uniform fan-in initialization."""
+class Workspace:
+    """A layer's named arrays, reused from call to call.
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
+    ``ws(name, rows, width)`` returns the first ``rows`` rows of the named
+    (n, width) array, which grows only, to the largest ``rows`` asked for.
+    What one call writes there is overwritten by the next call's.
+    """
+
+    __slots__ = ("arrays",)
+
+    def __init__(self):
+        self.arrays = {}
+
+    def __call__(self, name: str, rows: int, width: int, dtype=np.float64) -> np.ndarray:
+        buf = self.arrays.get(name)
+        if buf is None or len(buf) < rows:
+            buf = self.arrays[name] = np.empty((rows, width), dtype)
+        return buf[:rows]
+
+
+class Dense:
+    """Affine layer y = x W + b with uniform fan-in initialization.
+
+    A hidden layer (``head=False``) writes y into its workspace, valid until
+    its next forward; a head returns a fresh array its caller may keep. The
+    input gradient is always a workspace view.
+    """
+
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
+                 head: bool = False):
         bound = 1.0 / np.sqrt(n_in)
         self.W = ParamTensor(rng.uniform(-bound, bound, size=(n_in, n_out)))
         self.b = ParamTensor(rng.uniform(-bound, bound, size=n_out))
+        self.head = head
+        self.ws = Workspace()
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if x.shape[1] != self.W.value.shape[0]:
+        n_in, n_out = self.W.shape
+        if x.shape[1] != n_in:
             raise SchemaMismatchError(
-                f"dense layer expects width {self.W.value.shape[0]}, got {x.shape[1]}")
+                f"dense layer expects width {n_in}, got {x.shape[1]}")
         self._cache = x
-        return x @ self.W.value + self.b.value
+        y = np.matmul(x, self.W.value,
+                      out=None if self.head else self.ws("y", len(x), n_out))
+        y += self.b.value
+        return y
 
     def backward(self, dy: np.ndarray, input_grad: bool = True):
         """Fill the parameter gradients; returns the input gradient, or None
         without ``input_grad``."""
-        np.matmul(self._cache.T, dy, out=self.W.grad)
+        x = self._cache
+        np.matmul(x.T, dy, out=self.W.grad)
         dy.sum(axis=0, out=self.b.grad)
-        return dy @ self.W.value.T if input_grad else None
+        if not input_grad:
+            return None
+        return np.matmul(dy, self.W.value.T, out=self.ws("dx", len(dy), x.shape[1]))
 
     def params(self):
         return {"W": self.W, "b": self.b}
@@ -171,15 +208,22 @@ class BatchNorm:
 
 
 class Relu:
+    """max(x, 0) as x times its positive mask. Forward and backward write
+    their argument in place, which in an Mlp is the previous layer's output
+    or the next layer's input gradient, never a caller's array."""
+
     def __init__(self):
+        self.ws = Workspace()
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._cache = x > 0
-        return x * self._cache
+        self._cache = np.greater(x, 0, out=self.ws("mask", len(x), x.shape[1], bool))
+        x *= self._cache
+        return x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._cache
+        dy *= self._cache
+        return dy
 
     def params(self):
         return {}
@@ -213,7 +257,7 @@ class Mlp:
             if spec.batch_norm:
                 self.layers.append(BatchNorm(widths[i + 1]))
             self.layers.append(Relu())
-        self.layers.append(Dense(widths[-2], widths[-1], rng))
+        self.layers.append(Dense(widths[-2], widths[-1], rng, head=True))
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """x: (B, widths[0]) -> (B, widths[-1])."""

@@ -6,8 +6,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)); with ``out`` (which may be ``x``) the same
+    operations write into ``out``."""
+    if out is None:
+        return 1.0 / (1.0 + np.exp(-x))
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from cfpolicy.bc import (REFERENCE_METRICS, BcHyperParams, build_dataset,
-                         eval_auroc, eval_report, eval_rmse, load_policy,
-                         train_bc)
+                         eval_auroc, eval_report, eval_rmse, train_bc)
 from cfpolicy.cohort import (CohortDataset, PatientTrajectory, SubgroupKey,
                              assign_splits)
 from cfpolicy.divergence import (DEFAULT_EPS, counterfactual_report,
@@ -382,31 +381,42 @@ def test_criterion_9_counterfactual_detection():
 
 def test_criterion_10_determinism(tmp_path):
     from cfpolicy import cli
+    from cfpolicy.numcore import load_checkpoint
 
     def run_pipeline(root):
-        raw, proc, model = root / "raw", root / "proc", root / "bc.npz"
-        assert cli.main(["--threads", "1", "synth", "--n", "60", "--t", "24",
-                         "--features", "10", "--delta", "0.5", "--seed", "5",
-                         "--out", str(raw)]) == 0
-        assert cli.main(["--threads", "1", "preprocess", "--cohort", str(raw),
-                         "--seed", "5", "--out", str(proc)]) == 0
-        assert cli.main(["--threads", "1", "train-bc", "--cohort", str(proc),
-                         "--epochs", "3", "--max-windows", "500", "--seed", "0",
-                         "--out", str(model)]) == 0
-        return raw, proc, model
+        raw, proc = root / "raw", root / "proc"
+        models = {name: root / f"{name}.npz" for name in ("bc", "dyn", "gail")}
+        for argv in (
+                ["synth", "--n", "60", "--t", "24", "--features", "10", "--delta", "0.5",
+                 "--seed", "5", "--out", str(raw)],
+                ["preprocess", "--cohort", str(raw), "--seed", "5", "--out", str(proc)],
+                ["train-bc", "--cohort", str(proc), "--epochs", "3", "--max-windows", "500",
+                 "--seed", "0", "--out", str(models["bc"])],
+                ["train-dyn", "--cohort", str(proc), "--epochs", "2", "--max-windows",
+                 "500", "--hidden", "16", "--seed", "0", "--out", str(models["dyn"])],
+                ["train-gail", "--cohort", str(proc), "--dynamics", str(models["dyn"]),
+                 "--iterations", "3", "--horizon", "4", "--episodes", "8", "--seed", "0",
+                 "--out", str(models["gail"])]):
+            assert cli.main(["--threads", "1"] + argv) == 0, argv[0]
+        return raw, proc, models
 
+    # both runs in this one process, so state one run leaves behind that
+    # moves the next run's numbers fails here
     a = run_pipeline(tmp_path / "a")
     b = run_pipeline(tmp_path / "b")
     for name in ("cohort.csv", "schema.json", "ground_truth.json"):
         assert (a[0] / name).read_bytes() == (b[0] / name).read_bytes(), name
     for name in ("cohort.csv", "splits.json", "norm_stats.json", "binning.json"):
         assert (a[1] / name).read_bytes() == (b[1] / name).read_bytes(), name
-    pol_a, pol_b = load_policy(a[2]), load_policy(b[2])
-    state_a, state_b = pol_a.mlp.state(), pol_b.mlp.state()
-    assert state_a.keys() == state_b.keys()
-    for k in state_a:
-        assert np.array_equal(state_a[k], state_b[k]), k
-    metrics_a = a[2].with_suffix(".npz.metrics.json").read_text()
-    metrics_b = b[2].with_suffix(".npz.metrics.json").read_text()
-    assert metrics_a == metrics_b
-    _passed(10, "synth/preprocess/train-bc reruns bit-identical at --threads 1")
+    for kind, suffix in (("bc", ".metrics.json"), ("dyn", ".metrics.json"),
+                         ("gail", ".log.jsonl")):
+        (arrays_a, meta_a), (arrays_b, meta_b) = (load_checkpoint(run[2][kind])
+                                                  for run in (a, b))
+        assert arrays_a.keys() == arrays_b.keys() and meta_a == meta_b, kind
+        for k in arrays_a:
+            assert arrays_a[k].tobytes() == arrays_b[k].tobytes(), (kind, k)
+        side_a, side_b = (run[2][kind].with_name(run[2][kind].name + suffix)
+                          for run in (a, b))
+        assert side_a.read_bytes() == side_b.read_bytes(), side_a.name
+    _passed(10, "synth/preprocess/train-bc/train-dyn/train-gail reruns in one "
+                "process bit-identical at --threads 1")

@@ -80,11 +80,16 @@ def reference_policy_update(policy, obs, actions, advantages, config, opt, beta)
         beta = min(beta * 2.0, 1e3)
     elif kl < config.kl_target / 1.5:
         beta = max(beta / 2.0, 1e-3)
+    if kl > config.kl_target:  # the last attempt overshot too: no step is taken
+        policy.load_state(param_snap)
+        opt.load_state(opt_snap)
+        return {"kl": 0.0, "entropy": mean_entropy(p_old), "lr_scale": 0.0}, beta
     stats = {"kl": kl, "entropy": mean_entropy(p_new), "lr_scale": lr_scale}
     return stats, beta
 
 
-@pytest.mark.parametrize("kl_target", [0.05, 1e-4], ids=["in-region", "backtracking"])
+@pytest.mark.parametrize("kl_target", [0.05, 1e-4, 1e-12],
+                         ids=["in-region", "backtracking", "rejected"])
 def test_policy_update_matches_reference_bytes(kl_target):
     cfg = GailConfig(lr=0.01, kl_target=kl_target)
     data = np.random.default_rng(4)
@@ -108,6 +113,8 @@ def test_policy_update_matches_reference_bytes(kl_target):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     if kl_target < 0.01:
         assert min(scales) < 1.0  # at least one update backtracked
+    if kl_target < 1e-6:
+        assert scales == [0.0] * 6  # every update rejected
 
 
 def test_config_validation():
@@ -118,6 +125,22 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GailConfig(entropy_coef=-1.0)
     assert set(CONVENTIONS) == {"paper-eq", "gail-orig"}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("kl_target", 0.0), ("kl_target", -0.05), ("disc_lr", 0.0), ("gamma", 0.0),
+    ("gamma", -0.5), ("gamma", 1.0 + 1e-12), ("gamma", 2.0), ("inner_steps", 0),
+    ("iterations", 0), ("horizon", 0), ("episodes", 0), ("disc_steps", 0),
+    ("disc_steps", -1)])
+def test_config_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        GailConfig(**{field: value})
+
+
+def test_config_accepts_range_edges():
+    cfg = GailConfig(kl_target=1e-300, gamma=1.0, inner_steps=1, iterations=1, horizon=1,
+                     episodes=1, disc_steps=1)
+    assert cfg.gamma == 1.0
 
 
 @pytest.mark.parametrize("name", ["lr", "disc_lr", "kl_penalty", "entropy_coef",

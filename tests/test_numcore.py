@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfpolicy.errors import SchemaMismatchError, TrainingDivergenceError
-from cfpolicy.gail import GailConfig, StochasticPolicy, policy_update
-from cfpolicy.numcore import (Adam, BatchNorm, Mlp, MlpSpec, ParamTensor,
-                              RecurrentRegressor, fit, infer, load_checkpoint, mse_loss,
-                              nll_loss, rmse_loss, save_checkpoint, softmax)
-from cfpolicy.numcore.layers import BN_EPS, BN_MOMENTUM
+from cfpolicy.gail import GailConfig, StochasticPolicy, mean_entropy, policy_update
+from cfpolicy.numcore import (Adam, BatchNorm, Dense, Mlp, MlpSpec, ParamTensor,
+                              RecurrentRegressor, Relu, fit, infer, load_checkpoint,
+                              mse_loss, nll_loss, rmse_loss, save_checkpoint, softmax)
+from cfpolicy.numcore.layers import BN_EPS, BN_MOMENTUM, Workspace
 from cfpolicy.numcore.training import BLOCK
 from gradcheck import finite_difference_check
 
@@ -258,6 +258,194 @@ def test_batchnorm_forward_and_running_stats_match_reference_bytes(width, sizes,
         reference_batchnorm_forward(bn, x, stats, False).tobytes()
 
 
+# Reference: the Dense, Relu and RecurrentRegressor forward and backward
+# that allocated every activation and gradient; the workspace forms must
+# give the same bytes.
+
+def reference_dense_forward(layer, x):
+    return x @ layer.W.value + layer.b.value
+
+
+def reference_dense_backward(layer, x, dy, input_grad=True):
+    """(dW, db, dx) of the affine layer at input ``x``."""
+    return x.T @ dy, dy.sum(axis=0), dy @ layer.W.value.T if input_grad else None
+
+
+def reference_relu_forward(x):
+    """(output, mask)."""
+    mask = x > 0
+    return x * mask, mask
+
+
+def reference_relu_backward(mask, dy):
+    return dy * mask
+
+
+def reference_mlp_forward(mlp, x, train):
+    """The forward through ``mlp``'s layers: (output, one cache per layer).
+    Batch-norm layers run their own code, which the reference does not
+    replace."""
+    caches, out = [], x
+    for layer in mlp.layers:
+        if isinstance(layer, Dense):
+            caches.append(out)
+            out = reference_dense_forward(layer, out)
+        elif isinstance(layer, Relu):
+            out, mask = reference_relu_forward(out)
+            caches.append(mask)
+        else:
+            out = layer.forward(out, train=train)
+            caches.append(None)
+    return out, caches
+
+
+def reference_mlp_backward(mlp, caches, dout):
+    """{parameter name: gradient} without the input gradient."""
+    grads = {}
+    for idx in range(len(mlp.layers) - 1, -1, -1):
+        layer = mlp.layers[idx]
+        if isinstance(layer, Dense):
+            dW, db, dout = reference_dense_backward(layer, caches[idx], dout, idx > 0)
+            grads[f"layer{idx}.W"], grads[f"layer{idx}.b"] = dW, db
+        elif isinstance(layer, Relu):
+            dout = reference_relu_backward(caches[idx], dout)
+        else:
+            dout = layer.backward(dout)
+            grads[f"layer{idx}.gamma"] = layer.gamma.grad.copy()
+            grads[f"layer{idx}.beta"] = layer.beta.grad.copy()
+    return grads
+
+
+def reference_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_lstm_forward(net, x):
+    """(output, cache): the step loop from a zero state, every term computed."""
+    B, H = x.shape[0], net.hidden
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    steps = []
+    for t in range(net.WINDOW):
+        z = x[:, t, :] @ net.Wx.value + h @ net.Wh.value + net.b.value
+        i = reference_sigmoid(z[:, :H])
+        f = reference_sigmoid(z[:, H:2 * H])
+        g = np.tanh(z[:, 2 * H:3 * H])
+        o = reference_sigmoid(z[:, 3 * H:])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        steps.append((x[:, t, :], h, c, i, f, g, o, tanh_c))
+        h, c = h_new, c_new
+    return reference_dense_forward(net.head, h), (steps, h)
+
+
+def reference_lstm_backward(net, cache, dy):
+    """{parameter name: gradient}, back through every step to t = 0."""
+    steps, h_last = cache
+    dW_head, db_head, dh = reference_dense_backward(net.head, h_last, dy)
+    dc = np.zeros_like(dh)
+    dWx, dWh, db = (np.zeros_like(net.Wx.value), np.zeros_like(net.Wh.value),
+                    np.zeros_like(net.b.value))
+    for t in range(net.WINDOW - 1, -1, -1):
+        x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
+        dc = dc + dh * o * (1.0 - tanh_c ** 2)
+        do = dh * tanh_c
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dz = np.concatenate([di * i * (1 - i), df * f * (1 - f), dg * (1 - g ** 2),
+                             do * o * (1 - o)], axis=1)
+        dWx += x_t.T @ dz
+        dWh += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        dh = dz @ net.Wh.value.T
+        dc = dc * f
+    return {"Wx": dWx, "Wh": dWh, "b": db, "head.W": dW_head, "head.b": db_head}
+
+
+def _check_twins_over_batches(make, forward_ref, backward_ref, row, sizes, seed):
+    """Train forwards and backwards of ``make()`` against the reference on a
+    twin model, one batch size after another on the same instances: outputs
+    and every gradient byte for byte, inputs never written, and earlier
+    outputs unchanged by later calls."""
+    data = np.random.default_rng(seed)
+    model, twin = make(), make()
+    kept = []
+    for n in sizes:
+        x = data.normal(size=(n,) + row) * 2
+        x_before = x.copy()
+        out = model.forward(x, train=True)
+        want, cache = forward_ref(twin, x)
+        assert out.tobytes() == want.tobytes()
+        dy = data.normal(size=out.shape)
+        model.backward(dy)
+        grads = backward_ref(twin, cache, dy)
+        assert grads.keys() == model.params().keys()
+        for name, p in model.params().items():
+            assert p.grad.tobytes() == grads[name].tobytes(), (n, name)
+        assert x.tobytes() == x_before.tobytes()  # the input is not written
+        kept.append((out, out.copy()))
+    for out, copy in kept:
+        assert out.tobytes() == copy.tobytes()
+
+
+_BATCHES = dict(small=st.integers(1, 80), last=st.integers(1, 80))
+
+
+@settings(max_examples=30, deadline=None)
+@given(width=st.integers(1, 20), hidden=st.sampled_from([1, 8, 64, 200]),
+       depth=st.integers(1, 3), batch_norm=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       **_BATCHES)
+@example(width=5, hidden=8, depth=2, batch_norm=False, seed=0, small=1, last=1)
+def test_mlp_workspaces_match_reference_bytes(width, hidden, depth, batch_norm, seed,
+                                              small, last):
+    spec = MlpSpec(widths=(width,) + (hidden,) * depth + (7,), batch_norm=batch_norm)
+
+    def make():
+        return Mlp(spec, np.random.default_rng(seed))
+
+    def forward_ref(mlp, x):
+        return reference_mlp_forward(mlp, x, train=True)
+
+    # 16 -> 256 -> 16 -> a short last minibatch: a stale row would show
+    _check_twins_over_batches(make, forward_ref, reference_mlp_backward, (width,),
+                              [small, BLOCK, small, min(last, small)], seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_in=st.integers(1, 20), hidden=st.sampled_from([1, 3, 16, 64]),
+       n_out=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), **_BATCHES)
+@example(n_in=14, hidden=64, n_out=12, seed=0, small=1, last=1)
+def test_lstm_workspaces_match_reference_bytes(n_in, hidden, n_out, seed, small, last):
+    def make():
+        return RecurrentRegressor(n_in, hidden, n_out, np.random.default_rng(seed))
+
+    _check_twins_over_batches(make, reference_lstm_forward, reference_lstm_backward,
+                              (3, n_in), [small, BLOCK, small, min(last, small)], seed)
+
+
+def test_relu_and_dense_match_reference_bytes(rng):
+    x = rng.normal(size=(9, 4))
+    x[0, 0] = 0.0
+    relu = Relu()
+    want, mask = reference_relu_forward(x)
+    assert relu.forward(x.copy()).tobytes() == want.tobytes()  # -0.0 where x < 0
+    dy = rng.normal(size=x.shape)
+    assert relu.backward(dy.copy()).tobytes() == reference_relu_backward(mask, dy).tobytes()
+    dense = Dense(4, 3, rng)
+    y = dense.forward(x)
+    assert y.tobytes() == reference_dense_forward(dense, x).tobytes()
+    assert np.shares_memory(y, dense.forward(x))  # a hidden layer's workspace
+    dy = rng.normal(size=(9, 3))
+    dx = dense.backward(dy)
+    dW, db, want_dx = reference_dense_backward(dense, x, dy)
+    assert (dense.W.grad.tobytes(), dense.b.grad.tobytes(), dx.tobytes()) == \
+        (dW.tobytes(), db.tobytes(), want_dx.tobytes())
+    head = Dense(4, 3, rng, head=True)
+    assert not np.shares_memory(head.forward(x), head.forward(x))
+
+
 def test_dense_shape_mismatch(rng):
     mlp = Mlp(MlpSpec(widths=(4, 3), batch_norm=False), rng)
     with pytest.raises(SchemaMismatchError):
@@ -319,8 +507,13 @@ def test_infer_memory_does_not_grow_with_rows(kind, rng):
     # 256 KiB is a few block-sized arrays; one forward over all 4,096 rows
     # keeps several MB of activations
     assert peak_beyond_output(16 * BLOCK) <= small + 256 * 1024
+    workspaces = 0
     for obj in (model.layers if kind == "mlp" else (model, model.head)):
         assert obj._cache is None  # a backward after infer cannot reuse a block
+        for array in getattr(obj, "ws", Workspace()).arrays.values():
+            assert len(array) <= BLOCK  # workspaces grow to one block, not to n
+            workspaces += 1
+    assert workspaces > 0
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +714,19 @@ def test_fit_restore_keeps_parameters_bound(rng):
 
 
 def test_policy_update_backtracking_keeps_parameters_bound(rng):
-    cfg = GailConfig(lr=0.05, kl_target=1e-12)  # every attempt backtracks
+    cfg = GailConfig(lr=0.05, kl_target=1e-12)  # every attempt overshoots
     pol = StochasticPolicy(4, rng, n_actions=5, hidden=(8,))
     opt = Adam(pol.params().values(), lr=cfg.lr)
     obs = rng.normal(size=(10, 4))
-    stats, _ = policy_update(pol, obs, rng.integers(0, 5, 10), rng.normal(size=10),
-                             cfg, opt, beta=1.0)
-    assert stats["lr_scale"] == 0.5 ** 8
+    before, opt_before = opt.value.copy(), opt.state()
+    stats, beta = policy_update(pol, obs, rng.integers(0, 5, 10), rng.normal(size=10),
+                                cfg, opt, beta=1.0)
+    # the step is rejected: policy and optimizer are as they were
+    assert stats["kl"] == 0.0 and stats["lr_scale"] == 0.0
+    assert beta == 2.0  # adapted from the rejected attempt's KL
+    assert opt.value.tobytes() == before.tobytes()
+    assert opt.m.tobytes() == opt_before["m"].tobytes() and opt.t == opt_before["t"]
+    assert stats["entropy"] == mean_entropy(pol.probs(obs))
     _assert_bound_and_trains(pol.mlp, opt, obs)
 
 
