@@ -148,6 +148,17 @@ def test_mmd_identical_samples_and_bandwidth_fallback(rng):
         mmd_rbf(np.zeros((0, 2)), np.zeros((5, 2)))
 
 
+def test_bandwidth_fallback_when_most_pooled_rows_are_equal(rng):
+    # 800 distinct rows make more pairs than one block holds, and the pairs
+    # of the 2,000 zero rows cover both middle ranks
+    x = np.concatenate([np.zeros((1000, 2)), rng.normal(size=(400, 2))])
+    y = np.concatenate([np.zeros((1000, 2)), rng.normal(size=(400, 2))])
+    info = {}
+    with pytest.warns(UserWarning, match="zero median pairwise distance"):
+        mmd_rbf(x, y, info=info)
+    assert info == {"bandwidth": 1.0, "fallback": True}
+
+
 def test_explicit_bandwidth_is_respected(rng):
     x, y = rng.normal(size=8), rng.normal(size=8) + 2
     assert mmd_rbf(x, y, bandwidth=0.5) != mmd_rbf(x, y, bandwidth=5.0)

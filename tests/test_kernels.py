@@ -212,6 +212,7 @@ def _point_sets(draw):
 @example([(0.0,), (0.0,), (0.0,), (5.77e-248,)])
 @example([(0.0, 1.0), (0.0, 1.0), (3e-209, 1.0), (5e-324, 1.0), (1.0, 1.0)])
 @example([(1.0, 2.0)] * 4 + [(1.0, 3.0)] * 3 + [(4.0, 2.0)] * 5)  # repeated rows
+@example([(0.0,)] * 20 + [(1.0,), (2.0,), (3.0,), (4.0,)])  # both middle ranks at 0
 def test_median_radix_search_equals_sorted_reference(block, points):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "BLOCK_ENTRIES", block)
@@ -336,6 +337,12 @@ def test_median_ignores_the_global_random_state(monkeypatch, rng):
         np.random.set_state(saved)
     assert _bytes(first) == _bytes(second)
     assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_median_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        median_pairwise_distance([(0.0, 1.0), (bad, 0.0), (2.0, 2.0)])
 
 
 def _continuous_and_levels(rng, n):
