@@ -194,25 +194,30 @@ def _csv_records(path: Path):
     return [h.strip() for h in header], widths[1:]
 
 
-def _ints(cells: np.ndarray):
-    """``int()`` of each string cell as int64 (0 where it fails), and the
-    mask of the cells it rejects."""
-    bad = np.zeros(cells.shape, bool)
-    try:
-        return cells.astype(np.int64), bad
-    except (ValueError, OverflowError):
-        for i in range(cells.size):
-            try:
-                cells[i:i + 1].astype(np.int64)
-            except (ValueError, OverflowError):
-                bad[i] = True
-        return np.where(bad, "0", cells).astype(np.int64), bad
+def _factorize(cells):
+    """The distinct values of a column, first appearance first, as an
+    object array, and each cell's index among them."""
+    index = {c: i for i, c in enumerate(dict.fromkeys(cells))}
+    return (np.array(list(index), dtype=object),
+            np.fromiter(map(index.__getitem__, cells), np.int64, len(cells)))
+
+
+def _ints(cells: np.ndarray, code: np.ndarray):
+    """Per row of a column (distinct cells, row codes): ``int()`` of its cell
+    as int64 (0 if empty or rejected), whether ``int()`` rejects it, whether it is empty."""
+    values, bad = np.zeros(len(cells), np.int64), np.zeros(len(cells), bool)
+    for i, cell in enumerate(cells.tolist()):
+        try:
+            values[i] = int(cell) if cell != "" else 0
+        except (ValueError, OverflowError):
+            bad[i] = True
+    return values[code], bad[code], (cells == "")[code]
 
 
 def _parse_columns(path: Path, n: int, k: int, M: int, width: int):
     """The float block of the first ``n`` records (empty cell: NaN, cell
-    ``float()`` rejects: the ``_UNPARSED`` NaN), their other columns as
-    ``str`` objects, and the rejected cells in row order."""
+    ``float()`` rejects: the ``_UNPARSED`` NaN), their other columns (each
+    as ``_factorize`` gives it) and the rejected cells in row order."""
     opts = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, max_rows=n,
                 ndmin=2, usecols=range(2 + k, 4 + k + M))
     unparsed_cells = []
@@ -236,7 +241,7 @@ def _parse_columns(path: Path, n: int, k: int, M: int, width: int):
         # numpy first finds the widest cell, which is slower and at n=2000
         # needs a transient of twice the result's size
         text = np.loadtxt(fh, dtype=object, **opts)
-    return values, text, unparsed_cells
+    return values, [_factorize(column) for column in text.T.tolist()], unparsed_cells
 
 
 def _companion(path: Path) -> Path:
@@ -269,10 +274,10 @@ def _write_companion(path: Path, header, values, lengths, cells, bins) -> None:
 
 
 def _read_companion(path: Path, M: int, k: int):
-    """The header, float block and other columns (``str`` objects) that
-    parsing ``path`` yields, from its companion; None unless the companion
-    holds every member with the dtype and shape this layout needs and was
-    written for the bytes now in ``path``."""
+    """The header, float block and other columns (as ``_parse_columns``
+    gives them) that parsing ``path`` yields, from its companion; None
+    unless the companion holds every member with the dtype and shape this
+    layout needs and was written for the bytes now in ``path``."""
     try:
         with np.load(_companion(path), allow_pickle=False) as z:
             if sorted(z.files) != ["bins", "cells", "header", "lengths", "sha256", "values"]:
@@ -291,15 +296,13 @@ def _read_companion(path: Path, M: int, k: int):
             and bins.shape == ((len(values),) if has_bin else (0,))
             and np.array_equal(digest, _sha256(path))):
         return None
-    n = len(values)
-    rows = np.repeat(cells.astype(object), lengths, axis=0)
-    t = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    digits = np.array([str(i) for i in range(int(lengths.max(initial=0)))], dtype=object)
-    columns = [rows[:, :1], digits[t][:, None], rows[:, 1:]]
-    if has_bin:
-        labels, code = np.unique(bins, return_inverse=True)
-        columns.append(np.array([str(b) for b in labels.tolist()], dtype=object)[code][:, None])
-    return header.tolist(), values, np.concatenate(columns, axis=1)
+    encounter = np.repeat(np.arange(len(lengths)), lengths)
+    t = np.arange(len(values)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    columns = [(cell, code[encounter]) for cell, code in map(_factorize, cells.T.tolist())]
+    columns.insert(1, (np.arange(int(lengths.max(initial=0))).astype(object), t))
+    labels, code = np.unique(bins, return_inverse=True)
+    columns.append((labels.astype(object), code))
+    return header.tolist(), values, columns
 
 
 def load_cohort(path, schema: FeatureSchema,
@@ -314,8 +317,9 @@ def load_cohort(path, schema: FeatureSchema,
     z-normalized. An ``action_bin`` cell is empty or a joint action index
     in 0..N_ACTIONS-1. The float columns and the other columns are each parsed
     in one ``np.loadtxt`` call, or read from the companion ``write_cohort``
-    left for these exact bytes, and checked as whole arrays; of several
-    faults, the one a row-by-row parser meets first is raised.
+    left for these exact bytes, and checked as whole arrays (text columns
+    through their distinct cells); of several faults, the one a row-by-row
+    parser meets first is raised.
     """
     from .preprocess import N_ACTIONS  # preprocess imports this module
     path = Path(path)
@@ -326,7 +330,7 @@ def load_cohort(path, schema: FeatureSchema,
     if stored is None:
         header, widths = _csv_records(path)
     else:
-        header, values, text = stored
+        header, values, columns = stored
         widths, unparsed_cells = np.full(len(values), len(header)), []
     has_bin = "action_bin" in header
     want = (["id", "timestep"] + attrs + float_names + ["mortality_step", "outcome_alive"]
@@ -352,14 +356,21 @@ def load_cohort(path, schema: FeatureSchema,
             raise error
         return CohortDataset(schema=schema, trajectories=[])
     if stored is None:
-        values, text, unparsed_cells = _parse_columns(path, n, k, M, len(want))
-    ids = text[:, 0]
+        values, columns, unparsed_cells = _parse_columns(path, n, k, M, len(want))
+    if not has_bin:  # a bin column of empty cells
+        columns = [*columns[:4 + k], (np.array([""], dtype=object), np.zeros(n, np.int64))]
+    # each text column as its distinct cells, first appearance first, and each
+    # row's code among them: checks run on the cells, reach rows through codes
+    cells, codes = zip(*columns)
 
-    ts, bad = _ints(text[:, 1])
-    flag(bad, lambda r: ParseError(r + 2, f"bad timestep {text[r, 1]!r}"))
+    def cell(c, r):  # the text of column c in row r
+        return str(cells[c][codes[c][r]])
+
+    ts, bad, empty = _ints(*columns[1])
+    flag(bad | empty, lambda r: ParseError(r + 2, f"bad timestep {cell(1, r)!r}"))
     for j, a in enumerate(attrs):
-        flag(~np.isin(text[:, 2 + j], schema.attributes[a]), lambda r: IntegrityError(
-            f"line {r + 2}: unknown value {text[r, 2 + j]!r} for attribute {a!r}"))
+        flag(~np.isin(cells[2 + j], schema.attributes[a])[codes[2 + j]], lambda r: IntegrityError(
+            f"line {r + 2}: unknown value {cell(2 + j, r)!r} for attribute {a!r}"))
     unparsed = values.view(np.uint64) == _UNPARSED
     faulty = unparsed | np.isinf(values)
 
@@ -376,25 +387,22 @@ def load_cohort(path, schema: FeatureSchema,
     if not allow_negative_actions:
         flag((values[:, M:] < 0).any(axis=1),
              lambda r: IntegrityError(f"line {r + 2}: negative dose"))
-    died = text[:, 2 + k] != ""
-    mort, bad = _ints(np.where(died, text[:, 2 + k], "0"))
-    flag(bad, lambda r: ParseError(r + 2, f"bad mortality_step {text[r, 2 + k]!r}"))
-    flag(~np.isin(text[:, 3 + k], ("0", "1", "false", "true", "False", "True")),
-         lambda r: ParseError(r + 2, f"bad outcome_alive {text[r, 3 + k]!r}"))
-    alive = np.isin(text[:, 3 + k], ("1", "true", "True"))
-    binned = text[:, -1] != "" if has_bin else np.zeros(len(text), bool)
-    bins, bad = _ints(np.where(binned, text[:, -1], "0"))  # 0 where a row has no bin
+    mort, bad, survived = _ints(*columns[2 + k])
+    flag(bad, lambda r: ParseError(r + 2, f"bad mortality_step {cell(2 + k, r)!r}"))
+    flag(~np.isin(cells[3 + k], ("0", "1", "false", "true", "False", "True"))[codes[3 + k]],
+         lambda r: ParseError(r + 2, f"bad outcome_alive {cell(3 + k, r)!r}"))
+    alive = np.isin(cells[3 + k], ("1", "true", "True"))[codes[3 + k]]
+    bins, bad, unbinned = _ints(*columns[-1])
     flag(bad | (bins < 0) | (bins >= N_ACTIONS),
-         lambda r: ParseError(r + 2, f"bad action_bin {text[r, 4 + k]!r}"))
+         lambda r: ParseError(r + 2, f"bad action_bin {cell(4 + k, r)!r}"))
 
     # group rows by (first appearance of id, timestep); an equal neighbour is a duplicate
-    _, first, inverse = np.unique(ids[:n], return_index=True, return_inverse=True)
-    code = np.argsort(np.argsort(first))[inverse]
-    order = np.lexsort((ts[:n], code))
-    c, t = code[order], ts[:n][order]
+    code, ts = codes[0][:n], ts[:n]
+    order = np.lexsort((ts, code))
+    c, t = code[order], ts[order]
     repeat = np.zeros(n, bool)
     repeat[order[1:][(c[1:] == c[:-1]) & (t[1:] == t[:-1])]] = True
-    flag(repeat, lambda r: IntegrityError(f"duplicate (id={ids[r]}, timestep={ts[r]})"))
+    flag(repeat, lambda r: IntegrityError(f"duplicate (id={cell(0, r)}, timestep={ts[r]})"))
     if error is not None:
         raise error
 
@@ -415,24 +423,27 @@ def load_cohort(path, schema: FeatureSchema,
         return x[order] != x[order][head]
 
     traj_flag(t != np.arange(n) - head, lambda i: ParseError(order[i] + 2, (
-        f"trajectory {ids[order[i]]}: expected timestep {i - head[i]}, got {t[i]}")))
-    traj_flag(differs(died) | differs(mort) | differs(alive), lambda i: IntegrityError(
-        f"trajectory {ids[order[i]]}: inconsistent outcome columns"))
+        f"trajectory {cell(0, order[i])}: expected timestep {i - head[i]}, got {t[i]}")))
+    # outcome cells are compared by value: "1" and "true" agree
+    traj_flag(differs(survived) | differs(mort) | differs(alive), lambda i: IntegrityError(
+        f"trajectory {cell(0, order[i])}: inconsistent outcome columns"))
     for j, a in enumerate(attrs):
-        traj_flag(differs(text[:, 2 + j]), lambda i: IntegrityError(
-            f"trajectory {ids[order[i]]}: inconsistent attribute {a!r}"))
+        traj_flag(differs(codes[2 + j]), lambda i: IntegrityError(
+            f"trajectory {cell(0, order[i])}: inconsistent attribute {a!r}"))
 
     states, actions, bins = values[:, :M][order], values[:, M:][order], bins[order]
-    complete = np.logical_and.reduceat(binned[order], starts)
+    complete = ~np.logical_or.reduceat(unbinned[order], starts)
+    rows = order[starts]  # each trajectory's timestep 0
+    ids, *attr_cells = (cells[j][codes[j][rows]].tolist() for j in (0, *range(2, 2 + k)))
+    survived, mort, alive = survived[rows].tolist(), mort[rows].tolist(), alive[rows].tolist()
     trajectories = []
-    for i, (s, e, r) in enumerate(zip(starts.tolist(), (starts + lengths).tolist(),
-                                      order[starts].tolist())):
+    for i, (s, e) in enumerate(zip(starts.tolist(), (starts + lengths).tolist())):
         if i == g:
             raise error
         trajectories.append(PatientTrajectory(
-            id=ids[r], attributes={a: text[r, 2 + j] for j, a in enumerate(attrs)},
+            id=ids[i], attributes={a: attr_cells[j][i] for j, a in enumerate(attrs)},
             states=states[s:e], actions=actions[s:e],
-            mortality_step=int(mort[r]) if died[r] else None, outcome_alive=bool(alive[r]),
+            mortality_step=None if survived[i] else mort[i], outcome_alive=alive[i],
             action_bins=bins[s:e] if complete[i] else None))
     return CohortDataset(schema=schema, trajectories=trajectories)
 
@@ -554,21 +565,11 @@ def assign_splits(cohort: CohortDataset, seed: int) -> CohortDataset:
     """Tag trajectories train/val/test at ~6:2:2, deterministically per seed."""
     if len(cohort) == 0:
         raise IntegrityError("cannot split an empty cohort")
-    ids = [tr.id for tr in cohort.trajectories]
-    order = np.random.default_rng(seed).permutation(len(ids))
-    n = len(ids)
-    n_train = round(0.6 * n)
-    n_val = round(0.2 * n)
-    split = {}
-    for rank, idx in enumerate(order):
-        if rank < n_train:
-            tag = "train"
-        elif rank < n_train + n_val:
-            tag = "val"
-        else:
-            tag = "test"
-        split[ids[idx]] = tag
-    return replace(cohort, split=split)
+    n = len(cohort)
+    order = np.random.default_rng(seed).permutation(n).tolist()
+    n_train, n_val = round(0.6 * n), round(0.2 * n)
+    tags = [SPLIT_TAGS[(r >= n_train) + (r >= n_train + n_val)] for r in range(n)]
+    return replace(cohort, split={cohort.trajectories[i].id: tag for i, tag in zip(order, tags)})
 
 
 def filter_subgroup(cohort: CohortDataset, key: SubgroupKey) -> CohortDataset:

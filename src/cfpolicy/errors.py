@@ -74,7 +74,10 @@ def check(obj, spec, where: str, key: str = ""):
         raise CfPolicyError(f"{where}: {at}: {problem}" if at else f"{where}: {problem}")
 
     if isinstance(spec, tuple):
-        for option in spec:
+        structured = [o for o in spec if isinstance(o, (type, dict, list, tuple))]
+        if any(type(obj) is type(o) and obj == o for o in spec if o not in structured):
+            return obj  # an allowed value, found without a raise per miss
+        for option in structured:
             try:
                 return check(obj, option, where, key)
             except CfPolicyError as exc:

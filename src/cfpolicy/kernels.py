@@ -43,6 +43,17 @@ def _small_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m * np.sqrt(np.sum(q * q, axis=1))
 
 
+def _huge_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between rows a[k] and b[k] whose sum of squares overflows,
+    from the points scaled by 2^-600: exact, as a coordinate it rounds is
+    below 2^-422, far below the pair's largest difference (>= 2^511/sqrt(dims))."""
+    a, b = np.ldexp(a, -600), np.ldexp(b, -600)
+    d2 = np.zeros(len(a))
+    for k in range(a.shape[1]):
+        d2 += (a[:, k] - b[:, k]) ** 2
+    return np.ldexp(np.sqrt(d2), 600)
+
+
 def _kernel_sum(a, wa, b, wb, sigma: float) -> float:
     """wa^T K(a, b) wb for the RBF kernel, a block of rows of a at a time, in
     two block buffers reused throughout.
@@ -183,9 +194,9 @@ def _pair_pass(u: np.ndarray, w: np.ndarray, lo: int, hi: int, shift: int):
     reused buffer, one coordinate at a time, and compared with the bounds
     ``_sq_bound`` gives for lo and hi; no mask covers the block, only the
     few entries left of its diagonal are set to NaN. Only the pairs inside
-    get a square root (or ``_small_dists``). If lo is below _EXACT, every
-    pair whose distance may be below hi is a candidate, and the candidates
-    are placed by their distances.
+    get a square root (or ``_small_dists`` / ``_huge_dists``). If lo is
+    below _EXACT, every pair whose distance may be below hi is a candidate,
+    and the candidates are placed by their distances.
     """
     n, cap = len(u), BLOCK_ENTRIES
     ut = np.ascontiguousarray(u.T)
@@ -194,8 +205,8 @@ def _pair_pass(u: np.ndarray, w: np.ndarray, lo: int, hi: int, shift: int):
     lo_at = _value(tl)
     th = _sq_bound(max(hi, _EXACT) if exact else hi)
     bins = ((hi - lo - 1) >> shift) + 1
-    # past inf every sum of squares is below th (the NaNs mark no pair)
-    hi_op, hi_at = (np.less_equal, np.inf) if th > _INF else (np.less, _value(th))
+    # from inf on every sum of squares, an overflowed one too, may lie below th
+    hi_op, hi_at = (np.less_equal, np.inf) if th >= _INF else (np.less, _value(th))
     heavy = int(np.count_nonzero(w != 1.0))  # the repeated rows come first
     block = max(1, BLOCK_ENTRIES // 4)  # its four arrays fit a core's L2 cache
     size = max(block, n)
@@ -239,9 +250,10 @@ def _pair_pass(u: np.ndarray, w: np.ndarray, lo: int, hi: int, shift: int):
         j += e - r + 1
         sq = d.ravel()[idx]
         dist = np.sqrt(sq)
-        tiny = np.flatnonzero(sq < _TINY_SQ)
-        if tiny.size:
-            dist[tiny] = _small_dists(u[i[tiny]], u[j[tiny]])
+        for redo, measure in ((sq < _TINY_SQ, _small_dists), (sq == np.inf, _huge_dists)):
+            redo = np.flatnonzero(redo)
+            if redo.size:
+                dist[redo] = measure(u[i[redo]], u[j[redo]])
         pw = w[i] * w[j]
         db = dist.view(np.uint64)
         below += pw[db < lo].sum()
@@ -310,7 +322,7 @@ def median_pairwise_distance(points) -> float:
     """Exact median of the Euclidean distances between all N(N-1)/2 pairs of
     rows (identical rows count as distance 0). An even number of pairs gives
     the mean of the two middle values, as ``np.median`` does. The points
-    must be finite.
+    must be finite; no distance overflows short of the float range.
 
     The memory used does not grow with N: repeated rows become weights and
     the pairs are visited a block at a time (see ``_pair_order_stats``).
@@ -324,25 +336,32 @@ def median_pairwise_distance(points) -> float:
     pairs = n * (n - 1) // 2
     ranks = ((pairs - 1) // 2, pairs // 2)
     zero = int(np.sum(w * (w - 1.0))) // 2  # pairs of identical rows
-    d = _pair_order_stats(u, w, sorted({r - zero for r in ranks if r >= zero}))
-    lo, hi = (d[r - zero] if r >= zero else 0.0 for r in ranks)
-    return float(0.5 * (lo + hi))
+    with np.errstate(over="ignore"):  # a sum of squares past the float range: _huge_dists
+        d = _pair_order_stats(u, w, sorted({r - zero for r in ranks if r >= zero}))
+    lo, hi = (float(d[r - zero]) if r >= zero else 0.0 for r in ranks)
+    return 0.5 * (lo + hi) if lo + hi < np.inf else 0.5 * lo + 0.5 * hi  # a sum past the range
 
 
-def fill_series(values: np.ndarray, fallback: float) -> np.ndarray:
-    """Impute one feature series in place of NaNs.
-
-    Gaps between two observations get linear interpolation, positions after
-    the last observation carry it forward, positions before the first get
-    `fallback` (the train-split feature mean), and an all-NaN series becomes
-    all `fallback`.
-    """
+def fill_series(values: np.ndarray, fallback: float, lengths=None) -> np.ndarray:
+    """Impute series of the given ``lengths`` (default: one), held back to
+    back in ``values``, in place of NaNs. Gaps between two observations of a
+    series get linear interpolation (over the block's row indices, whose
+    differences are exact: each series gets the bits a call of its own
+    gives), positions after its last observation carry it forward, those
+    before its first (all of an all-NaN series) get `fallback`."""
     values = np.asarray(values, dtype=np.float64)
-    obs = np.flatnonzero(~np.isnan(values))
-    if obs.size == 0:
-        return np.full_like(values, float(fallback))
-    return np.interp(np.arange(values.size), obs, values[obs],
-                     left=float(fallback), right=values[obs[-1]])
+    out, missing = values.copy(), np.isnan(values)
+    gaps, obs = np.flatnonzero(missing), np.flatnonzero(~missing)
+    ends = np.cumsum([values.size] if lengths is None else lengths)
+    series = np.searchsorted(ends, gaps, side="right")
+    k = np.searchsorted(obs, gaps)  # the observations around each gap: obs[k - 1], obs[k]
+    prev, nxt = np.append(-1, obs)[k], np.append(obs, values.size)[k]
+    head = prev < np.append(0, ends)[series]
+    out[gaps] = np.where(head, fallback, values[prev])  # prev -1 only where head
+    inner = gaps[~head & (nxt < ends[series])]
+    if inner.size:
+        out[inner] = np.interp(inner, obs, values[obs])
+    return out
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:

@@ -9,8 +9,7 @@ last observation, train-split mean before the first.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,9 +107,7 @@ def fit_norm_stats(cohort: CohortDataset) -> NormStats:
     all_states = np.concatenate([tr.states for tr in train], axis=0)
     all_actions = np.concatenate([tr.actions for tr in train], axis=0)
 
-    means = np.zeros(M)
-    stds = np.ones(M)
-    raw_means = np.zeros(M)
+    means, stds, raw_means = np.zeros(M), np.ones(M), np.zeros(M)  # binary: mean 0, std 1
     for j in range(M):
         col = all_states[:, j]
         obs = col[~np.isnan(col)]
@@ -118,34 +115,12 @@ def fit_norm_stats(cohort: CohortDataset) -> NormStats:
             raise MissingFeatureError(
                 f"feature {cohort.schema.names[j]!r} has no observed train cells")
         raw_means[j] = obs.mean()
-        if binary[j]:
-            means[j], stds[j] = 0.0, 1.0
-            continue
-        vals = np.log1p(obs) if log_flags[j] else obs
-        means[j] = vals.mean()
-        stds[j] = vals.std()  # population (ddof=0)
+        if not binary[j]:
+            vals = np.log1p(obs) if log_flags[j] else obs
+            means[j], stds[j] = vals.mean(), vals.std()  # population (ddof=0)
     return NormStats(
         means=means, stds=stds, log_flags=log_flags, raw_means=raw_means,
         action_mean=all_actions.mean(axis=0), action_std=all_actions.std(axis=0))
-
-
-def apply_norm(traj: PatientTrajectory, stats: NormStats,
-               binary: Optional[np.ndarray] = None) -> PatientTrajectory:
-    """z-normalize states (after optional ln(1+x)) and actions."""
-    states = traj.states.copy()
-    M = states.shape[1]
-    if binary is None:
-        binary = np.zeros(M, dtype=bool)
-    for j in range(M):
-        if binary[j]:
-            continue
-        col = states[:, j]
-        vals = np.log1p(col) if stats.log_flags[j] else col
-        if stats.stds[j] == 0:
-            states[:, j] = np.where(np.isnan(col), np.nan, 0.0)
-        else:
-            states[:, j] = (vals - stats.means[j]) / stats.stds[j]
-    return replace(traj, states=states, actions=normalize_actions(stats, traj.actions))
 
 
 def invert_norm_feature(stats: NormStats, j: int, z: np.ndarray) -> np.ndarray:
@@ -161,16 +136,6 @@ def denormalize_actions(stats: NormStats, actions: np.ndarray) -> np.ndarray:
 def normalize_actions(stats: NormStats, actions: np.ndarray) -> np.ndarray:
     std = np.where(stats.action_std == 0, 1.0, stats.action_std)
     return (actions - stats.action_mean) / std
-
-
-def impute(traj: PatientTrajectory, stats: NormStats) -> PatientTrajectory:
-    """Fill every missing cell; idempotent on fully observed trajectories."""
-    states = traj.states.copy()
-    for j in range(states.shape[1]):
-        col = states[:, j]
-        if np.any(np.isnan(col)):
-            states[:, j] = fill_series(col, stats.raw_means[j])
-    return replace(traj, states=states)
 
 
 def norepi_equivalent(drug: str, dose: float) -> float:
@@ -199,12 +164,9 @@ def fit_binning(cohort: CohortDataset) -> ActionBinning:
         cuts = np.quantile(nonzero, [0.25, 0.5, 0.75], method="linear")
         lv = np.zeros(N_BINS_PER_DRUG)
         bins = _bin_dose(doses[:, d], cuts)
-        for b in range(1, N_BINS_PER_DRUG):
+        for b in range(1, N_BINS_PER_DRUG):  # a bin that collapsed cutoffs empty: its cutoff
             members = doses[:, d][bins == b]
-            if members.size:
-                lv[b] = np.median(members)
-            else:  # collapsed cutoffs can empty a bin; fall back to the cutoff
-                lv[b] = cuts[min(b - 1, len(cuts) - 1)]
+            lv[b] = np.median(members) if members.size else cuts[min(b - 1, len(cuts) - 1)]
         cutoffs.append(cuts)
         levels.append(lv)
     return ActionBinning(fluid_cutoffs=cutoffs[0], vaso_cutoffs=cutoffs[1],
@@ -238,17 +200,34 @@ def preprocess_cohort(cohort: CohortDataset) -> CohortDataset:
 
     Requires split tags. Returns a new cohort whose states/actions are
     normalized, with ``action_bins`` attached and statistics stored on the
-    dataset for serialization alongside trained models.
+    dataset for serialization alongside trained models. One pass per
+    feature imputes, log-transforms and z-normalizes the block of every
+    encounter's rows in place; the new trajectories are views of it.
     """
     stats = fit_norm_stats(cohort)
     binning = fit_binning(cohort)
     binary = _binary_mask(cohort)
-    out_trajs = []
-    for tr in cohort.trajectories:
-        filled = impute(tr, stats)
-        bins = bin_actions_batch(filled.actions, binning)
-        normed = apply_norm(filled, stats, binary=binary)
-        normed.action_bins = bins
-        out_trajs.append(normed)
+    trajs = cohort.trajectories
+    lengths = [tr.T for tr in trajs]
+    states = np.concatenate([tr.states for tr in trajs])
+    actions = np.concatenate([tr.actions for tr in trajs])
+    for j in range(states.shape[1]):
+        col = states[:, j]
+        col[:] = fill_series(col, stats.raw_means[j], lengths)
+        if stats.stds[j] == 0:  # never binary: those have mean 0, std 1
+            col[:] = np.where(np.isnan(col), np.nan, 0.0)
+        elif not binary[j]:
+            if stats.log_flags[j]:
+                np.log1p(col, out=col)
+            col -= stats.means[j]
+            col /= stats.stds[j]
+    bins = bin_actions_batch(actions, binning)
+    actions = normalize_actions(stats, actions)
+    ends = np.cumsum(lengths).tolist()
+    out_trajs = [PatientTrajectory(
+        id=tr.id, attributes=tr.attributes, states=states[e - tr.T:e],
+        actions=actions[e - tr.T:e], mortality_step=tr.mortality_step,
+        outcome_alive=tr.outcome_alive, action_bins=bins[e - tr.T:e])
+        for tr, e in zip(trajs, ends)]
     return CohortDataset(schema=cohort.schema, trajectories=out_trajs,
                          split=dict(cohort.split), norm_stats=stats, binning=binning)

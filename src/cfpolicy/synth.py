@@ -259,7 +259,8 @@ def generate(config: SynthConfig):
 
 def inject_missingness(cohort: CohortDataset, rate: float, seed: int) -> CohortDataset:
     """Mask non-demographic cells independently with probability ``rate``,
-    keeping at least one observation per (trajectory, feature) when possible."""
+    keeping at least one observation per (trajectory, feature) when possible:
+    a feature the mask would wipe out keeps one drawn with ``rng.choice``."""
     if not 0 <= rate < 1:
         raise ValueError("rate must be in [0, 1)")
     rng = np.random.default_rng(seed)
@@ -270,13 +271,10 @@ def inject_missingness(cohort: CohortDataset, rate: float, seed: int) -> CohortD
         if rate > 0:
             mask = rng.random(states.shape) < rate
             mask[:, ~maskable] = False
-            for j in np.flatnonzero(maskable):
-                col_mask = mask[:, j]
-                observed = ~np.isnan(states[:, j])
-                if np.all(col_mask[observed]):  # would wipe the feature out
-                    keep = rng.choice(np.flatnonzero(observed))
-                    col_mask[keep] = False
-                states[col_mask, j] = np.nan
+            observed = ~np.isnan(states)  # wiped out: observed, but no observation kept
+            for j in np.flatnonzero(observed.any(axis=0) & ~(observed & ~mask).any(axis=0)):
+                mask[rng.choice(np.flatnonzero(observed[:, j])), j] = False
+            states[mask] = np.nan
         out.append(PatientTrajectory(
             id=tr.id, attributes=tr.attributes, states=states, actions=tr.actions,
             mortality_step=tr.mortality_step, outcome_alive=tr.outcome_alive))

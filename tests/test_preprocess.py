@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfpolicy.cohort import CohortDataset, FeatureSchema, PatientTrajectory
-from cfpolicy.errors import DegenerateBinningError, MissingFeatureError
+import references
+from cfpolicy.cohort import SPLIT_TAGS, CohortDataset, FeatureSchema, PatientTrajectory
+from cfpolicy.errors import CfPolicyError, DegenerateBinningError, MissingFeatureError
 from cfpolicy.preprocess import (ActionBinning, N_ACTIONS, N_BINS_PER_DRUG,
                                  NormStats, _bin_dose, action_index_to_doses,
-                                 apply_norm, bin_actions_batch,
-                                 denormalize_actions, fit_binning,
-                                 fit_norm_stats, impute, invert_norm_feature,
+                                 bin_actions_batch, denormalize_actions, fit_binning,
+                                 fit_norm_stats, invert_norm_feature,
                                  norepi_equivalent, normalize_actions,
                                  preprocess_cohort)
+from references import apply_norm, impute
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +245,54 @@ def test_preprocess_cohort_end_to_end(small_cohort):
     assert abs(train[:, j].mean()) < 1e-9
     assert train[:, j].std() == pytest.approx(1.0, abs=1e-9)
     assert nonbinary  # sanity
+
+
+# features of every kind the pipeline treats apart: plain, log-normalized,
+# zero-variance (one value), binary, demographic (constant per encounter)
+BLOCK_SCHEMA = FeatureSchema(
+    names=("hr", "lact", "flat", "vent", "age"),
+    kinds=("vital", "lab", "lab", "binary", "demographic"),
+    log_normalized=(False, True, False, False, False), attributes={})
+_VALUES = (st.floats(-50, 250), st.floats(0, 1e3), st.just(3.0), st.sampled_from([0.0, 1.0]))
+
+
+@st.composite
+def ragged_raw_cohorts(draw):
+    """Encounters of 1..6 steps whose cells are missing at random, some
+    series wholly, with leading and trailing gaps; doses zero or not."""
+    trajs, split = [], {}
+    for i in range(draw(st.integers(1, 6))):
+        T = draw(st.integers(1, 6))
+        missing = st.lists(st.booleans(), min_size=T, max_size=T)
+        states = np.array([[draw(v) for v in _VALUES] + [40.0 + i] for _ in range(T)])
+        for j in range(5):
+            states[np.array(draw(missing)), j] = np.nan
+        doses = st.one_of(st.just(0.0), st.floats(0, 10))
+        actions = np.array(draw(st.lists(doses, min_size=2 * T, max_size=2 * T))).reshape(T, 2)
+        trajs.append(PatientTrajectory(id=f"e{i}", attributes={}, states=states, actions=actions))
+        split[f"e{i}"] = "train" if i == 0 else draw(st.sampled_from(SPLIT_TAGS))
+    return CohortDataset(schema=BLOCK_SCHEMA, trajectories=trajs, split=split)
+
+
+def _run(preprocess, cohort):
+    try:
+        return preprocess(cohort)
+    except CfPolicyError as exc:
+        return exc
+
+
+@settings(deadline=None, max_examples=300)
+@given(ragged_raw_cohorts())
+def test_preprocess_cohort_equals_per_encounter_reference(cohort):
+    got, want = _run(preprocess_cohort, cohort), _run(references.preprocess_cohort, cohort)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.norm_stats.to_json() == want.norm_stats.to_json()
+    assert got.binning.to_json() == want.binning.to_json() and got.split == want.split
+    for g, w in zip(got.trajectories, want.trajectories, strict=True):
+        assert (g.id, g.attributes, g.mortality_step, g.outcome_alive) == \
+            (w.id, w.attributes, w.mortality_step, w.outcome_alive)
+        for name in ("states", "actions", "action_bins"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())

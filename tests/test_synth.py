@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfpolicy.cohort import CohortDataset, PatientTrajectory
+import references
+from cfpolicy.cohort import CohortDataset, FeatureSchema, PatientTrajectory
 from cfpolicy.numcore import sigmoid
 from cfpolicy.synth import (FLUID_POLICY, MIN_FEATURES, VASO_POLICY, GroundTruth,
                             PolicyParams, SynthConfig, _lab_coefficients, generate,
@@ -256,6 +257,83 @@ def test_inject_missingness_rate_and_retention(small_cohort):
     assert 0.2 < missing / total < 0.35
     with pytest.raises(ValueError):
         inject_missingness(small_cohort, rate=1.5, seed=0)
+
+
+MASK_SCHEMA = FeatureSchema(names=("hr", "lact", "age", "vent"),
+                            kinds=("vital", "lab", "demographic", "binary"),
+                            log_normalized=(False, True, False, False), attributes={})
+
+
+@st.composite
+def _premasked_cohorts(draw):
+    """Encounters of T steps whose cells are already missing at random,
+    some features wholly."""
+    T = draw(st.integers(1, 6))
+    trajs = []
+    for i in range(draw(st.integers(1, 6))):
+        states = np.arange(4.0 * T).reshape(T, 4) + i
+        states[np.array(draw(st.lists(st.booleans(), min_size=4 * T, max_size=4 * T)))
+               .reshape(T, 4)] = np.nan
+        trajs.append(PatientTrajectory(id=f"e{i}", attributes={}, states=states,
+                                       actions=np.ones((T, 2))))
+    return CohortDataset(schema=MASK_SCHEMA, trajectories=trajs)
+
+
+def _with_recorded_generators(run, *args):
+    """``run(*args)`` and every generator np.random.default_rng made in it."""
+    made, make = [], np.random.default_rng
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda seed: made.append(make(seed)) or made[-1])
+        return run(*args), made
+
+
+@settings(deadline=None, max_examples=150)
+@given(_premasked_cohorts(), st.sampled_from((0.0, 0.1, 0.5, 0.8, 0.9, 0.95)),
+       st.integers(0, 2**32 - 1))
+def test_inject_missingness_equals_per_feature_reference(cohort, rate, seed):
+    got, (rng,) = _with_recorded_generators(inject_missingness, cohort, rate, seed)
+    want, (ref_rng,) = _with_recorded_generators(references.inject_missingness,
+                                                 cohort, rate, seed)
+    for g, w in zip(got.trajectories, want.trajectories, strict=True):
+        assert g.states.tobytes() == w.states.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
+
+
+@pytest.mark.parametrize("T", [4, 5])
+def test_inject_missingness_wipe_keeps_one_observation_per_feature(T):
+    # at rate 0.95 the mask takes every cell of most features; each keeps one
+    states = np.arange(4.0 * T).reshape(T, 4)
+    cohort = CohortDataset(schema=MASK_SCHEMA, trajectories=[
+        PatientTrajectory(id=f"e{i}", attributes={}, states=states + i,
+                          actions=np.ones((T, 2))) for i in range(40)])
+    got, (rng,) = _with_recorded_generators(inject_missingness, cohort, 0.95, 3)
+    want, (ref_rng,) = _with_recorded_generators(references.inject_missingness,
+                                                 cohort, 0.95, 3)
+    kept = np.array([(~np.isnan(tr.states)).sum(axis=0) for tr in got.trajectories])
+    assert (kept[:, [0, 1, 3]] >= 1).all() and (kept[:, [0, 1, 3]] == 1).mean() > 0.5
+    assert (kept[:, 2] == T).all()  # demographic: never masked
+    for g, w in zip(got.trajectories, want.trajectories, strict=True):
+        assert g.states.tobytes() == w.states.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_inject_missingness_skips_a_feature_with_no_observation():
+    # the lab of encounter "a" is never observed: nothing to keep, no draw
+    states = np.arange(12.0).reshape(3, 4)
+    states[:, 1] = np.nan
+    trajs = [PatientTrajectory(id="a", attributes={}, states=states, actions=np.ones((3, 2))),
+             PatientTrajectory(id="b", attributes={}, states=np.ones((3, 4)),
+                               actions=np.ones((3, 2)))]
+    cohort = CohortDataset(schema=MASK_SCHEMA, trajectories=trajs)
+    masked = inject_missingness(cohort, rate=0.9, seed=0)
+    a, b = masked.trajectories
+    assert np.isnan(a.states[:, 1]).all()
+    for tr in (a, b):
+        assert (~np.isnan(tr.states[:, [0, 3]])).any(axis=0).all()
+        assert not np.isnan(tr.states[:, 2]).any()
+    want = references.inject_missingness(cohort, rate=0.9, seed=0)
+    for g, w in zip(masked.trajectories, want.trajectories):
+        assert g.states.tobytes() == w.states.tobytes()
 
 
 def test_ground_truth_json_round_trip(tmp_path, small_truth):
