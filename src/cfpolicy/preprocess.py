@@ -97,7 +97,9 @@ def _binary_mask(cohort: CohortDataset) -> np.ndarray:
 
 
 def fit_norm_stats(cohort: CohortDataset) -> NormStats:
-    """Mean/std per feature over observed train-split cells (population std)."""
+    """Mean/std per feature over observed train-split cells (population std).
+    A column whose mean or std is not finite (values so large that it
+    overflows) raises IntegrityError naming the column."""
     train = cohort.by_split("train")
     if not train:
         raise IntegrityError("train split is empty")
@@ -108,19 +110,26 @@ def fit_norm_stats(cohort: CohortDataset) -> NormStats:
     all_actions = np.concatenate([tr.actions for tr in train], axis=0)
 
     means, stds, raw_means = np.zeros(M), np.ones(M), np.zeros(M)  # binary: mean 0, std 1
-    for j in range(M):
-        col = all_states[:, j]
-        obs = col[~np.isnan(col)]
-        if obs.size == 0:
-            raise MissingFeatureError(
-                f"feature {cohort.schema.names[j]!r} has no observed train cells")
-        raw_means[j] = obs.mean()
-        if not binary[j]:
-            vals = np.log1p(obs) if log_flags[j] else obs
-            means[j], stds[j] = vals.mean(), vals.std()  # population (ddof=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for j in range(M):
+            col = all_states[:, j]
+            obs = col[~np.isnan(col)]
+            if obs.size == 0:
+                raise MissingFeatureError(
+                    f"feature {cohort.schema.names[j]!r} has no observed train cells")
+            raw_means[j] = obs.mean()
+            if not binary[j]:
+                vals = np.log1p(obs) if log_flags[j] else obs
+                means[j], stds[j] = vals.mean(), vals.std()  # population (ddof=0)
+        action_mean, action_std = all_actions.mean(axis=0), all_actions.std(axis=0)
+    finite = np.append(np.isfinite([raw_means, means, stds]).all(axis=0),
+                       np.isfinite([action_mean, action_std]).all(axis=0))
+    if not finite.all():
+        name = (list(cohort.schema.names) + ["action_fluid", "action_vaso"])[np.argmin(finite)]
+        raise IntegrityError(f"column {name!r}: train-split mean or std is not finite")
     return NormStats(
         means=means, stds=stds, log_flags=log_flags, raw_means=raw_means,
-        action_mean=all_actions.mean(axis=0), action_std=all_actions.std(axis=0))
+        action_mean=action_mean, action_std=action_std)
 
 
 def invert_norm_feature(stats: NormStats, j: int, z: np.ndarray) -> np.ndarray:

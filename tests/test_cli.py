@@ -558,6 +558,21 @@ def test_cohort_edited_after_preprocess_is_parsed_again(pipeline_dirs, tmp_path,
     assert "line 3: unknown value 'X' for attribute 'gender'" in capsys.readouterr().err
 
 
+def test_overflowing_dose_column_is_config_error_at_preprocess(tmp_path, capsys):
+    # finite doses whose std overflows: rejected before norm_stats.json is written
+    raw, out = tmp_path / "raw", tmp_path / "proc"
+    assert cli.main(["synth", "--n", "60", "--t", "12", "--features", "8", "--seed", "3",
+                     "--out", str(raw)]) == 0
+    cohort = load_cohort_dir(raw)
+    save_cohort_dir(replace(cohort, trajectories=[replace(tr, actions=tr.actions * [1e300, 1.0])
+                                                  for tr in cohort.trajectories]), raw)
+    capsys.readouterr()
+    assert cli.main(["preprocess", "--cohort", str(raw), "--seed", "3", "--out", str(out)]) == 2
+    assert ("column 'action_fluid': train-split mean or std is not finite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_missing_cohort_is_config_error(tmp_path):
     assert cli.main(["preprocess", "--cohort", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "out")]) == 2

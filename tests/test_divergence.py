@@ -149,14 +149,23 @@ def test_mmd_identical_samples_and_bandwidth_fallback(rng):
 
 
 def test_bandwidth_fallback_when_most_pooled_rows_are_equal(rng):
-    # 800 distinct rows make more pairs than one block holds, and the pairs
-    # of the 2,000 zero rows cover both middle ranks
+    # the pairs of the 2,000 zero rows are 51% of all pairs, so both middle
+    # ranks of the 2^17 sampled pairs lie among them
     x = np.concatenate([np.zeros((1000, 2)), rng.normal(size=(400, 2))])
     y = np.concatenate([np.zeros((1000, 2)), rng.normal(size=(400, 2))])
     info = {}
     with pytest.warns(UserWarning, match="zero median pairwise distance"):
         mmd_rbf(x, y, info=info)
     assert info == {"bandwidth": 1.0, "fallback": True}
+
+
+def test_mmd_ignores_a_large_constant_coordinate():
+    # unshifted, the power of two that scales the 3e-10 span up overflows 1e300
+    x, y = [[1e300, 0.0], [1e300, 1e-10]], [[1e300, 2e-10], [1e300, 3e-10]]
+    info, plain = {}, {}
+    got = mmd_rbf(x, y, info=info)
+    assert got == mmd_rbf([[0.0], [1e-10]], [[2e-10], [3e-10]], info=plain) > 0.0
+    assert info == plain
 
 
 def test_explicit_bandwidth_is_respected(rng):
@@ -215,8 +224,7 @@ def test_mmd_matches_bruteforce_with_ties_in_1_to_3_dims(sample):
 
 
 def test_mmd_blocked_passes_match_bruteforce(monkeypatch, rng):
-    # a budget of a few entries forces many blocks, radix passes of the
-    # median search, and its stop once every bit of the median is fixed
+    # a budget of a few entries forces many blocks in the kernel sums
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 5)
     for i in range(40):
         dims, n, m = int(rng.integers(1, 4)), int(rng.integers(2, 30)), int(rng.integers(2, 30))
@@ -321,7 +329,8 @@ def test_counterfactual_report_structure(subgroup_policy, proc_cohort, tmp_path)
     assert report.sample_sizes["per_timestep"] == [n_test_f] * proc_cohort.trajectories[0].T
 
     bw = report.conventions["mmd_bandwidth"]
-    assert bw["method"] == "exact median of pooled pairwise distances"
+    assert bw["method"] == ("median of pooled pairwise distances "
+                            "(every pair up to 512 rows, else 2^17 pairs drawn with seed 0)")
     assert fallbacks > 0 and bw["zero_distance_fallbacks"] == fallbacks
     for scope, key in (("aggregate", "F"), ("control", "M")):
         pooled = _pooled_doses(subgroup_policy, proc_cohort, SubgroupKey("gender", key))

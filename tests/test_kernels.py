@@ -45,10 +45,10 @@ def test_mmd2_one_dimensional_inputs(rng):
 
 
 # ---------------------------------------------------------------------------
-# byte references: the blocked pairwise kernels as they were before their
-# block buffers were reused and the median was bracketed from a sample
-# (masked full-block copies and a radix select from the top bits), kept
-# verbatim but for the module prefix of the constants
+# references: the blocked kernel sums as they were before their block
+# buffers were reused (masked full-block copies), kept verbatim but for the
+# module prefix of the constants, and pairwise distances from plain sums of
+# squares
 
 
 def reference_scaled_sq_dists(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
@@ -65,17 +65,21 @@ def reference_scaled_sq_dists(a: np.ndarray, b: np.ndarray, sigma: float) -> np.
     return d2
 
 
+# Below this a sum of squared differences may have lost digits to underflow.
+_TINY_SQ = 2.0 ** -900
+
+
 def reference_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) Euclidean distances. The few pairs whose sum of
-    squares is so small that it may have underflowed are recomputed as in
-    ``math.dist``: their differences are divided by the largest of them
-    before they are squared."""
+    squares is below ``_TINY_SQ`` are recomputed as in ``math.dist``: their
+    differences are divided by the largest of them before they are
+    squared."""
     d2 = np.zeros((len(a), len(b)))
     for k in range(a.shape[1]):
         diff = a[:, k, None] - b[None, :, k]
         d2 += diff * diff
     d = np.sqrt(d2)
-    i, j = np.nonzero(d2 < kernels._TINY_SQ)
+    i, j = np.nonzero(d2 < _TINY_SQ)
     if i.size:
         diffs = np.abs(a[i] - b[j])
         m = diffs.max(axis=1)
@@ -106,81 +110,6 @@ def reference_rbf_mmd2_biased(x, y, sigma):
     return float(kxx + kyy - 2.0 * kxy)
 
 
-def reference_pair_blocks(u: np.ndarray, w: np.ndarray):
-    """Distance and weight w_i * w_j of every pair i < j of rows of u, one
-    block of rows at a time."""
-    n = len(u)
-    s = 0
-    while s < n - 1:
-        e = min(n - 1, s + max(1, kernels.BLOCK_ENTRIES // (n - s)))
-        upper = np.arange(n - s)[None, :] > np.arange(e - s)[:, None]
-        yield reference_dists(u[s:e], u[s:])[upper], (w[s:e, None] * w[None, s:])[upper]
-        s = e
-
-
-def reference_pair_order_stats(u: np.ndarray, w: np.ndarray, ranks) -> dict:
-    """Values at the given 0-based ranks of the weighted multiset of
-    distances between distinct rows of u (pair i < j has weight w_i * w_j).
-
-    A radix select on the uint64 bit patterns of the distances, which order
-    as nonnegative floats do: each pass over the pairs bincounts the next
-    digit of those that share the bits fixed so far and keeps the bin that
-    holds the rank, until the pairs left fit one block and are sorted, or
-    every bit is fixed and is the value.
-    """
-    out = {}
-    for r in ranks:
-        if r in out:
-            continue
-        prefix, shift, below = 0, 63, 0.0  # bits >= shift; the sign bit is 0
-        n_inside = len(u) * (len(u) - 1) // 2
-        while n_inside > kernels.BLOCK_ENTRIES and shift > 0:
-            step = min(kernels._DIGIT_BITS, shift)
-            shift -= step
-            weight = np.zeros(1 << step)
-            count = np.zeros(1 << step, dtype=np.int64)
-            for d, pw in reference_pair_blocks(u, w):
-                b = d.view(np.uint64) >> shift
-                b -= np.uint64(prefix << step)  # below the prefix wraps round
-                inside = b < (1 << step)
-                b = b[inside].view(np.int64)
-                weight += np.bincount(b, weights=pw[inside], minlength=1 << step)
-                count += np.bincount(b, minlength=1 << step)
-                del b, inside  # not held while the next block is built
-            cum = below + np.cumsum(weight)
-            k = int(np.searchsorted(cum, r, side="right"))
-            below = cum[k] - weight[k]
-            prefix, n_inside = (prefix << step) | k, int(count[k])
-        if n_inside > kernels.BLOCK_ENTRIES:  # every bit is fixed: the pairs left equal it
-            vals, cum = np.array([prefix], dtype=np.uint64).view(np.float64), [cum[k]]
-        else:
-            vals, wts = [], []
-            for d, pw in reference_pair_blocks(u, w):
-                inside = (d.view(np.uint64) >> shift) == prefix
-                vals.append(d[inside])
-                wts.append(pw[inside])
-            vals = np.concatenate(vals)
-            order = np.argsort(vals, kind="stable")
-            vals = vals[order]
-            cum = below + np.cumsum(np.concatenate(wts)[order])
-        for q in ranks:
-            if below <= q < cum[-1]:
-                out[q] = vals[np.searchsorted(cum, q, side="right")]
-    return out
-
-
-def reference_median(points) -> float:
-    """``median_pairwise_distance`` on ``reference_pair_order_stats``."""
-    u, w = kernels._distinct(points)
-    n = int(w.sum())
-    pairs = n * (n - 1) // 2
-    ranks = ((pairs - 1) // 2, pairs // 2)
-    zero = int(np.sum(w * (w - 1.0))) // 2  # pairs of identical rows
-    d = reference_pair_order_stats(u, w, sorted({r - zero for r in ranks if r >= zero}))
-    lo, hi = (d[r - zero] if r >= zero else 0.0 for r in ranks)
-    return float(0.5 * (lo + hi))
-
-
 def _bytes(x: float) -> bytes:
     return np.float64(x).tobytes()
 
@@ -202,10 +131,8 @@ def _point_sets(draw):
     return draw(st.lists(st.tuples(*[_coord] * dims), min_size=2, max_size=30))
 
 
-# a budget of 5 entries makes the search bracket from a sample and overflow
-# its cap; on the grids more than 5 pairs lie at the median, so the bracket
-# narrows to that one value
-@pytest.mark.parametrize("block", [kernels.BLOCK_ENTRIES, 5])
+# distances from a sum of squares and from a chain of hypot calls each lie
+# within an ulp of the exact one
 @settings(deadline=None, max_examples=150)
 @given(_point_sets())
 @example([(float(i),) for i in range(10)])
@@ -215,12 +142,9 @@ def _point_sets(draw):
 @example([(0.0, 1.0), (0.0, 1.0), (3e-209, 1.0), (5e-324, 1.0), (1.0, 1.0)])
 @example([(1.0, 2.0)] * 4 + [(1.0, 3.0)] * 3 + [(4.0, 2.0)] * 5)  # repeated rows
 @example([(0.0,)] * 20 + [(1.0,), (2.0,), (3.0,), (4.0,)])  # both middle ranks at 0
-def test_median_radix_search_equals_sorted_reference(block, points):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "BLOCK_ENTRIES", block)
-        got = median_pairwise_distance(points)
-        assert _bytes(got) == _bytes(reference_median(points))
-        assert got == sorted_median(points)
+def test_median_of_every_pair_equals_sorted_reference(points):
+    assert median_pairwise_distance(points) == pytest.approx(
+        sorted_median(points), rel=2 * np.finfo(float).eps, abs=0.0)
 
 
 @st.composite
@@ -251,81 +175,11 @@ def test_rbf_mmd2_equals_reference_bytes(block, sample):
 
 
 # ---------------------------------------------------------------------------
-# the median search's fallbacks, pass count and memory
+# the median over a sample of pairs: threshold, seed, accuracy and memory
 
 
-def _count_passes(monkeypatch):
-    """Record the [lo, hi) interval of every pass over the pairs."""
-    passes = []
-    one_pass = kernels._pair_pass
-
-    def counted(u, w, lo, hi, shift):
-        passes.append((lo, hi))
-        return one_pass(u, w, lo, hi, shift)
-
-    monkeypatch.setattr(kernels, "_pair_pass", counted)
-    return passes
-
-
-@pytest.mark.parametrize("miss", ["above", "below"])
-def test_median_bracket_miss_falls_back_to_radix(monkeypatch, rng, miss):
-    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 64)
-    points = rng.normal(size=(40, 2))
-    d = np.sort(reference_dists(points, points)[np.triu_indices(40, 1)])
-    # a bracket wholly above, or wholly below, the median
-    lo, hi = (kernels._bits(d[-1]), kernels._TOP) if miss == "above" else (0, kernels._bits(d[5]))
-    monkeypatch.setattr(kernels, "_bracket", lambda u, w, ranks: (lo, hi))
-    passes = _count_passes(monkeypatch)
-    assert median_pairwise_distance(points) == sorted_median(points)
-    assert passes[1] == ((0, lo) if miss == "above" else (hi, kernels._TOP))
-
-
-def test_median_with_a_sample_of_two_pairs(monkeypatch, rng):
-    # two sampled pairs bracket nothing: the search starts from [0, _TOP)
-    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 64)
-    monkeypatch.setattr(kernels, "_SAMPLE_PAIRS", 2)
-    passes = _count_passes(monkeypatch)
-    for _ in range(12):
-        points = rng.normal(size=(30, 2))
-        del passes[:]
-        assert median_pairwise_distance(points) == sorted_median(points)
-        assert passes[0] == (0, kernels._TOP) and len(passes) > 1
-
-
-def test_median_cap_overflow_narrows_in_one_more_pass(monkeypatch, rng):
-    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 16)
-    passes = _count_passes(monkeypatch)
-    points = rng.normal(size=(60, 2))
-    assert median_pairwise_distance(points) == sorted_median(points)
-    assert len(passes) >= 2
-    (lo0, hi0), (lo1, hi1) = passes[:2]
-    assert lo0 <= lo1 < hi1 <= hi0 and hi1 - lo1 < hi0 - lo0  # a bin of the first
-
-
-@pytest.mark.parametrize("block", [kernels.BLOCK_ENTRIES, 64])
-def test_median_among_recomputed_tiny_distances(monkeypatch, rng, block):
-    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block)
-    passes = _count_passes(monkeypatch)
-    # every sum of squares underflows, so each distance comes from the recompute
-    points = np.concatenate([rng.normal(size=(40, 2)) * 1e-250, np.zeros((3, 2))])
-    got = median_pairwise_distance(points)
-    assert 0.0 < got < 1e-240
-    assert got == sorted_median(points)
-    assert _bytes(got) == _bytes(reference_median(points))
-    assert any(lo < kernels._EXACT for lo, _ in passes)
-
-
-def test_median_with_every_pair_tied_takes_one_pass(monkeypatch):
-    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 16)
-    passes = _count_passes(monkeypatch)
-    points = np.repeat(np.eye(30), 2, axis=0)  # 435 distinct pairs, all at sqrt(2)
-    assert median_pairwise_distance(points) == sorted_median(points) == np.sqrt(2.0)
-    assert len(passes) == 1 and passes[0][1] - passes[0][0] == 1
-
-
-def test_median_ignores_the_global_random_state(monkeypatch, rng):
-    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 64)
-    points = rng.normal(size=(50, 2))
+def test_median_ignores_the_global_random_state(rng):
+    points = rng.normal(size=(600, 2))  # above 512 rows: a sample of pairs
     saved = np.random.get_state()
     try:
         np.random.seed(1)
@@ -355,14 +209,25 @@ def _continuous_and_levels(rng, n):
     return np.concatenate([x, levels[rng.integers(0, 25, size=n)]])
 
 
-@pytest.mark.parametrize("n, most", [(3000, 1), (8000, 2)])
-def test_median_pass_count(monkeypatch, rng, n, most):
-    passes = _count_passes(monkeypatch)
-    points = _continuous_and_levels(rng, n)
-    got = median_pairwise_distance(points)
-    assert 1 <= len(passes) <= most
-    monkeypatch.undo()
-    assert _bytes(got) == _bytes(reference_median(points))
+def test_median_takes_every_pair_up_to_512_rows(rng):
+    p = rng.normal(size=513)  # 512 rows make 130,816 pairs, 513 make 131,328
+    every = [float(np.median(np.abs(q[:, None] - q)[np.triu_indices(len(q), 1)]))
+             for q in (p[:512], p)]
+    assert median_pairwise_distance(p[:512]) == every[0]
+    # above: the pairs the docstring's draw takes
+    draw = np.random.default_rng(kernels._MEDIAN_SEED)
+    i = draw.integers(0, 513, kernels._MEDIAN_PAIRS)
+    j = draw.integers(0, 512, kernels._MEDIAN_PAIRS)
+    j += j >= i
+    assert median_pairwise_distance(p) == float(np.median(np.abs(p[i] - p[j]))) != every[1]
+
+
+def test_sampled_median_is_near_the_median_of_every_pair():
+    for seed in range(5):
+        points = _continuous_and_levels(np.random.default_rng(seed), 750)  # 1,500 rows
+        every = np.concatenate([reference_dists(points[k:k + 1], points[k + 1:])[0]
+                                for k in range(len(points) - 1)])
+        assert median_pairwise_distance(points) == pytest.approx(np.median(every), rel=0.02)
 
 
 def test_median_memory_is_bounded(rng):
@@ -464,6 +329,7 @@ def _wide_point_sets(draw):
 @given(_wide_point_sets())
 @example([(0.0, 0.0), (1e200, 0.0), (0.0, 1e200), (1e200, 1e200), (2.0, 3.0)])
 @example([(0.0,)] * 5 + [(1e-300,), (2e-300,), (1e200,)])  # a tiny median beside a huge span
+@example([(0.0,), (5e-324,)])  # 0.5 * lo + 0.5 * hi would round to 0
 def test_median_equals_math_dist_brute_force(points):
     # differences past 1e154 overflow a plain sum of squares; math.dist
     # rounds its result correctly, a sum of squares within an ulp or two
