@@ -132,7 +132,9 @@ def _point_sets(draw):
 
 
 # distances from a sum of squares and from a chain of hypot calls each lie
-# within an ulp of the exact one
+# within an ulp of the exact one. The median once came from a radix search
+# that split its passes by BLOCK_ENTRIES; it must not depend on the budget
+@pytest.mark.parametrize("block", [kernels.BLOCK_ENTRIES, 5])
 @settings(deadline=None, max_examples=150)
 @given(_point_sets())
 @example([(float(i),) for i in range(10)])
@@ -142,9 +144,11 @@ def _point_sets(draw):
 @example([(0.0, 1.0), (0.0, 1.0), (3e-209, 1.0), (5e-324, 1.0), (1.0, 1.0)])
 @example([(1.0, 2.0)] * 4 + [(1.0, 3.0)] * 3 + [(4.0, 2.0)] * 5)  # repeated rows
 @example([(0.0,)] * 20 + [(1.0,), (2.0,), (3.0,), (4.0,)])  # both middle ranks at 0
-def test_median_of_every_pair_equals_sorted_reference(points):
-    assert median_pairwise_distance(points) == pytest.approx(
-        sorted_median(points), rel=2 * np.finfo(float).eps, abs=0.0)
+def test_median_radix_search_equals_sorted_reference(block, points):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK_ENTRIES", block)
+        assert median_pairwise_distance(points) == pytest.approx(
+            sorted_median(points), rel=2 * np.finfo(float).eps, abs=0.0)
 
 
 @st.composite
