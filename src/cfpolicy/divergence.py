@@ -24,8 +24,8 @@ from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import state_window
 from .errors import EmptySubgroupError, read_json
 from .kernels import median_pairwise_distance, rbf_mmd2_biased
-from .preprocess import (N_ACTIONS, action_index_to_doses, bin_actions_batch,
-                         denormalize_actions)
+from .preprocess import (N_ACTIONS, NormStats, action_index_to_doses, bin_actions_batch,
+                         denormalize_actions, normalize_actions)
 
 DEFAULT_EPS = 1e-6
 
@@ -65,13 +65,11 @@ def mmd_rbf(x, y, bandwidth: Optional[float] = None, *,
     with the sample sizes. A dict passed as ``info`` receives the bandwidth
     used and whether the fallback was taken.
 
-    Each coordinate is first shifted by its pooled minimum, and points and
-    bandwidth are scaled by the power of two that brings the largest
-    coordinate span into [0.5, 1), so no coordinate difference overflows,
-    and a large constant coordinate does not stop the scaling; outside the
-    subnormal range the scaling is exact. Distances far below the span do
-    not underflow either: the kernels scale each difference before squaring
-    it.
+    The points reach the median and the kernel sum as given: the median
+    chains ``np.hypot`` over the coordinates, and the kernel divides each
+    difference by the bandwidth before squaring it, so no distance
+    underflows. Points that are not finite, or a pooled coordinate span
+    beyond the float range, raise ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -82,21 +80,21 @@ def mmd_rbf(x, y, bandwidth: Optional[float] = None, *,
     if len(x) == 0 or len(y) == 0:
         raise ValueError("mmd_rbf needs at least 1 sample per side")
     pooled = np.concatenate([x, y], axis=0)
-    pooled -= pooled.min(axis=0)
-    _, e = np.frexp(pooled.max())
-    e = int(e)  # frexp gives 0 for a zero or non-finite span: no scaling
-    pooled = np.ldexp(pooled, -e)
-    x, y = pooled[:len(x)], pooled[len(x):]
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = np.ptp(pooled, axis=0)
+    if not np.isfinite(span).all():
+        raise ValueError("mmd_rbf needs finite points whose pooled coordinate spans "
+                         "are within the float range")
     fallback = False
     if bandwidth is None:
-        bandwidth = float(np.ldexp(median_pairwise_distance(pooled), e))
+        bandwidth = median_pairwise_distance(pooled)
         if bandwidth == 0.0:
             warnings.warn("zero median pairwise distance; falling back to bandwidth 1.0",
                           stacklevel=2)
             bandwidth, fallback = 1.0, True
     if info is not None:
         info.update(bandwidth=float(bandwidth), fallback=fallback)
-    mmd2 = rbf_mmd2_biased(x, y, float(np.ldexp(bandwidth, -e)))
+    mmd2 = rbf_mmd2_biased(x, y, float(bandwidth))
     return float(np.sqrt(max(mmd2, 0.0)))
 
 
@@ -248,9 +246,11 @@ class DiscrepancyReport:
 
 
 def _pair_metrics(realized: ActionDistribution, counterfactual: ActionDistribution,
-                  eps: float):
+                  eps: float, stats: NormStats):
     """Every discrepancy metric of one pair of distributions, plus the MMD
-    bandwidth record."""
+    bandwidth record. The MMD takes the (fluid, vaso) doses in the units BC
+    regression trains in, ``normalize_actions``, so that both drugs move
+    it; W1 stays in raw units."""
     out = {
         "kl": kl_divergence(realized.probs, counterfactual.probs, eps),
         "kl_reverse": kl_divergence(counterfactual.probs, realized.probs, eps),
@@ -258,8 +258,8 @@ def _pair_metrics(realized: ActionDistribution, counterfactual: ActionDistributi
         "w1_fluid": wasserstein1(realized.fluid, counterfactual.fluid),
         "w1_vaso": wasserstein1(realized.vaso, counterfactual.vaso),
     }
-    xa = np.stack([realized.fluid, realized.vaso], axis=1)
-    ya = np.stack([counterfactual.fluid, counterfactual.vaso], axis=1)
+    xa = normalize_actions(stats, np.stack([realized.fluid, realized.vaso], axis=1))
+    ya = normalize_actions(stats, np.stack([counterfactual.fluid, counterfactual.vaso], axis=1))
     mmd_info = {}
     out["mmd"] = mmd_rbf(xa, ya, info=mmd_info)
     return out, mmd_info
@@ -276,7 +276,8 @@ def counterfactual_report(policy: BcPolicy, cohort: CohortDataset,
     counterfactual = empirical_action_dist(policy, target_cohort, "test", per_timestep)
     if per_timestep:
         (realized, real_t), (counterfactual, cf_t) = realized, counterfactual
-    metrics, mmd_info = _pair_metrics(realized, counterfactual, eps)
+    stats = cohort.norm_stats
+    metrics, mmd_info = _pair_metrics(realized, counterfactual, eps, stats)
     infos = [mmd_info]
 
     control, ctrl_info = {}, {}
@@ -284,14 +285,14 @@ def counterfactual_report(policy: BcPolicy, cohort: CohortDataset,
         source_cohort = filter_subgroup(cohort, policy.source_subgroup)
         ctrl_real = empirical_action_dist(None, source_cohort, "test")
         ctrl_cf = empirical_action_dist(policy, source_cohort, "test")
-        control, ctrl_info = _pair_metrics(ctrl_real, ctrl_cf, eps)
+        control, ctrl_info = _pair_metrics(ctrl_real, ctrl_cf, eps, stats)
         infos.append(ctrl_info)
 
     per_t = None
     mean_actions = {}
     sample_sizes = {"target": realized.n, "counterfactual": counterfactual.n}
     if per_timestep:
-        pairs = [_pair_metrics(r, c, eps) for r, c in zip(real_t, cf_t)]
+        pairs = [_pair_metrics(r, c, eps, stats) for r, c in zip(real_t, cf_t)]
         per_t = {name: [m[name] for m, _ in pairs] for name in METRICS}
         infos.extend(info for _, info in pairs)
         sample_sizes["per_timestep"] = [d.n for d in real_t]
@@ -310,7 +311,8 @@ def counterfactual_report(policy: BcPolicy, cohort: CohortDataset,
         report.conventions["counterfactual_probs"] = (
             "histogram of binned predicted doses; a predicted dose <= 0 counts as no drug")
     report.conventions["mmd_bandwidth"] = {
-        "method": ("median of pooled pairwise distances "
+        "method": ("median of pooled pairwise distances between doses in train-split "
+                   "z-units, (dose - action_mean) / action_std "
                    "(every pair up to 512 rows, else 2^17 pairs drawn with seed 0)"),
         "aggregate": mmd_info.get("bandwidth"),
         "control": ctrl_info.get("bandwidth"),

@@ -1,6 +1,7 @@
-"""Hot numeric kernels: exact RBF MMD² in memory that does not grow with
-the sample, the median pairwise distance (over every pair, or over a
-fixed-seed sample of pairs), series imputation, discounted returns."""
+"""Hot numeric kernels: exact RBF MMD² as one symmetric kernel sum in
+memory that does not grow with the sample, the median pairwise distance
+(over every pair, or over a fixed-seed sample of pairs), series
+imputation, discounted returns."""
 
 import numpy as np
 
@@ -21,17 +22,10 @@ _MEDIAN_PAIRS = 1 << 17
 _MEDIAN_SEED = 0
 
 
-def _distinct(a):
-    """Distinct rows of a sample (1-D: one value per row) and how often each
-    occurs, as float64."""
-    a = np.asarray(a, dtype=np.float64)
-    rows, counts = np.unique(a[:, None] if a.ndim == 1 else a, axis=0, return_counts=True)
-    return rows, counts.astype(np.float64)
-
-
-def _kernel_sum(a, wa, b, wb, sigma: float) -> float:
-    """wa^T K(a, b) wb for the RBF kernel, a block of rows of a at a time, in
-    two block buffers reused throughout.
+def _kernel_sum(z, w, sigma: float) -> float:
+    """w^T K(z, z) w for the RBF kernel, in two block buffers reused
+    throughout. Each strip of rows is paired only with the columns from its
+    first row on: the strip's diagonal block counts once, the rest twice.
 
     Squared distances are summed coordinate by coordinate from squared
     differences (no |a|^2 + |b|^2 - 2ab cancellation). Each difference is
@@ -39,42 +33,46 @@ def _kernel_sum(a, wa, b, wb, sigma: float) -> float:
     sigma does not underflow however small sigma is; one far beyond it
     overflows to inf, whose kernel value is 0.
     """
-    rows = max(1, BLOCK_ENTRIES // len(b))
-    bt = np.ascontiguousarray(b.T)
-    shape = (min(rows, len(a)), len(b))
-    k, diff = np.empty(shape), np.empty(shape)
-    total = 0.0
-    for s in range(0, len(a), rows):
-        a_s = a[s:s + rows]
-        blk, tmp = k[:len(a_s)], diff[:len(a_s)]
+    n = len(z)
+    zt = np.ascontiguousarray(z.T)
+    size = max(n, min(BLOCK_ENTRIES, n * n))
+    k, diff = np.empty(size), np.empty(size)
+    total, s = 0.0, 0
+    while s < n:
+        cols = n - s
+        m = min(max(1, BLOCK_ENTRIES // cols), cols)
+        blk, tmp = k[:m * cols].reshape(m, cols), diff[:m * cols].reshape(m, cols)
         with np.errstate(over="ignore"):
-            for c in range(a.shape[1]):
+            for c in range(z.shape[1]):
                 out = tmp if c else blk  # 0 + d^2 is d^2: the first needs no add
-                np.subtract(a_s[:, c, None], bt[c], out=out)
+                np.subtract(z[s:s + m, c, None], zt[c, s:], out=out)
                 np.divide(out, sigma, out=out)
                 np.multiply(out, out, out=out)
                 if c:
                     np.add(blk, tmp, out=blk)
         np.multiply(blk, -0.5, out=blk)
         np.exp(blk, out=blk)
-        total += wa[s:s + rows] @ (blk @ wb)
+        ws = w[s:s + m]
+        total += 2.0 * (ws @ (blk @ w[s:])) - ws @ (blk[:, :m] @ ws)
+        s += m
     return total
 
 
 def rbf_mmd2_biased(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
     """Biased (V-statistic) squared MMD with RBF kernel exp(-d^2 / (2 sigma^2)).
 
-    Repeated rows are merged into weights first, so the cost is quadratic in
-    the number of distinct rows, and the Gram matrices are never held whole.
+    The pooled rows are merged once: each distinct row z_i gets the weight
+    w_i = (its count in x) / len(x) - (its count in y) / len(y), so
+    MMD^2 = w^T K w is one symmetric kernel sum, quadratic in the number of
+    distinct rows, and the Gram matrix is never held whole.
     """
-    x, wx = _distinct(x)
-    y, wy = _distinct(y)
-    sigma = float(sigma)
-    nx, ny = wx.sum(), wy.sum()
-    kxx = _kernel_sum(x, wx, x, wx, sigma) / (nx * nx)
-    kyy = _kernel_sum(y, wy, y, wy, sigma) / (ny * ny)
-    kxy = _kernel_sum(x, wx, y, wy, sigma) / (nx * ny)
-    return float(kxx + kyy - 2.0 * kxy)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    z = np.concatenate([x, y])
+    z, inv = np.unique(z[:, None] if z.ndim == 1 else z, axis=0, return_inverse=True)
+    w = (np.bincount(inv[:len(x)], minlength=len(z)) / len(x)
+         - np.bincount(inv[len(x):], minlength=len(z)) / len(y))
+    return float(_kernel_sum(z, w, float(sigma)))
 
 
 def median_pairwise_distance(points) -> float:

@@ -211,7 +211,9 @@ def preprocess_cohort(cohort: CohortDataset) -> CohortDataset:
     normalized, with ``action_bins`` attached and statistics stored on the
     dataset for serialization alongside trained models. One pass per
     feature imputes, log-transforms and z-normalizes the block of every
-    encounter's rows in place; the new trajectories are views of it.
+    encounter's rows in place; the new trajectories are views of it. An
+    observed cell of a binary feature that is not 0 or 1, in any split,
+    raises IntegrityError naming the column and the value.
     """
     stats = fit_norm_stats(cohort)
     binning = fit_binning(cohort)
@@ -222,6 +224,11 @@ def preprocess_cohort(cohort: CohortDataset) -> CohortDataset:
     actions = np.concatenate([tr.actions for tr in trajs])
     for j in range(states.shape[1]):
         col = states[:, j]
+        if binary[j]:  # raw cells only: imputation rightly leaves fractions
+            bad = col[(col != 0.0) & (col != 1.0) & ~np.isnan(col)]
+            if bad.size:
+                raise IntegrityError(f"binary column {cohort.schema.names[j]!r} "
+                                     f"holds {float(bad[0])!r}, not 0 or 1")
         col[:] = fill_series(col, stats.raw_means[j], lengths)
         if stats.stds[j] == 0:  # never binary: those have mean 0, std 1
             col[:] = np.where(np.isnan(col), np.nan, 0.0)

@@ -573,6 +573,24 @@ def test_overflowing_dose_column_is_config_error_at_preprocess(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_non_binary_cell_in_a_binary_column_is_config_error_at_preprocess(tmp_path, capsys):
+    raw, out = tmp_path / "raw", tmp_path / "proc"
+    assert cli.main(["synth", "--n", "60", "--t", "12", "--features", "8", "--seed", "3",
+                     "--out", str(raw)]) == 0
+    cohort = load_cohort_dir(raw)
+    j = cohort.schema.kinds.index("binary")
+    trajs = list(cohort.trajectories)
+    states = trajs[-1].states.copy()
+    states[0, j] = 3.5
+    trajs[-1] = replace(trajs[-1], states=states)
+    save_cohort_dir(replace(cohort, trajectories=trajs), raw)
+    capsys.readouterr()
+    assert cli.main(["preprocess", "--cohort", str(raw), "--seed", "3", "--out", str(out)]) == 2
+    assert (f"binary column {cohort.schema.names[j]!r} holds 3.5, not 0 or 1"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_missing_cohort_is_config_error(tmp_path):
     assert cli.main(["preprocess", "--cohort", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "out")]) == 2

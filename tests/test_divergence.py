@@ -160,12 +160,21 @@ def test_bandwidth_fallback_when_most_pooled_rows_are_equal(rng):
 
 
 def test_mmd_ignores_a_large_constant_coordinate():
-    # unshifted, the power of two that scales the 3e-10 span up overflows 1e300
+    # the constant coordinate's differences are 0: it adds exactly 0 to every distance
     x, y = [[1e300, 0.0], [1e300, 1e-10]], [[1e300, 2e-10], [1e300, 3e-10]]
     info, plain = {}, {}
     got = mmd_rbf(x, y, info=info)
     assert got == mmd_rbf([[0.0], [1e-10]], [[2e-10], [3e-10]], info=plain) > 0.0
     assert info == plain
+
+
+@pytest.mark.parametrize("x, y", [([[-1e308]], [[1e308]]),
+                                  ([[-1e308], [-1e308]], [[1e308], [0.0]])])
+def test_mmd_rejects_a_span_beyond_the_float_range(x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise instead
+        with pytest.raises(ValueError, match="float range"):
+            mmd_rbf(x, y)
 
 
 def test_explicit_bandwidth_is_respected(rng):
@@ -210,10 +219,12 @@ def _check_against_bruteforce(x, y):
 @example(([(0.5, 1.0)], [(2.0, 0.0)]))
 @example(([(0.5, 1.0)], [(1.0, 2.0), (3.0, 0.0), (3.0, 0.0), (0.5, 1.0), (2.0, 2.0)]))
 @example(([(0.0,), (1.0,), (1.0,), (4.0,)], [(2.0,)]))
-# squared distances underflow to 0 unless the points are scaled first
+# squared distances underflow to 0 unless differences are scaled before squaring
 @example(([(0.0,), (0.0,)], [(0.0,), (5.77e-248,)]))
 # ... or when the median distance is far below the span
 @example(([(0.0,), (0.0,), (0.0,), (2.988579002148598e-209,)], [(1.0,)]))
+# a subnormal point beside -1: the bandwidth is 1.4e-45, not the 1.0 fallback
+@example(([(0.0,), (0.0,), (0.0,), (1.401298464324817e-45,)], [(-1.0,)]))
 @example(([(0.0, 0.0), (0.0, 0.0), (3e-200, 4e-200)], [(0.0, 0.0), (1.0, 1.0)]))
 @example(([(0.0,), (0.0,)], [(0.0,), (2.0,), (2.0,)]))
 @example(([(1.0, 2.0), (1.0, 2.0)], [(1.0, 2.0), (3.0, 0.0), (3.0, 0.0), (0.5, 1.0)]))
@@ -329,11 +340,14 @@ def test_counterfactual_report_structure(subgroup_policy, proc_cohort, tmp_path)
     assert report.sample_sizes["per_timestep"] == [n_test_f] * proc_cohort.trajectories[0].T
 
     bw = report.conventions["mmd_bandwidth"]
-    assert bw["method"] == ("median of pooled pairwise distances "
+    assert bw["method"] == ("median of pooled pairwise distances between doses in train-split "
+                            "z-units, (dose - action_mean) / action_std "
                             "(every pair up to 512 rows, else 2^17 pairs drawn with seed 0)")
     assert fallbacks > 0 and bw["zero_distance_fallbacks"] == fallbacks
+    stats = proc_cohort.norm_stats
     for scope, key in (("aggregate", "F"), ("control", "M")):
         pooled = _pooled_doses(subgroup_policy, proc_cohort, SubgroupKey("gender", key))
+        pooled = (pooled - stats.action_mean) / stats.action_std
         iu = np.triu_indices(len(pooled), k=1)
         dists = np.linalg.norm(pooled[:, None] - pooled[None], axis=-1)[iu]
         assert bw[scope] == pytest.approx(np.median(dists), rel=1e-12)
@@ -350,6 +364,30 @@ def test_counterfactual_report_structure(subgroup_policy, proc_cohort, tmp_path)
     assert lines[0] == "scope,timestep,metric,value"
     assert any(line.startswith("aggregate,,kl,") for line in lines)
     assert any(line.startswith("per_timestep,0,") for line in lines)
+
+
+def test_report_mmd_sees_a_vaso_only_shift(subgroup_policy, proc_cohort, monkeypatch):
+    # the counterfactual is the realized distribution with one drug's doses
+    # moved by one train-split action_std
+    realized = divergence.empirical_action_dist
+    std = proc_cohort.norm_stats.action_std
+
+    def mmd_of_shift(drug):
+        def shifted(policy, cohort, split="test", per_timestep=False):
+            dist = realized(None, cohort, split, per_timestep)
+            if policy is None:
+                return dist
+            doses = {"fluid": dist.fluid, "vaso": dist.vaso}
+            doses[drug] = doses[drug] + std[int(drug == "vaso")]
+            return replace(dist, **doses)
+
+        monkeypatch.setattr(divergence, "empirical_action_dist", shifted)
+        report = counterfactual_report(subgroup_policy, proc_cohort, SubgroupKey("gender", "F"))
+        assert report.metrics["kl"] == report.control["kl"] == 0.0
+        return report.metrics["mmd"]
+
+    fluid, vaso = mmd_of_shift("fluid"), mmd_of_shift("vaso")
+    assert vaso > 0.5 * fluid > 0.0, (fluid, vaso)
 
 
 def _hand_binned_histogram(doses, binning):

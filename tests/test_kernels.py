@@ -45,10 +45,9 @@ def test_mmd2_one_dimensional_inputs(rng):
 
 
 # ---------------------------------------------------------------------------
-# references: the blocked kernel sums as they were before their block
-# buffers were reused (masked full-block copies), kept verbatim but for the
-# module prefix of the constants, and pairwise distances from plain sums of
-# squares
+# references: the V-statistic as three kernel sums over the separately
+# merged samples, each from its whole Gram matrix, and pairwise distances
+# from plain sums of squares
 
 
 def reference_scaled_sq_dists(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
@@ -88,20 +87,22 @@ def reference_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
+def reference_merged(a):
+    """Distinct rows of a sample (1-D: one value per row) and their counts."""
+    a = np.asarray(a, dtype=np.float64)
+    rows, counts = np.unique(a.reshape(len(a), -1), axis=0, return_counts=True)
+    return rows, counts.astype(np.float64)
+
+
 def reference_kernel_sum(a, wa, b, wb, sigma: float) -> float:
-    """wa^T K(a, b) wb for the RBF kernel, a block of rows of a at a time."""
-    rows = max(1, kernels.BLOCK_ENTRIES // len(b))
-    total = 0.0
-    for s in range(0, len(a), rows):
-        k = np.exp(-0.5 * reference_scaled_sq_dists(a[s:s + rows], b, sigma))
-        total += wa[s:s + rows] @ (k @ wb)
-    return total
+    """wa^T K(a, b) wb for the RBF kernel."""
+    return wa @ np.exp(-0.5 * reference_scaled_sq_dists(a, b, sigma)) @ wb
 
 
 def reference_rbf_mmd2_biased(x, y, sigma):
-    """``rbf_mmd2_biased`` on ``reference_kernel_sum``."""
-    x, wx = kernels._distinct(x)
-    y, wy = kernels._distinct(y)
+    """kxx + kyy - 2 kxy, each a normalized ``reference_kernel_sum``."""
+    x, wx = reference_merged(x)
+    y, wy = reference_merged(y)
     sigma = float(sigma)
     nx, ny = wx.sum(), wy.sum()
     kxx = reference_kernel_sum(x, wx, x, wx, sigma) / (nx * nx)
@@ -163,19 +164,32 @@ def _kernel_samples(draw):
     return x, y, sigma
 
 
-# sigma 1e-300 makes (a - b) / sigma overflow, so d^2 / sigma^2 is inf there
+# sigma 1e-300 makes (a - b) / sigma overflow, so d^2 / sigma^2 is inf there.
+# The one weighted sum and the three sums add in different orders: they
+# agree to rounding, as the brute-force test has it
 @pytest.mark.parametrize("block", [kernels.BLOCK_ENTRIES, 64, 5])
 @settings(deadline=None, max_examples=120)
 @given(_kernel_samples())
 @example(([(0.0,), (1.0,)], [(2.0,)], 1e-300))
 @example(([(0.0, 3e-209), (5e-324, 0.0)], [(3e-209, 3e-209)] * 3, 1e-300))
 @example(([(0.0, 1.0)] * 3 + [(2.0, 1.0)], [(0.0, 1.0), (1.0, 1.0)], 0.5))
-def test_rbf_mmd2_equals_reference_bytes(block, sample):
+def test_rbf_mmd2_matches_reference(block, sample):
     x, y, sigma = sample
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "BLOCK_ENTRIES", block)
-        assert _bytes(rbf_mmd2_biased(x, y, sigma)) == _bytes(
-            reference_rbf_mmd2_biased(x, y, sigma))
+        assert rbf_mmd2_biased(x, y, sigma) == pytest.approx(
+            reference_rbf_mmd2_biased(x, y, sigma), abs=1e-12)
+
+
+def test_rbf_mmd2_memory_is_bounded(rng):
+    x, y = rng.normal(size=(8000, 2)), rng.normal(size=(8000, 2)) + 0.5
+    tracemalloc.start()
+    try:
+        rbf_mmd2_biased(x, y, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
