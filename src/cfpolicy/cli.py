@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import bc, divergence, dynamics, gail, synth
-from .cohort import SubgroupKey, assign_splits, load_cohort_dir, save_cohort_dir
+from .cohort import COHORT_DIR_FILES, SubgroupKey, assign_splits, load_cohort_dir, save_cohort_dir
 from .errors import CfPolicyError, RolloutBlowupError, TrainingDivergenceError
 from .plots import line_chart_svg
 from .preprocess import preprocess_cohort
@@ -23,8 +23,7 @@ EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 # the paths each command writes, made from its --out; a trailing "/" marks a
 # directory. A cohort directory's list includes the sidecars save_cohort_dir
 # deletes when the cohort has none, and a report directory's every chart.
-_COHORT_DIR = ("{}/", "{}/cohort.csv", "{}/cohort.csv.npz", "{}/schema.json",
-               "{}/splits.json", "{}/norm_stats.json", "{}/binning.json", "{}/run_config.json")
+_COHORT_DIR = ("{}/", *("{}/" + name for name in COHORT_DIR_FILES), "{}/run_config.json")
 _REPORT_DIR = ("{}/", "{}/report.csv", "{}/mean_vaso.svg", "{}/mean_fluid.svg",
                "{}/metrics_per_timestep.svg")
 OUTPUTS = {

@@ -7,7 +7,9 @@ Missing cells are empty fields, never sentinel numbers. Beside each CSV it
 writes, ``write_cohort`` keeps a column companion (``cohort.csv.npz``):
 the parsed columns plus the SHA-256 of the CSV bytes, so that a later
 ``load_cohort`` of the same bytes skips the text parse. It is a cache:
-deleting it is safe, and it is ignored once the CSV changes.
+deleting it is safe, and it is ignored once the CSV changes. A CSV without
+a current companion, such as one exported from a clinical database, is
+parsed in one ``csv.reader`` pass.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 import zipfile
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -151,49 +153,6 @@ class CohortDataset:
         return [tr for tr in self.trajectories if self.split[tr.id] == tag]
 
 
-# float() never returns this NaN payload, so it marks the cells float() rejects.
-_UNPARSED = np.uint64(0x7FF8_0000_0BAD_0000)
-_SCAN_BYTES = 1 << 22
-
-
-def _csv_records(path: Path):
-    """The header fields and the field count of every later record, as
-    ``csv.reader`` splits them: a record ends at LF, CRLF or a lone CR
-    outside double quotes, commas inside quotes do not count, and a blank
-    line has no fields. The bytes are scanned 4 MiB at a time, which bounds
-    the temporaries."""
-    raw = path.read_bytes()
-    if not raw:
-        raise ParseError(1, "empty file")
-    lone_cr = np.array([m.start() for m in re.finditer(rb"\r(?!\n)", raw)], np.int64)
-    quoting, inside, commas, ends, before = b'"' in raw, False, 0, [], []
-    for lo in range(0, len(raw), _SCAN_BYTES):
-        b = np.frombuffer(raw, np.uint8, min(_SCAN_BYTES, len(raw) - lo), lo)
-        quoted = b == ord('"')
-        if quoting:
-            np.logical_xor.accumulate(quoted, out=quoted)
-            if inside:  # the chunk starts inside a quoted field
-                np.logical_not(quoted, out=quoted)
-            inside = bool(quoted[-1])
-        mark = b == ord("\n")
-        mark[lone_cr[(lone_cr >= lo) & (lone_cr < lo + b.size)] - lo] = True
-        end = np.flatnonzero(np.greater(mark, quoted, out=mark))
-        comma = np.flatnonzero(np.greater(np.equal(b, ord(","), out=mark), quoted, out=mark))
-        ends.append(lo + end)
-        before.append(commas + np.searchsorted(comma, end))  # commas before each record end
-        commas += comma.size
-    ends, before = np.concatenate(ends), np.concatenate(before)
-    if ends.size == 0 or ends[-1] != len(raw) - 1:  # the last record has no line break
-        ends, before = np.append(ends, len(raw)), np.append(before, commas)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    widths = np.diff(before, prepend=0) + 1
-    size = ends - starts
-    cr_first = np.frombuffer(raw, np.uint8)[starts] == ord("\r")
-    widths[(size == 0) | ((size == 1) & cr_first)] = 0
-    header = next(csv.reader([raw[:ends[0] + 1].decode("utf-8")]), [])
-    return [h.strip() for h in header], widths[1:]
-
-
 def _factorize(cells):
     """The distinct values of a column, first appearance first, as an
     object array, and each cell's index among them."""
@@ -214,34 +173,42 @@ def _ints(cells: np.ndarray, code: np.ndarray):
     return values[code], bad[code], (cells == "")[code]
 
 
-def _parse_columns(path: Path, n: int, k: int, M: int, width: int):
-    """The float block of the first ``n`` records (empty cell: NaN, cell
-    ``float()`` rejects: the ``_UNPARSED`` NaN), their other columns (each
-    as ``_factorize`` gives it) and the rejected cells in row order."""
-    opts = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, max_rows=n,
-                ndmin=2, usecols=range(2 + k, 4 + k + M))
-    unparsed_cells = []
-
-    def parse_float(cell: str) -> float:
-        try:
-            return float(cell) if cell else float("nan")
-        except ValueError:
-            unparsed_cells.append(cell)
-            return float(_UNPARSED.view(np.float64))
-
-    with path.open(newline="", encoding="utf-8") as fh:  # line breaks as csv.reader sees them
-        try:  # numpy's parser accepts a subset of what float() does, with equal values
-            values = np.loadtxt(fh, **opts)
-        except ValueError:  # an empty cell, or one only float() can judge
-            fh.seek(0)
-            values = np.loadtxt(fh, converters=parse_float, **opts)
-        fh.seek(0)
-        opts["usecols"] = [0, 1, *range(2, 2 + k), *range(4 + k + M, width)]
-        # id, timestep, attributes, outcome, bin as str objects: for dtype=str
-        # numpy first finds the widest cell, which is slower and at n=2000
-        # needs a transient of twice the result's size
-        text = np.loadtxt(fh, dtype=object, **opts)
-    return values, [_factorize(column) for column in text.T.tolist()], unparsed_cells
+def _parse_csv(path: Path, k: int, M: int, check_header):
+    """One ``csv.reader`` pass over ``path``: the header (``check_header``
+    sees it first), the float block and the other columns (as ``_factorize``
+    gives each) of the records before the first with a wrong field count,
+    the cells ``float()`` rejects by flat index (NaN in the block, as an
+    empty cell is) and that record's ParseError, or None. The field size
+    limit is raised for the pass to the file's size, which no field exceeds."""
+    limit = csv.field_size_limit(max(csv.field_size_limit(), path.stat().st_size))
+    values, text, rejected, error, lo, hi = array("d"), [], {}, None, 2 + k, 4 + k + M
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            records = csv.reader(fh)
+            header = next(records, None)
+            if header is None:
+                raise ParseError(1, "empty file")
+            check_header(header := [h.strip() for h in header])
+            for record in records:
+                if len(record) != len(header):
+                    error = ParseError(len(values) // (hi - lo) + 2,
+                                       f"expected {len(header)} fields, got {len(record)}")
+                    break
+                text += record[:lo] + record[hi:]
+                try:
+                    values.extend([float(cell or "nan") for cell in record[lo:hi]])
+                except ValueError:  # some cell float() rejects: take the cells one by one
+                    for cell in record[lo:hi]:
+                        try:
+                            values.append(float(cell or "nan"))
+                        except ValueError:
+                            rejected[len(values)] = cell
+                            values.append(float("nan"))
+    finally:
+        csv.field_size_limit(limit)
+    step = len(header) - (hi - lo)  # text cells per record
+    columns = [_factorize(text[j::step]) for j in range(step)]
+    return header, np.frombuffer(values).reshape(-1, hi - lo), columns, rejected, error
 
 
 def _companion(path: Path) -> Path:
@@ -274,10 +241,10 @@ def _write_companion(path: Path, header, values, lengths, cells, bins) -> None:
 
 
 def _read_companion(path: Path, M: int, k: int):
-    """The header, float block and other columns (as ``_parse_columns``
-    gives them) that parsing ``path`` yields, from its companion; None
-    unless the companion holds every member with the dtype and shape this
-    layout needs and was written for the bytes now in ``path``."""
+    """What ``_parse_csv`` gives for ``path`` (no rejected cell, no
+    field-count fault), from its companion; None unless the companion holds
+    every member with the dtype and shape this layout needs and was written
+    for the bytes now in ``path``."""
     try:
         with np.load(_companion(path), allow_pickle=False) as z:
             if sorted(z.files) != ["bins", "cells", "header", "lengths", "sha256", "values"]:
@@ -302,7 +269,7 @@ def _read_companion(path: Path, M: int, k: int):
     columns.insert(1, (np.arange(int(lengths.max(initial=0))).astype(object), t))
     labels, code = np.unique(bins, return_inverse=True)
     columns.append((labels.astype(object), code))
-    return header.tolist(), values, columns
+    return header.tolist(), values, columns, {}, None
 
 
 def load_cohort(path, schema: FeatureSchema,
@@ -315,33 +282,37 @@ def load_cohort(path, schema: FeatureSchema,
     missing. Raw doses must be nonnegative; pass
     ``allow_negative_actions=True`` for cohorts whose actions were already
     z-normalized. An ``action_bin`` cell is empty or a joint action index
-    in 0..N_ACTIONS-1. The float columns and the other columns are each parsed
-    in one ``np.loadtxt`` call, or read from the companion ``write_cohort``
-    left for these exact bytes, and checked as whole arrays (text columns
-    through their distinct cells); of several faults, the one a row-by-row
-    parser meets first is raised.
+    in 0..N_ACTIONS-1. The columns are read from the companion
+    ``write_cohort`` left for these exact bytes, or else parsed in one
+    ``csv.reader`` pass with ``float()`` on each feature and dose cell, and
+    checked as whole arrays (text columns through their distinct cells); of
+    several faults, the one a row-by-row parser meets first is raised.
     """
     from .preprocess import N_ACTIONS  # preprocess imports this module
     path = Path(path)
     attrs = list(schema.attributes)
     M, k = schema.n_features, len(attrs)
     float_names = list(schema.names) + ["action_fluid", "action_vaso"]
+
+    def check_header(header):
+        want = (["id", "timestep"] + attrs + float_names + ["mortality_step", "outcome_alive"]
+                + (["action_bin"] if "action_bin" in header else []))
+        if header != want:
+            raise ParseError(1, f"header mismatch: expected {want}, got {header}")
+
     stored = _read_companion(path, M, k)
-    if stored is None:
-        header, widths = _csv_records(path)
-    else:
-        header, values, columns = stored
-        widths, unparsed_cells = np.full(len(values), len(header)), []
-    has_bin = "action_bin" in header
-    want = (["id", "timestep"] + attrs + float_names + ["mortality_step", "outcome_alive"]
-            + (["action_bin"] if has_bin else []))
-    if header != want:
-        raise ParseError(1, f"header mismatch: expected {want}, got {header}")
+    if stored is not None:
+        check_header(stored[0])
+    header, values, columns, rejected, error = stored or _parse_csv(path, k, M, check_header)
 
     # Rows [0, n) are still checked and ``error`` is the fault of row n (line
     # n + 2): checks run in the order a row-by-row parser meets them, and
     # each replaces ``error`` only with a fault in an earlier row.
-    n, error = len(widths), None
+    n = len(values)
+    if n == 0:
+        if error is not None:
+            raise error
+        return CohortDataset(schema=schema, trajectories=[])
 
     def flag(bad, make):
         nonlocal n, error
@@ -349,15 +320,7 @@ def load_cohort(path, schema: FeatureSchema,
         if rows.size:
             n, error = int(rows[0]), make(int(rows[0]))
 
-    flag(widths != len(want), lambda r: ParseError(
-        r + 2, f"expected {len(want)} fields, got {widths[r]}"))
-    if n == 0:
-        if error is not None:
-            raise error
-        return CohortDataset(schema=schema, trajectories=[])
-    if stored is None:
-        values, columns, unparsed_cells = _parse_columns(path, n, k, M, len(want))
-    if not has_bin:  # a bin column of empty cells
+    if "action_bin" not in header:  # a bin column of empty cells
         columns = [*columns[:4 + k], (np.array([""], dtype=object), np.zeros(n, np.int64))]
     # each text column as its distinct cells, first appearance first, and each
     # row's code among them: checks run on the cells, reach rows through codes
@@ -371,15 +334,14 @@ def load_cohort(path, schema: FeatureSchema,
     for j, a in enumerate(attrs):
         flag(~np.isin(cells[2 + j], schema.attributes[a])[codes[2 + j]], lambda r: IntegrityError(
             f"line {r + 2}: unknown value {cell(2 + j, r)!r} for attribute {a!r}"))
-    unparsed = values.view(np.uint64) == _UNPARSED
-    faulty = unparsed | np.isinf(values)
+    faulty = np.isinf(values)
+    faulty.flat[list(rejected)] = True
 
     def float_error(r):
         c = int(np.argmax(faulty[r]))
-        if unparsed[r, c]:
-            return ParseError(r + 2, f"column {float_names[c]!r}: not a number: "
-                                     f"{unparsed_cells[int(unparsed[:r].sum())]!r}")
-        return ParseError(r + 2, f"column {float_names[c]!r}: not finite")
+        text = rejected.get(r * (M + 2) + c)
+        return ParseError(r + 2, f"column {float_names[c]!r}: " + (
+            "not finite" if text is None else f"not a number: {text!r}"))
 
     flag(faulty.any(axis=1), float_error)
     flag(np.isnan(values[:, M:]).any(axis=1),
@@ -513,6 +475,13 @@ def write_cohort(cohort: CohortDataset, path) -> None:
     _write_companion(path, [h.strip() for h in header], values, lengths, cells, bins)
 
 
+# A cohort directory's files: the CSV, its column companion, the schema and
+# one sidecar per optional cohort attribute, named here only.
+_CSV, _SCHEMA = "cohort.csv", "schema.json"
+_SIDECARS = {"split": "splits.json", "norm_stats": "norm_stats.json", "binning": "binning.json"}
+COHORT_DIR_FILES = (_CSV, _companion(Path(_CSV)).name, _SCHEMA, *_SIDECARS.values())
+
+
 def save_cohort_dir(cohort: CohortDataset, out_dir) -> None:
     """Write cohort.csv (with its column companion) + schema.json, plus
     splits/norm-stats/binning sidecars when the cohort carries them. A
@@ -520,21 +489,21 @@ def save_cohort_dir(cohort: CohortDataset, out_dir) -> None:
     not describe the new cohort with an old one's statistics."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_cohort(cohort, out_dir / "cohort.csv")
-    (out_dir / "schema.json").write_text(
+    write_cohort(cohort, out_dir / _CSV)
+    (out_dir / _SCHEMA).write_text(
         json.dumps(cohort.schema.to_json(), indent=2), encoding="utf-8")
     sidecars = {
-        "splits.json": None if cohort.split is None
+        "split": None if cohort.split is None
         else json.dumps(cohort.split, indent=2, sort_keys=True),
-        "norm_stats.json": None if cohort.norm_stats is None
+        "norm_stats": None if cohort.norm_stats is None
         else json.dumps(cohort.norm_stats.to_json()),
-        "binning.json": None if cohort.binning is None else json.dumps(cohort.binning.to_json()),
+        "binning": None if cohort.binning is None else json.dumps(cohort.binning.to_json()),
     }
-    for name, text in sidecars.items():
+    for attr, text in sidecars.items():
         if text is None:
-            (out_dir / name).unlink(missing_ok=True)
+            (out_dir / _SIDECARS[attr]).unlink(missing_ok=True)
         else:
-            (out_dir / name).write_text(text, encoding="utf-8")
+            (out_dir / _SIDECARS[attr]).write_text(text, encoding="utf-8")
 
 
 def load_cohort_dir(path) -> CohortDataset:
@@ -543,21 +512,20 @@ def load_cohort_dir(path) -> CohortDataset:
     from .preprocess import ActionBinning, NormStats
     path = Path(path)
     try:
-        schema = FeatureSchema.from_json(read_json(path / "schema.json", FeatureSchema.SPEC))
+        schema = FeatureSchema.from_json(read_json(path / _SCHEMA, FeatureSchema.SPEC))
     except IntegrityError as exc:  # a rule no spec states, e.g. unique feature names
-        raise IntegrityError(f"{path / 'schema.json'}: {exc}") from exc
+        raise IntegrityError(f"{path / _SCHEMA}: {exc}") from exc
     # a norm-stats sidecar marks a preprocessed cohort: actions are z-scored
-    cohort = load_cohort(path / "cohort.csv", schema,
-                         allow_negative_actions=(path / "norm_stats.json").exists())
+    cohort = load_cohort(path / _CSV, schema,
+                         allow_negative_actions=(path / _SIDECARS["norm_stats"]).exists())
     sidecars = {
-        "split": ("splits.json", dict, {tr.id: SPLIT_TAGS for tr in cohort.trajectories}),
-        "norm_stats": ("norm_stats.json", NormStats.from_json,
-                       NormStats.spec(schema.n_features)),
-        "binning": ("binning.json", ActionBinning.from_json, ActionBinning.SPEC),
+        "split": (dict, {tr.id: SPLIT_TAGS for tr in cohort.trajectories}),
+        "norm_stats": (NormStats.from_json, NormStats.spec(schema.n_features)),
+        "binning": (ActionBinning.from_json, ActionBinning.SPEC),
     }
-    for attr, (name, from_json, spec) in sidecars.items():
-        if (path / name).exists():
-            setattr(cohort, attr, from_json(read_json(path / name, spec)))
+    for attr, (from_json, spec) in sidecars.items():
+        if (path / _SIDECARS[attr]).exists():
+            setattr(cohort, attr, from_json(read_json(path / _SIDECARS[attr], spec)))
     return cohort
 
 

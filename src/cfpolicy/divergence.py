@@ -68,8 +68,9 @@ def mmd_rbf(x, y, bandwidth: Optional[float] = None, *,
     The points reach the median and the kernel sum as given: the median
     chains ``np.hypot`` over the coordinates, and the kernel divides each
     difference by the bandwidth before squaring it, so no distance
-    underflows. Points that are not finite, or a pooled coordinate span
-    beyond the float range, raise ValueError.
+    underflows. Points that are not finite, a pooled coordinate span
+    beyond the float range, or an explicit bandwidth that is not finite
+    and > 0 raise ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -92,6 +93,8 @@ def mmd_rbf(x, y, bandwidth: Optional[float] = None, *,
             warnings.warn("zero median pairwise distance; falling back to bandwidth 1.0",
                           stacklevel=2)
             bandwidth, fallback = 1.0, True
+    elif not 0 < bandwidth < np.inf:  # also true for nan
+        raise ValueError(f"mmd_rbf needs a finite bandwidth > 0, got {bandwidth}")
     if info is not None:
         info.update(bandwidth=float(bandwidth), fallback=fallback)
     mmd2 = rbf_mmd2_biased(x, y, float(bandwidth))

@@ -43,11 +43,18 @@ def pipeline_dirs(tmp_path_factory):
     return {"raw": raw, "proc": proc, "model": model, "cf": cf}
 
 
+def _assert_outputs_declared(command, out):
+    """Every path under ``out`` is one ``cli.OUTPUTS[command]`` names."""
+    declared = {Path(template.format(out)) for template in cli.OUTPUTS[command]}
+    assert set(out.rglob("*")) <= declared
+
+
 def test_synth_artifacts(pipeline_dirs):
     raw = pipeline_dirs["raw"]
     for name in ("cohort.csv", "schema.json", "ground_truth.json",
                  "run_config.json"):
         assert (raw / name).exists(), name
+    _assert_outputs_declared("synth", raw)
 
 
 def test_preprocess_artifacts(pipeline_dirs):
@@ -55,6 +62,7 @@ def test_preprocess_artifacts(pipeline_dirs):
     for name in ("cohort.csv", "schema.json", "splits.json", "norm_stats.json",
                  "binning.json"):
         assert (proc / name).exists(), name
+    _assert_outputs_declared("preprocess", proc)
     splits = json.loads((proc / "splits.json").read_text())
     assert set(splits.values()) == {"train", "val", "test"}
 

@@ -349,7 +349,7 @@ def test_out_of_range_bin_in_companion_is_parse_error(tmp_path, monkeypatch, bad
         mortality_step=None, outcome_alive=True, action_bins=np.array([3, bad_bin]))
     path = tmp_path / "c.csv"
     write_cohort(CohortDataset(schema=SCHEMA, trajectories=[traj]), path)
-    monkeypatch.setattr(cohort_module, "_parse_columns", _no_text_parse)
+    monkeypatch.setattr(cohort_module, "_parse_csv", _no_text_parse)
     with pytest.raises(ParseError, match=f"bad action_bin '{bad_bin}'") as exc:
         load_cohort(path, SCHEMA)
     assert exc.value.line_no == 3
@@ -486,10 +486,7 @@ def _assert_same_load(got, want):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ragged_cohorts(), st.booleans(), st.data())
-def test_columnar_io_matches_row_reference(tmp_path, monkeypatch, cohort, allow_negative, data):
-    # small scan chunks split records, quoted fields and CRLF pairs between chunks
-    chunk = data.draw(st.sampled_from((1, 7, 64, 1 << 22)))
-    monkeypatch.setattr(cohort_module, "_SCAN_BYTES", chunk)
+def test_columnar_io_matches_row_reference(tmp_path, cohort, allow_negative, data):
     # fresh files per example: rewriting a just-written file can wait on writeback
     tmp = Path(tempfile.mkdtemp(dir=tmp_path))
     ours, theirs = tmp / "ours.csv", tmp / "ref.csv"
@@ -569,8 +566,7 @@ def test_companion_load_matches_text_parse(tmp_path, monkeypatch, cohort, schema
         path, companion = edited_path, companion.rename(tmp / "edited.csv.npz")
     with monkeypatch.context() as patch:
         if not stale:
-            patch.setattr(cohort_module, "_csv_records", _no_text_parse)
-            patch.setattr(cohort_module, "_parse_columns", _no_text_parse)
+            patch.setattr(cohort_module, "_parse_csv", _no_text_parse)
         got = _load_or_error(load_cohort, path, False, schema)
     companion.unlink()
     _assert_same_load(got, _load_or_error(load_cohort, path, False, schema))
@@ -606,8 +602,8 @@ def test_damaged_companion_falls_back_to_text_parse(tmp_path, monkeypatch, how):
     write_cohort(cohort, path)
     _damage(tmp_path / "c.csv.npz", how)
     calls = []
-    parse = cohort_module._parse_columns
-    monkeypatch.setattr(cohort_module, "_parse_columns",
+    parse = cohort_module._parse_csv
+    monkeypatch.setattr(cohort_module, "_parse_csv",
                         lambda *args: calls.append(args) or parse(*args))
     back = load_cohort(path, SCHEMA)
     assert len(calls) == 1
@@ -616,15 +612,27 @@ def test_damaged_companion_falls_back_to_text_parse(tmp_path, monkeypatch, how):
 
 def test_companion_holds_nan_as_the_text_parse_does(tmp_path, monkeypatch):
     tr = _traj("a")
-    tr.states[0, 0] = cohort_module._UNPARSED.view(np.float64)  # a NaN payload
+    tr.states[0, 0] = np.uint64(0x7FF8_0000_0BAD_0000).view(np.float64)  # a NaN payload
     tr.states[1, 1] = -np.nan
     path = tmp_path / "c.csv"
     write_cohort(CohortDataset(schema=SCHEMA, trajectories=[tr]), path)
     with monkeypatch.context() as patch:
-        patch.setattr(cohort_module, "_parse_columns", _no_text_parse)
+        patch.setattr(cohort_module, "_parse_csv", _no_text_parse)
         got = load_cohort(path, SCHEMA)
     (tmp_path / "c.csv.npz").unlink()
     _assert_same_load(got, load_cohort(path, SCHEMA))
+
+
+def test_cell_longer_than_the_csv_field_limit_loads(tmp_path):
+    # csv.reader rejects a field over 131,072 characters by default; the
+    # parse raises its limit for the pass only
+    limit = csv.field_size_limit()
+    cohort = CohortDataset(schema=SCHEMA, trajectories=[_traj("x" * 200_000), _traj("b")])
+    path = tmp_path / "c.csv"
+    write_cohort(cohort, path)
+    (tmp_path / "c.csv.npz").unlink()
+    _assert_same_load(load_cohort(path, SCHEMA), cohort)
+    assert csv.field_size_limit() == limit
 
 
 def test_cell_ending_in_nul_gets_no_companion(tmp_path):

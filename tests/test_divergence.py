@@ -180,6 +180,10 @@ def test_mmd_rejects_a_span_beyond_the_float_range(x, y):
 def test_explicit_bandwidth_is_respected(rng):
     x, y = rng.normal(size=8), rng.normal(size=8) + 2
     assert mmd_rbf(x, y, bandwidth=0.5) != mmd_rbf(x, y, bandwidth=5.0)
+    # unchecked, 0 divides by zero, nan gives nan, inf gives 0.0 and -1 the value of +1
+    for bad in (0.0, float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="finite bandwidth > 0"):
+            mmd_rbf([[0.0], [1.0]], [[0.5], [2.0]], bandwidth=bad)
 
 
 def _sample(draw, n, dims, integer):
