@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
-from .dynamics import WINDOW, state_window
+from .dynamics import WINDOW, Windows
 from .errors import EmptySubgroupError, SchemaMismatchError, UndefinedMetricError, check
 from .numcore import (Adam, Mlp, MlpSpec, fit, infer, load_checkpoint, nll_loss,
                       rmse_loss, save_checkpoint, softmax)
@@ -57,13 +57,12 @@ class BcPolicy:
 
 
 def build_dataset(cohort: CohortDataset, split: str, mode: str):
-    """Flattened observation windows and targets for one split, in
-    (trajectory, t) order."""
+    """Flattened observation windows (a ``Windows``, gathered on demand) and
+    targets for one split, in (trajectory, t) order."""
     trajs = cohort.by_split(split)
     if not trajs:
         raise EmptySubgroupError(f"split {split!r} has no trajectories")
-    X = np.concatenate([state_window(tr.states, np.arange(tr.T)).reshape(tr.T, -1)
-                        for tr in trajs])
+    X = Windows.of(trajs)
     if mode == "regression":
         return X, np.concatenate([tr.actions for tr in trajs])
     return X, np.concatenate([tr.action_bins for tr in trajs]).astype(np.int64)
@@ -81,7 +80,7 @@ def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
     Xv, Yv = build_dataset(data, "val", mode)
     if hp.max_windows is not None and len(X) > hp.max_windows:
         keep = rng.choice(len(X), hp.max_windows, replace=False)
-        X, Y = X[keep], Y[keep]
+        X, Y = X.select(keep), Y[keep]
 
     n_out = N_ACTIONS if mode == "classification" else Y.shape[1]
     spec = MlpSpec(widths=(X.shape[1],) + tuple(hp.hidden) + (n_out,), batch_norm=True)
@@ -99,11 +98,12 @@ def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
 
 
 def predict(policy: BcPolicy, window: np.ndarray) -> np.ndarray:
-    """(B, 3*M) flattened windows -> (B, 25) probability vectors or (B, 2)
-    normalized dose pairs, through ``infer``: each row's output depends on
-    that row alone, in memory bounded by one block."""
-    x = np.asarray(window, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != policy.input_width:
+    """(B, 3*M) flattened windows (an array or a ``Windows``) -> (B, 25)
+    probability vectors or (B, 2) normalized dose pairs, through ``infer``:
+    each row's output depends on that row alone, in memory bounded by one
+    block."""
+    x = window if isinstance(window, Windows) else np.asarray(window, dtype=np.float64)
+    if len(x.shape) != 2 or x.shape[1] != policy.input_width:
         raise SchemaMismatchError(
             f"expected (B, {policy.input_width}) windows, got {x.shape}")
     out = infer(policy.mlp, x)

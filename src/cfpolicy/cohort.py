@@ -183,7 +183,7 @@ def _parse_csv(path: Path, k: int, M: int, check_header):
     limit = csv.field_size_limit(max(csv.field_size_limit(), path.stat().st_size))
     values, text, rejected, error, lo, hi = array("d"), [], {}, None, 2 + k, 4 + k + M
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             records = csv.reader(fh)
             header = next(records, None)
             if header is None:
@@ -287,6 +287,10 @@ def load_cohort(path, schema: FeatureSchema,
     ``csv.reader`` pass with ``float()`` on each feature and dose cell, and
     checked as whole arrays (text columns through their distinct cells); of
     several faults, the one a row-by-row parser meets first is raised.
+    Each trajectory's states and actions are row slices of one block: the
+    loaded block itself when its rows are already in (first appearance,
+    timestep) order, as in every file ``write_cohort`` writes, else a copy
+    in that order.
     """
     from .preprocess import N_ACTIONS  # preprocess imports this module
     path = Path(path)
@@ -393,8 +397,10 @@ def load_cohort(path, schema: FeatureSchema,
         traj_flag(differs(codes[2 + j]), lambda i: IntegrityError(
             f"trajectory {cell(0, order[i])}: inconsistent attribute {a!r}"))
 
-    states, actions, bins = values[:, :M][order], values[:, M:][order], bins[order]
-    complete = ~np.logical_or.reduceat(unbinned[order], starts)
+    if not np.array_equal(order, np.arange(n)):  # rows are gathered only when out of order
+        values, bins, unbinned = values[order], bins[order], unbinned[order]
+    states, actions = values[:, :M], values[:, M:]
+    complete = ~np.logical_or.reduceat(unbinned, starts)
     rows = order[starts]  # each trajectory's timestep 0
     ids, *attr_cells = (cells[j][codes[j][rows]].tolist() for j in (0, *range(2, 2 + k)))
     survived, mort, alive = survived[rows].tolist(), mort[rows].tolist(), alive[rows].tolist()
@@ -427,8 +433,9 @@ def _quoted(column) -> list:
 def write_cohort(cohort: CohortDataset, path) -> None:
     """Emit the cohort CSV; inverse of ``load_cohort`` (bit-exact round trip).
 
-    Cells are built a column at a time (floats as ``repr``, NaN as an empty
-    cell, each encounter's text cells quoted once as ``csv.writer`` would),
+    The float cells are copied into one preallocated block. Cells are built
+    a column at a time (floats as ``repr``, NaN as an empty cell, each
+    encounter's text cells quoted once as ``csv.writer`` would),
     and the lines of 16 encounters are joined into one string and written
     at once, which bounds the memory strings take. Float, timestep and bin
     cells never need quotes. The column companion is written after the CSV
@@ -447,8 +454,10 @@ def write_cohort(cohort: CohortDataset, path) -> None:
              ["1" if tr.outcome_alive else "0" for tr in trajs]]
     lengths = np.array([tr.T for tr in trajs], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    values = np.concatenate([np.empty((0, cohort.schema.n_features + 2))]
-                            + [np.column_stack([tr.states, tr.actions]) for tr in trajs])
+    M = cohort.schema.n_features
+    values = np.empty((int(offsets[-1]), M + 2))
+    for tr, lo, hi in zip(trajs, offsets[:-1].tolist(), offsets[1:].tolist()):
+        values[lo:hi, :M], values[lo:hi, M:] = tr.states, tr.actions
     bins = np.concatenate([np.empty(0, np.int64)]
                           + [tr.action_bins for tr in trajs if has_bins]).astype(np.int64)
 

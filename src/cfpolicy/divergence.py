@@ -21,7 +21,7 @@ import numpy as np
 
 from .bc import BcPolicy, predict
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
-from .dynamics import state_window
+from .dynamics import Windows
 from .errors import EmptySubgroupError, read_json
 from .kernels import median_pairwise_distance, rbf_mmd2_biased
 from .preprocess import (N_ACTIONS, NormStats, action_index_to_doses, bin_actions_batch,
@@ -158,8 +158,7 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
         labels = np.concatenate([tr.action_bins for tr in trajs])
         doses = denormalize_actions(stats, np.concatenate([tr.actions for tr in trajs]))
     else:
-        out = predict(policy, np.concatenate(
-            [state_window(tr.states, np.arange(tr.T)).reshape(tr.T, -1) for tr in trajs]))
+        out = predict(policy, Windows.of(trajs))
         if policy.mode == "classification":
             doses = action_index_to_doses(np.argmax(out, axis=1), cohort.binning)
         else:

@@ -22,22 +22,76 @@ from .preprocess import ActionBinning, NormStats
 
 WINDOW = 3
 STATE_CLIP = 8.0
+_STEPS = np.arange(1 - WINDOW, 1)  # a window's rows relative to its time row
 
 
-def state_window(states: np.ndarray, t) -> np.ndarray:
+def state_window(states: np.ndarray, t, first=0) -> np.ndarray:
     """States-only observation window(s), oldest step first: (3, M) for an
-    int ``t``, (len(t), 3, M) for an int array. Timesteps before 0 repeat
-    the earliest state."""
-    idx = np.asarray(t)[..., None] + np.arange(1 - WINDOW, 1)
-    return states[np.maximum(idx, 0)]
+    int ``t``, (len(t), 3, M) for an int array. Rows before ``first`` (the
+    encounter's first row, an int or one per ``t``) repeat that row."""
+    idx = np.asarray(t)[..., None] + _STEPS
+    np.maximum(idx, np.asarray(first)[..., None], out=idx)
+    return states.take(idx, axis=0)
 
 
-def window_arrays(states: np.ndarray, actions: np.ndarray, t):
+def window_arrays(states: np.ndarray, actions: np.ndarray, t, first=0):
     """State and action windows at ``t`` (int or int array), shaped like
-    ``state_window``; actions before timestep 0 are zero."""
-    idx = np.asarray(t)[..., None] + np.arange(1 - WINDOW, 1)
-    a = np.where(idx[..., None] >= 0, actions[np.maximum(idx, 0)], 0.0)
-    return state_window(states, t), a
+    ``state_window``; actions before row ``first`` are zero."""
+    idx = np.asarray(t)[..., None] + _STEPS
+    lo = np.asarray(first)[..., None]
+    a = np.where((idx >= lo)[..., None], actions.take(np.maximum(idx, lo), axis=0), 0.0)
+    return state_window(states, t, first), a
+
+
+class Windows:
+    """The observation windows of one split, gathered on demand.
+
+    The split's states (and, for the dynamics model, its actions) are one
+    row block; window i ends at row ``t[i]`` of it, and ``first[i]`` is the
+    first row of its encounter. Indexing with an int, a slice or an int
+    array, and ``np.asarray``, give the windows ``state_window`` gives,
+    flattened to (n, 3*M) rows for a policy, or with ``actions`` those of
+    ``window_arrays`` side by side, (n, 3, M+2), for the dynamics model; no
+    more than the requested windows are ever built.
+    """
+
+    def __init__(self, states, t, first, actions=None):
+        self.states, self.t, self.first, self.actions = states, t, first, actions
+
+    @classmethod
+    def of(cls, trajs, transitions: bool = False) -> "Windows":
+        """The policy windows at every timestep of ``trajs``, in (trajectory,
+        t) order; with ``transitions``, the dynamics windows at every
+        timestep that has a next one."""
+        lengths = np.array([tr.T for tr in trajs], dtype=np.int64)
+        ends = np.cumsum(lengths)
+        first = np.repeat(ends - lengths, lengths)
+        t = np.arange(len(first))
+        if transitions:  # every row but each encounter's last
+            t, first = np.delete(t, ends - 1), np.delete(first, ends - 1)
+        return cls(np.concatenate([tr.states for tr in trajs]), t, first,
+                   np.concatenate([tr.actions for tr in trajs]) if transitions else None)
+
+    def select(self, keep) -> "Windows":
+        """The windows at positions ``keep``, still ungathered."""
+        return Windows(self.states, self.t[keep], self.first[keep], self.actions)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @property
+    def shape(self) -> tuple:
+        M = self.states.shape[1]
+        return (len(self), WINDOW * M) if self.actions is None else (len(self), WINDOW, M + 2)
+
+    def __getitem__(self, key) -> np.ndarray:
+        t, first = self.t[key], self.first[key]
+        if self.actions is None:
+            return state_window(self.states, t, first).reshape(np.shape(t) + self.shape[1:])
+        return np.concatenate(window_arrays(self.states, self.actions, t, first), axis=-1)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
 
 
 @dataclass
@@ -69,20 +123,16 @@ class TransitionModel:
 
 
 def _collect_windows(cohort: CohortDataset, split: str, max_windows=None, rng=None):
-    """Every (window, next-state delta) pair of one split, in (trajectory, t)
-    order."""
-    xs, ys = [], []
-    for tr in cohort.by_split(split):
-        s, a = window_arrays(tr.states, tr.actions, np.arange(tr.T - 1))
-        xs.append(np.concatenate([s, a], axis=2))
-        ys.append(np.diff(tr.states, axis=0))
-    if sum(len(x) for x in xs) == 0:
+    """The dynamics windows of one split, in (trajectory, t) order, or
+    ``max_windows`` of them drawn by ``rng``, and their next-state deltas."""
+    trajs = cohort.by_split(split)
+    if sum(tr.T - 1 for tr in trajs) == 0:
         raise EmptySubgroupError(f"split {split!r} has no state transitions")
-    X = np.concatenate(xs)
-    Y = np.concatenate(ys)
+    X = Windows.of(trajs, transitions=True)
     if max_windows is not None and len(X) > max_windows:
-        keep = rng.choice(len(X), max_windows, replace=False)
-        X, Y = X[keep], Y[keep]
+        X = X.select(rng.choice(len(X), max_windows, replace=False))
+    Y = X.states[X.t + 1]
+    Y -= X.states[X.t]
     return X, Y
 
 

@@ -19,10 +19,13 @@ def infer(model, X) -> np.ndarray:
 
     Every call gets a full block, the last one padded with zero rows, so an
     output row depends on its input row alone, not on the number or order
-    of the other rows. Activation memory is one block's whatever len(X) is,
-    and the model's backward cache is dropped on return.
+    of the other rows. ``X`` is an array or anything with ``shape`` whose
+    slices are arrays (such as ``dynamics.Windows``), sliced once per block.
+    Activation memory is one block's whatever len(X) is, and the model's
+    backward cache is dropped on return.
     """
-    X = np.asarray(X, dtype=np.float64)
+    if not hasattr(X, "shape"):
+        X = np.asarray(X, dtype=np.float64)
     n = len(X)
     block = np.zeros((BLOCK,) + X.shape[1:])
     out = None
@@ -45,6 +48,8 @@ def fit(model, opt, loss_fn, X, Y, Xv, Yv, *, epochs: int, batch: int,
 
     ``model`` provides forward(x, train), backward(grad), clear_cache(),
     state() and load_state(); ``loss_fn(pred, target)`` returns (loss, grad).
+    ``X`` is indexed with each minibatch's int array of rows and ``Xv``
+    goes to ``infer``, so either may be a ``dynamics.Windows``.
     The validation predictions come from ``infer``. Training stops early
     once ``patience`` epochs pass without a new best validation loss (never
     when ``patience`` is None). The model ends on its best-validation state.

@@ -635,6 +635,46 @@ def test_cell_longer_than_the_csv_field_limit_loads(tmp_path):
     assert csv.field_size_limit() == limit
 
 
+def _shares_one_block(cohort) -> bool:
+    """Whether every trajectory's states and actions view one array."""
+    block = cohort.trajectories[0].states.base
+    return block is not None and all(np.shares_memory(a, block) for tr in cohort.trajectories
+                                     for a in (tr.states, tr.actions))
+
+
+@pytest.mark.parametrize("companion", [True, False])
+def test_written_cohort_loads_in_place_and_a_shuffled_one_loads_the_same(
+        tmp_path, companion):
+    cohort = CohortDataset(schema=SCHEMA, trajectories=[
+        _traj(tid, gender, T) for tid, gender, T in
+        (("a", "M", 3), ("b", "F", 1), ("c", "F", 5), ("d", "M", 4))])
+    path = tmp_path / "c.csv"
+    write_cohort(cohort, path)
+    if not companion:
+        (tmp_path / "c.csv.npz").unlink()
+    ordered = load_cohort(path, SCHEMA)
+    _assert_same_load(ordered, cohort)
+    assert _shares_one_block(ordered)  # rows already in order: no copy
+    # a foreign file with the same rows in another order: grouped and sorted
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    order = np.random.default_rng(0).permutation(len(rows))
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows[i] for i in order), encoding="utf-8")
+    got = load_cohort(shuffled, SCHEMA)
+    got.trajectories.sort(key=lambda tr: tr.id)  # they come in order of first appearance
+    _assert_same_load(got, ordered)
+
+
+def test_csv_with_a_byte_order_mark_loads(tmp_path):
+    # spreadsheet and database exports often start with a UTF-8 BOM
+    cohort = CohortDataset(schema=SCHEMA, trajectories=[_traj("a"), _traj("b", "F", 4)])
+    path = tmp_path / "c.csv"
+    write_cohort(cohort, path)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    _assert_same_load(load_cohort(marked, SCHEMA), load_cohort(path, SCHEMA))
+
+
 def test_cell_ending_in_nul_gets_no_companion(tmp_path):
     path = tmp_path / "c.csv"
     write_cohort(CohortDataset(schema=SCHEMA, trajectories=[_traj("b")]), path)

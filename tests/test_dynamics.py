@@ -1,5 +1,6 @@
 """Transition model: history windows, training, rollout safety, storage."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfpolicy.bc import build_dataset
+from cfpolicy.bc import BcHyperParams, build_dataset, train_bc
+from cfpolicy.cohort import assign_splits
 from cfpolicy.dynamics import (STATE_CLIP, WINDOW, DynHyperParams, TransitionModel,
                                _collect_windows, eval_dynamics_mse, load_dynamics,
                                rollout, save_dynamics, state_window, train_dynamics,
                                window_arrays)
 from cfpolicy.errors import EmptySubgroupError, RolloutBlowupError
+from cfpolicy.preprocess import preprocess_cohort
+from cfpolicy.synth import SynthConfig, generate
 
 
 def reference_window(states, actions, t):
@@ -98,19 +102,39 @@ def _ragged(cohort, lengths):
     return replace(cohort, trajectories=trajs)
 
 
+def _assert_gathers(X, ref, rng):
+    """Every read ``fit`` and ``infer`` make of a window source (its length
+    and shape, ``np.asarray``, slices and int arrays of rows) gives the
+    reference rows byte for byte."""
+    assert len(X) == len(ref) and X.shape == ref.shape
+    assert np.asarray(X).tobytes() == ref.tobytes()
+    for _ in range(4):
+        lo, hi = sorted(rng.integers(0, len(ref) + 1, 2).tolist())
+        step = int(rng.integers(1, 4))
+        for key in (slice(lo, hi), slice(lo, hi, step),
+                    rng.integers(0, len(ref), int(rng.integers(0, 2 * len(ref) + 1)))):
+            got = X[key]
+            assert got.shape == ref[key].shape and got.tobytes() == ref[key].tobytes()
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(1, 8), min_size=60, max_size=60))
-@example([1] * 60)  # every encounter T=1: no transitions at all
-def test_cohort_windows_equal_reference_concatenation(proc_cohort, lengths):
+@given(st.lists(st.integers(1, 8), min_size=60, max_size=60), st.integers(0, 2**32 - 1))
+@example([1] * 60, 0)  # every encounter T=1: no transitions at all
+def test_cohort_windows_equal_reference_concatenation(proc_cohort, lengths, seed):
     cohort = _ragged(proc_cohort, lengths)
     trajs = cohort.by_split("train")
     refs = [[reference_window(tr.states, tr.actions, t) for t in range(tr.T)] for tr in trajs]
+    rng = np.random.default_rng(seed)
+    ref_x = np.stack([r[0].reshape(-1) for rs in refs for r in rs])
     X, Y = build_dataset(cohort, "train", "regression")
-    assert X.tobytes() == np.stack([r[0].reshape(-1) for rs in refs for r in rs]).tobytes()
+    _assert_gathers(X, ref_x, rng)
     assert Y.tobytes() == np.concatenate([tr.actions for tr in trajs]).tobytes()
-    _, labels = build_dataset(cohort, "train", "classification")
+    Xc, labels = build_dataset(cohort, "train", "classification")
+    _assert_gathers(Xc, ref_x, rng)
     assert labels.dtype == np.int64
     assert np.array_equal(labels, np.concatenate([tr.action_bins for tr in trajs]))
+    keep = rng.choice(len(ref_x), int(rng.integers(1, len(ref_x) + 1)), replace=False)
+    _assert_gathers(X.select(keep), ref_x[keep], rng)  # train_bc's max_windows subset
 
     pairs = [(np.concatenate(rs[t], axis=1), tr.states[t + 1] - tr.states[t])
              for tr, rs in zip(trajs, refs) for t in range(tr.T - 1)]
@@ -118,9 +142,47 @@ def test_cohort_windows_equal_reference_concatenation(proc_cohort, lengths):
         with pytest.raises(EmptySubgroupError, match="'train'"):
             _collect_windows(cohort, "train")
         return
+    ref_xd, ref_yd = np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
     Xd, Yd = _collect_windows(cohort, "train")
-    assert Xd.tobytes() == np.stack([x for x, _ in pairs]).tobytes()
-    assert Yd.tobytes() == np.stack([y for _, y in pairs]).tobytes()
+    _assert_gathers(Xd, ref_xd, rng)
+    assert Yd.tobytes() == ref_yd.tobytes()
+    # a max_windows subset is the same rng.choice draw of the same windows
+    k = int(rng.integers(1, len(pairs) + 1))
+    Xs, Ys = _collect_windows(cohort, "train", k, np.random.default_rng(seed))
+    keep = (np.random.default_rng(seed).choice(len(pairs), k, replace=False)
+            if k < len(pairs) else np.arange(len(pairs)))
+    _assert_gathers(Xs, ref_xd[keep], rng)
+    assert Ys.tobytes() == ref_yd[keep].tobytes()
+
+
+# Per model: an allowance in bytes for the memory that does not grow with
+# the cohort (the model, its optimizer and workspaces, one inference
+# block), and a 1-epoch training run. BC trains in regression mode, since a
+# classification val loss holds 25 probabilities per row, more than a state row.
+TRAINING_RUNS = {
+    "bc": (3 << 20, lambda c: train_bc(c, None, "regression", BcHyperParams(epochs=1))),
+    "dynamics": (7 << 20, lambda c: train_dynamics(
+        c, DynHyperParams(epochs=1, max_windows=2000))),
+}
+
+
+@pytest.mark.parametrize("model", sorted(TRAINING_RUNS))
+def test_training_memory_is_bounded_by_the_split_states(model):
+    # windows are gathered per minibatch and per inference block, so the
+    # training and validation splits are held about once, as one state row
+    # block, not as three copies in their windows
+    cohort, _ = generate(SynthConfig(n_patients=800, T=72, n_features=12, seed=3))
+    cohort = preprocess_cohort(assign_splits(cohort, seed=3))
+    split_bytes = sum(tr.states.nbytes for tag in ("train", "val")
+                      for tr in cohort.by_split(tag))
+    allowance, run = TRAINING_RUNS[model]
+    tracemalloc.start()
+    try:
+        run(cohort)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * split_bytes + allowance
 
 
 @pytest.fixture(scope="module")
