@@ -14,7 +14,8 @@ import numpy as np
 
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import WINDOW, Windows
-from .errors import EmptySubgroupError, SchemaMismatchError, UndefinedMetricError, check
+from .errors import (EmptySubgroupError, IntegrityError, SchemaMismatchError,
+                     UndefinedMetricError, check)
 from .numcore import (Adam, Mlp, MlpSpec, fit, infer, load_checkpoint, nll_loss,
                       rmse_loss, save_checkpoint, softmax)
 from .preprocess import N_ACTIONS, ActionBinning, NormStats
@@ -57,15 +58,17 @@ class BcPolicy:
 
 
 def build_dataset(cohort: CohortDataset, split: str, mode: str):
-    """Flattened observation windows (a ``Windows``, gathered on demand) and
-    targets for one split, in (trajectory, t) order."""
-    trajs = cohort.by_split(split)
-    if not trajs:
+    """Flattened observation windows and their targets (dose pairs or
+    action bins) for one split, in (trajectory, t) order, each a
+    ``Windows`` gathered from the cohort's block on demand."""
+    X = Windows.of(cohort, split)
+    if len(X) == 0:
         raise EmptySubgroupError(f"split {split!r} has no trajectories")
-    X = Windows.of(trajs)
     if mode == "regression":
-        return X, np.concatenate([tr.actions for tr in trajs])
-    return X, np.concatenate([tr.action_bins for tr in trajs]).astype(np.int64)
+        return X, X.targets("dose")
+    if any(tr.action_bins is None for tr in cohort.by_split(split)):
+        raise IntegrityError(f"split {split!r} holds trajectories without action bins")
+    return X, X.targets("bin")
 
 
 def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
@@ -80,7 +83,7 @@ def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
     Xv, Yv = build_dataset(data, "val", mode)
     if hp.max_windows is not None and len(X) > hp.max_windows:
         keep = rng.choice(len(X), hp.max_windows, replace=False)
-        X, Y = X.select(keep), Y[keep]
+        X, Y = X.select(keep), Y.select(keep)
 
     n_out = N_ACTIONS if mode == "classification" else Y.shape[1]
     spec = MlpSpec(widths=(X.shape[1],) + tuple(hp.hidden) + (n_out,), batch_norm=True)
@@ -108,13 +111,13 @@ def predict(policy: BcPolicy, window: np.ndarray) -> np.ndarray:
             f"expected (B, {policy.input_width}) windows, got {x.shape}")
     out = infer(policy.mlp, x)
     if policy.mode == "classification":
-        out = softmax(out)
+        softmax(out, out=out)
     return out
 
 
 def predict_split(policy: BcPolicy, cohort: CohortDataset, split: str):
     X, Y = build_dataset(cohort, split, policy.mode)
-    return predict(policy, X), Y
+    return predict(policy, X), np.asarray(Y)
 
 
 def eval_rmse(policy: BcPolicy, cohort: CohortDataset, split: str = "test"):

@@ -388,7 +388,8 @@ def main(argv=None) -> int:
     except (TrainingDivergenceError, RolloutBlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CfPolicyError, ValueError, FileNotFoundError) as exc:
+    except (CfPolicyError, ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:  # an input path that is missing or of the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -19,7 +19,7 @@ import io
 import json
 import zipfile
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -134,13 +134,30 @@ class PatientTrajectory:
 
 @dataclass
 class CohortDataset:
-    """A set of trajectories plus schema, split tags, and fitted statistics."""
+    """A set of trajectories plus schema, split tags, and fitted statistics.
+
+    Every encounter's rows live in one float block, ``block`` (rows, M + 2):
+    a trajectory whose first row is block row s has the states
+    ``block[s:s + T, :M]`` and the doses ``block[s:s + T, M:]``, and its
+    action bins, when it has them, are ``bins[s:s + T]``. A block may hold
+    rows of no trajectory (those a subgroup or a shortened trajectory left
+    out). Trajectories that are not such views of the given block (built
+    in memory, or replaced) have their rows copied into a new block, back
+    to back, and are replaced by views of it.
+    """
 
     schema: FeatureSchema
     trajectories: list
     split: Optional[dict] = None  # trajectory id -> 'train' | 'val' | 'test'
     norm_stats: Optional["NormStats"] = None
     binning: Optional["ActionBinning"] = None
+    block: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    bins: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if _first_rows(self.trajectories, self.block, self.bins) is None:
+            self.block, self.bins, self.trajectories = _pack(
+                self.trajectories, self.schema.n_features)
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -151,6 +168,65 @@ class CohortDataset:
         if tag not in SPLIT_TAGS:
             raise ValueError(f"unknown split tag {tag!r}")
         return [tr for tr in self.trajectories if self.split[tr.id] == tag]
+
+    def rows(self, tag: Optional[str] = None):
+        """The first block row and the length of each trajectory, or of
+        each in split ``tag``, in order. Trajectories replaced since the
+        cohort was made are packed into a new block first."""
+        trajs = self.trajectories if tag is None else self.by_split(tag)
+        first = _first_rows(trajs, self.block, self.bins)
+        if first is None:
+            self.__post_init__()
+            return self.rows(tag)
+        return first, np.array([tr.T for tr in trajs], dtype=np.int64)
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _first_rows(trajs, block, bins) -> Optional[np.ndarray]:
+    """The block row at which each trajectory's views of ``block`` (and
+    ``bins``) start, as ``CohortDataset`` describes them; None if some
+    trajectory's arrays are not such views."""
+    if (block is None or block.ndim != 2 or block.dtype != np.float64
+            or not block.flags.c_contiguous):
+        return None
+    M, (row, cell) = block.shape[1] - 2, block.strides
+    base = _address(block)
+    binned = bins is not None and bins.dtype == np.int64 and bins.flags.c_contiguous
+    first = np.empty(len(trajs), np.int64)
+    for i, tr in enumerate(trajs):
+        s, off = divmod(_address(tr.states) - base, row)
+        if not (off == 0 and 0 <= s and s + tr.T <= len(block) and tr.states.shape[1] == M
+                and tr.states.strides == tr.actions.strides == block.strides
+                and _address(tr.actions) == _address(tr.states) + M * cell):
+            return None
+        if tr.action_bins is not None and not (
+                binned and s + tr.T <= len(bins) and tr.action_bins.strides == bins.strides
+                and tr.action_bins.dtype == np.int64
+                and _address(tr.action_bins) == _address(bins) + s * bins.strides[0]):
+            return None
+        first[i] = s
+    return first
+
+
+def _pack(trajs, M: int):
+    """A new block (and bins, if any trajectory has them) holding the rows
+    of ``trajs`` back to back, and the trajectories as views of them."""
+    ends = np.cumsum([tr.T for tr in trajs], dtype=np.int64)
+    block = np.empty((int(ends[-1]) if len(ends) else 0, M + 2))
+    binned = any(tr.action_bins is not None for tr in trajs)
+    bins = np.zeros(len(block), np.int64) if binned else None
+    views = []
+    for tr, e in zip(trajs, ends.tolist()):
+        rows = slice(e - tr.T, e)
+        block[rows, :M], block[rows, M:] = tr.states, tr.actions
+        if tr.action_bins is not None:
+            bins[rows] = tr.action_bins
+        views.append(replace(tr, states=block[rows, :M], actions=block[rows, M:],
+                             action_bins=None if tr.action_bins is None else bins[rows]))
+    return block, bins, views
 
 
 def _factorize(cells):
@@ -287,10 +363,10 @@ def load_cohort(path, schema: FeatureSchema,
     ``csv.reader`` pass with ``float()`` on each feature and dose cell, and
     checked as whole arrays (text columns through their distinct cells); of
     several faults, the one a row-by-row parser meets first is raised.
-    Each trajectory's states and actions are row slices of one block: the
-    loaded block itself when its rows are already in (first appearance,
-    timestep) order, as in every file ``write_cohort`` writes, else a copy
-    in that order.
+    Each trajectory's states and actions are row slices of the cohort's
+    ``block``: the loaded block itself when its rows are already in (first
+    appearance, timestep) order, as in every file ``write_cohort`` writes,
+    else a copy in that order.
     """
     from .preprocess import N_ACTIONS  # preprocess imports this module
     path = Path(path)
@@ -413,7 +489,8 @@ def load_cohort(path, schema: FeatureSchema,
             states=states[s:e], actions=actions[s:e],
             mortality_step=None if survived[i] else mort[i], outcome_alive=alive[i],
             action_bins=bins[s:e] if complete[i] else None))
-    return CohortDataset(schema=schema, trajectories=trajectories)
+    return CohortDataset(schema=schema, trajectories=trajectories, block=values,
+                         bins=bins if complete.any() else None)
 
 
 def _quoted(column) -> list:
@@ -550,7 +627,8 @@ def assign_splits(cohort: CohortDataset, seed: int) -> CohortDataset:
 
 
 def filter_subgroup(cohort: CohortDataset, key: SubgroupKey) -> CohortDataset:
-    """Restrict to one subgroup; normalization statistics are inherited."""
+    """Restrict to one subgroup, whose trajectories keep their rows in the
+    cohort's block; normalization statistics are inherited."""
     if key.attribute not in cohort.schema.attributes:
         raise IntegrityError(f"attribute {key.attribute!r} not declared in cohort")
     kept = [tr for tr in cohort.trajectories if tr.attributes[key.attribute] == key.value]
@@ -560,4 +638,5 @@ def filter_subgroup(cohort: CohortDataset, key: SubgroupKey) -> CohortDataset:
     if cohort.split is not None:
         split = {tr.id: cohort.split[tr.id] for tr in kept}
     return CohortDataset(schema=cohort.schema, trajectories=kept, split=split,
-                         norm_stats=cohort.norm_stats, binning=cohort.binning)
+                         norm_stats=cohort.norm_stats, binning=cohort.binning,
+                         block=cohort.block, bins=cohort.bins)

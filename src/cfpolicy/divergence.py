@@ -149,16 +149,16 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
     timestep of each, and entry t of the per-timestep list (t below the
     longest length) takes the trajectories that reach t.
     """
-    trajs = cohort.by_split(split)
-    if not trajs:
+    X = Windows.of(cohort, split)
+    if len(X) == 0:
         raise EmptySubgroupError(f"split {split!r} has no trajectories")
     stats = cohort.norm_stats
-    t_rows = np.concatenate([np.arange(tr.T) for tr in trajs])
+    t_rows = X.t - X.first
     if policy is None:
-        labels = np.concatenate([tr.action_bins for tr in trajs])
-        doses = denormalize_actions(stats, np.concatenate([tr.actions for tr in trajs]))
+        labels = np.asarray(X.targets("bin"))
+        doses = denormalize_actions(stats, np.asarray(X.targets("dose")))
     else:
-        out = predict(policy, Windows.of(trajs))
+        out = predict(policy, X)
         if policy.mode == "classification":
             doses = action_index_to_doses(np.argmax(out, axis=1), cohort.binning)
         else:

@@ -16,8 +16,9 @@ import numpy as np
 
 from .cohort import CohortDataset
 from .errors import EmptySubgroupError, RolloutBlowupError, check
-from .numcore import (Adam, RecurrentRegressor, fit, infer, load_checkpoint, mse_loss,
-                      save_checkpoint)
+from .numcore import (Adam, RecurrentRegressor, blocked_loss, fit, load_checkpoint,
+                      mse_loss, save_checkpoint)
+from .numcore.training import BLOCK
 from .preprocess import ActionBinning, NormStats
 
 WINDOW = 3
@@ -25,70 +26,93 @@ STATE_CLIP = 8.0
 _STEPS = np.arange(1 - WINDOW, 1)  # a window's rows relative to its time row
 
 
+def _rows(t, first):
+    """The block rows of the window(s) ending at ``t``, oldest first, and
+    the first row of their encounter, shaped to compare with them."""
+    return np.asarray(t)[..., None] + _STEPS, np.asarray(first)[..., None]
+
+
 def state_window(states: np.ndarray, t, first=0) -> np.ndarray:
     """States-only observation window(s), oldest step first: (3, M) for an
     int ``t``, (len(t), 3, M) for an int array. Rows before ``first`` (the
     encounter's first row, an int or one per ``t``) repeat that row."""
-    idx = np.asarray(t)[..., None] + _STEPS
-    np.maximum(idx, np.asarray(first)[..., None], out=idx)
-    return states.take(idx, axis=0)
+    idx, lo = _rows(t, first)
+    return states.take(np.maximum(idx, lo, out=idx), axis=0)
 
 
-def window_arrays(states: np.ndarray, actions: np.ndarray, t, first=0):
-    """State and action windows at ``t`` (int or int array), shaped like
-    ``state_window``; actions before row ``first`` are zero."""
-    idx = np.asarray(t)[..., None] + _STEPS
-    lo = np.asarray(first)[..., None]
-    a = np.where((idx >= lo)[..., None], actions.take(np.maximum(idx, lo), axis=0), 0.0)
-    return state_window(states, t, first), a
+def window_arrays(rows: np.ndarray, t, first=0) -> np.ndarray:
+    """Dynamics window(s) of a block whose last two columns are the doses:
+    its rows as ``state_window`` gathers them, (3, M+2) or (len(t), 3, M+2),
+    with the doses of the rows before ``first`` zero."""
+    idx, lo = _rows(t, first)
+    w = rows.take(np.maximum(idx, lo), axis=0)
+    np.copyto(w[..., -2:], 0.0, where=(idx < lo)[..., None])
+    return w
 
 
 class Windows:
-    """The observation windows of one split, gathered on demand.
+    """One row per window of a cohort split, gathered on demand from the
+    cohort's ``block`` (and ``bins``).
 
-    The split's states (and, for the dynamics model, its actions) are one
-    row block; window i ends at row ``t[i]`` of it, and ``first[i]`` is the
-    first row of its encounter. Indexing with an int, a slice or an int
-    array, and ``np.asarray``, give the windows ``state_window`` gives,
-    flattened to (n, 3*M) rows for a policy, or with ``actions`` those of
-    ``window_arrays`` side by side, (n, 3, M+2), for the dynamics model; no
-    more than the requested windows are ever built.
+    Row i is read at block row ``t[i]``, the time row of a window whose
+    encounter starts at block row ``first[i]``. ``kind`` says what a row
+    is: ``policy``, the flattened states-only window (3*M,) of
+    ``state_window``; ``transition``, the dynamics window (3, M+2) of
+    ``window_arrays``; ``dose``, the dose pair at t (the BC regression
+    target); ``bin``, its action bin (the BC classification target);
+    ``delta``, the next-state delta, states[t+1] - states[t] (the dynamics
+    target). Indexing with an int, a slice or an int array, and
+    ``np.asarray``, gather exactly those rows, so no more than a requested
+    minibatch or block of rows is ever built.
     """
 
-    def __init__(self, states, t, first, actions=None):
-        self.states, self.t, self.first, self.actions = states, t, first, actions
+    def __init__(self, block, bins, t, first, kind: str):
+        self.block, self.bins, self.t, self.first, self.kind = block, bins, t, first, kind
 
     @classmethod
-    def of(cls, trajs, transitions: bool = False) -> "Windows":
-        """The policy windows at every timestep of ``trajs``, in (trajectory,
-        t) order; with ``transitions``, the dynamics windows at every
-        timestep that has a next one."""
-        lengths = np.array([tr.T for tr in trajs], dtype=np.int64)
-        ends = np.cumsum(lengths)
-        first = np.repeat(ends - lengths, lengths)
-        t = np.arange(len(first))
-        if transitions:  # every row but each encounter's last
-            t, first = np.delete(t, ends - 1), np.delete(first, ends - 1)
-        return cls(np.concatenate([tr.states for tr in trajs]), t, first,
-                   np.concatenate([tr.actions for tr in trajs]) if transitions else None)
+    def of(cls, cohort: CohortDataset, split: str, transitions: bool = False) -> "Windows":
+        """The policy windows at every timestep of the split's trajectories,
+        in (trajectory, t) order; with ``transitions``, the dynamics windows
+        at every timestep that has a next one."""
+        first, counts = cohort.rows(split)
+        counts -= transitions
+        t = np.repeat(first - (np.cumsum(counts) - counts), counts)
+        first = np.repeat(first, counts)
+        t += np.arange(len(t))
+        return cls(cohort.block, cohort.bins, t, first,
+                   "transition" if transitions else "policy")
+
+    def targets(self, kind: str) -> "Windows":
+        """The rows of ``kind`` at the same time rows."""
+        return Windows(self.block, self.bins, self.t, self.first, kind)
 
     def select(self, keep) -> "Windows":
-        """The windows at positions ``keep``, still ungathered."""
-        return Windows(self.states, self.t[keep], self.first[keep], self.actions)
+        """The rows at positions ``keep``, still ungathered."""
+        return Windows(self.block, self.bins, self.t[keep], self.first[keep], self.kind)
 
     def __len__(self) -> int:
         return len(self.t)
 
     @property
     def shape(self) -> tuple:
-        M = self.states.shape[1]
-        return (len(self), WINDOW * M) if self.actions is None else (len(self), WINDOW, M + 2)
+        M = self.block.shape[1] - 2
+        return (len(self),) + {"policy": (WINDOW * M,), "transition": (WINDOW, M + 2),
+                               "dose": (2,), "bin": (), "delta": (M,)}[self.kind]
 
     def __getitem__(self, key) -> np.ndarray:
-        t, first = self.t[key], self.first[key]
-        if self.actions is None:
-            return state_window(self.states, t, first).reshape(np.shape(t) + self.shape[1:])
-        return np.concatenate(window_arrays(self.states, self.actions, t, first), axis=-1)
+        block, M, t = self.block, self.block.shape[1] - 2, self.t[key]
+        if self.kind == "dose":
+            return block[t, M:]
+        if self.kind == "bin":
+            return self.bins.take(t)
+        if self.kind == "delta":
+            delta = block.take(t + 1, axis=0)
+            delta -= block.take(t, axis=0)
+            return delta[..., :M]
+        if self.kind == "transition":
+            return window_arrays(block, t, self.first[key])
+        window = state_window(block, t, self.first[key])[..., :M]
+        return window.reshape(np.shape(t) + (WINDOW * M,))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self[:], dtype=dtype)
@@ -125,15 +149,12 @@ class TransitionModel:
 def _collect_windows(cohort: CohortDataset, split: str, max_windows=None, rng=None):
     """The dynamics windows of one split, in (trajectory, t) order, or
     ``max_windows`` of them drawn by ``rng``, and their next-state deltas."""
-    trajs = cohort.by_split(split)
-    if sum(tr.T - 1 for tr in trajs) == 0:
+    X = Windows.of(cohort, split, transitions=True)
+    if len(X) == 0:
         raise EmptySubgroupError(f"split {split!r} has no state transitions")
-    X = Windows.of(trajs, transitions=True)
     if max_windows is not None and len(X) > max_windows:
         X = X.select(rng.choice(len(X), max_windows, replace=False))
-    Y = X.states[X.t + 1]
-    Y -= X.states[X.t]
-    return X, Y
+    return X, X.targets("delta")
 
 
 def train_dynamics(cohort: CohortDataset, hp: DynHyperParams = DynHyperParams()) -> TransitionModel:
@@ -155,12 +176,13 @@ def train_dynamics(cohort: CohortDataset, hp: DynHyperParams = DynHyperParams())
 
 
 def eval_dynamics_mse(model: TransitionModel, cohort: CohortDataset, split: str = "test"):
-    """(model MSE, predict-zero-delta baseline MSE) over a split, predicted
-    by ``infer`` in bounded memory."""
+    """(model MSE, predict-zero-delta baseline MSE) over a split, each
+    taken one ``infer`` block at a time."""
     X, Y = _collect_windows(cohort, split)
-    mse_model, _ = mse_loss(infer(model.net, X), Y)
-    mse_zero, _ = mse_loss(np.zeros_like(Y), Y)
-    return mse_model, mse_zero
+    zero = np.empty(Y.shape)  # the baseline's squared errors: (0 - y)^2 is y^2, bit for bit
+    for start in range(0, len(Y), BLOCK):
+        np.square(Y[start:start + BLOCK], out=zero[start:start + BLOCK])
+    return blocked_loss(model.net, mse_loss, X, Y), mse_loss.reduce(zero)
 
 
 def rollout(model: TransitionModel, policy: Callable[[np.ndarray], np.ndarray],

@@ -350,7 +350,8 @@ def make_episode_sampler(cohort: CohortDataset, dyn_model: TransitionModel,
     """
     stats = cohort.norm_stats
     binning = cohort.binning
-    starts = np.stack([state_window(tr.states, 0) for tr in cohort.by_split("train")])
+    first, _ = cohort.rows("train")
+    starts = state_window(cohort.block, first, first)[..., :cohort.schema.n_features]
     horizon = config.horizon
 
     def sample_episodes(policy: StochasticPolicy, rng: np.random.Generator, n: int):

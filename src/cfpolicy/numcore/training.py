@@ -14,6 +14,22 @@ from ..errors import TrainingDivergenceError
 BLOCK = 256
 
 
+def _blocks(model, X):
+    """Each BLOCK-row ``forward(train=False)`` call of ``infer``: the first
+    row's index and the outputs of the rows of ``X`` in the block."""
+    if not hasattr(X, "shape"):
+        X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    block = np.zeros((BLOCK,) + X.shape[1:])
+    for start in range(0, max(n, 1), BLOCK):
+        rows = X[start:start + BLOCK]
+        block[:len(rows)] = rows
+        block[len(rows):] = 0.0
+        model.clear_cache()  # so one block's activations are alive, not two
+        yield start, model.forward(block, train=False)[:len(rows)]
+    model.clear_cache()
+
+
 def infer(model, X) -> np.ndarray:
     """``model.forward(X, train=False)`` run in BLOCK-row calls.
 
@@ -24,22 +40,26 @@ def infer(model, X) -> np.ndarray:
     Activation memory is one block's whatever len(X) is, and the model's
     backward cache is dropped on return.
     """
-    if not hasattr(X, "shape"):
-        X = np.asarray(X, dtype=np.float64)
-    n = len(X)
-    block = np.zeros((BLOCK,) + X.shape[1:])
     out = None
-    for start in range(0, max(n, 1), BLOCK):
-        rows = X[start:start + BLOCK]
-        block[:len(rows)] = rows
-        block[len(rows):] = 0.0
-        model.clear_cache()  # so one block's activations are alive, not two
-        y = model.forward(block, train=False)
+    for start, y in _blocks(model, X):
         if out is None:
-            out = np.empty((n,) + y.shape[1:])
-        out[start:start + len(rows)] = y[:len(rows)]
-    model.clear_cache()
+            out = np.empty((len(X),) + y.shape[1:])
+        out[start:start + len(y)] = y
     return out
+
+
+def blocked_loss(model, loss_fn, X, Y) -> float:
+    """``loss_fn(infer(model, X), Y)[0]``, bit for bit, one ``infer`` block
+    at a time: each block's per-row terms, ``loss_fn.terms(pred, target)``,
+    are kept and reduced once by ``loss_fn.reduce``. ``Y`` is sliced once
+    per block, as ``X`` is, so either may be a ``dynamics.Windows``."""
+    terms = None
+    for start, y in _blocks(model, X):
+        rows = loss_fn.terms(y, Y[start:start + len(y)])
+        if terms is None:
+            terms = np.empty((len(X),) + rows.shape[1:])
+        terms[start:start + len(rows)] = rows
+    return loss_fn.reduce(terms)
 
 
 def fit(model, opt, loss_fn, X, Y, Xv, Yv, *, epochs: int, batch: int,
@@ -47,10 +67,11 @@ def fit(model, opt, loss_fn, X, Y, Xv, Yv, *, epochs: int, batch: int,
     """Shuffled minibatch descent that keeps the best-validation snapshot.
 
     ``model`` provides forward(x, train), backward(grad), clear_cache(),
-    state() and load_state(); ``loss_fn(pred, target)`` returns (loss, grad).
-    ``X`` is indexed with each minibatch's int array of rows and ``Xv``
-    goes to ``infer``, so either may be a ``dynamics.Windows``.
-    The validation predictions come from ``infer``. Training stops early
+    state() and load_state(); ``loss_fn(pred, target)`` returns (loss, grad)
+    and has the ``terms`` and ``reduce`` of ``blocked_loss``.
+    ``X`` and ``Y`` are indexed with each minibatch's int array of rows,
+    and the validation loss is ``blocked_loss(model, loss_fn, Xv, Yv)``, so
+    any of them may be a ``dynamics.Windows``. Training stops early
     once ``patience`` epochs pass without a new best validation loss (never
     when ``patience`` is None). The model ends on its best-validation state.
     Returns one (mean train loss, val loss) pair per epoch run.
@@ -69,7 +90,7 @@ def fit(model, opt, loss_fn, X, Y, Xv, Yv, *, epochs: int, batch: int,
             model.backward(grad)
             opt.step()
             total += loss * len(idx)
-        val_loss, _ = loss_fn(infer(model, Xv), Yv)
+        val_loss = blocked_loss(model, loss_fn, Xv, Yv)
         history.append((total / n, val_loss))
         if val_loss < best_loss:
             best_loss, best_epoch = val_loss, epoch

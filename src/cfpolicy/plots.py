@@ -10,8 +10,14 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, HEIGHT = 720, 420  # chart size in SVG user units
 
 
+def _text(label: str) -> str:
+    """``label`` as SVG character data."""
+    return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def line_chart_svg(series: dict, title: str, path) -> None:
-    """Write a simple multi-series line chart; x is the sample index."""
+    """Write a simple multi-series line chart; x is the sample index. The
+    title and series names are written as text, escaped."""
     pad = 50
     plot_w, plot_h = WIDTH - 2 * pad, HEIGHT - 2 * pad
     ys = [np.asarray(v, dtype=np.float64) for v in series.values()]
@@ -33,7 +39,7 @@ def line_chart_svg(series: dict, title: str, path) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{title}</text>',
+        f'font-family="sans-serif">{_text(title)}</text>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{HEIGHT - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{HEIGHT - pad}" x2="{WIDTH - pad}" y2="{HEIGHT - pad}" '
         f'stroke="black"/>',
@@ -48,6 +54,7 @@ def line_chart_svg(series: dict, title: str, path) -> None:
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"/>')
         parts.append(f'<text x="{WIDTH - pad}" y="{pad + 16 * (k + 1)}" text-anchor="end" '
-                     f'font-size="12" font-family="sans-serif" fill="{color}">{name}</text>')
+                     f'font-size="12" font-family="sans-serif" fill="{color}">'
+                     f'{_text(name)}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts), encoding="utf-8")

@@ -209,21 +209,24 @@ def preprocess_cohort(cohort: CohortDataset) -> CohortDataset:
 
     Requires split tags. Returns a new cohort whose states/actions are
     normalized, with ``action_bins`` attached and statistics stored on the
-    dataset for serialization alongside trained models. One pass per
-    feature imputes, log-transforms and z-normalizes the block of every
-    encounter's rows in place; the new trajectories are views of it. An
-    observed cell of a binary feature that is not 0 or 1, in any split,
-    raises IntegrityError naming the column and the value.
+    dataset for serialization alongside trained models. The input's rows
+    are gathered, encounter by encounter, into the output's one block, and
+    one pass per feature imputes, log-transforms and z-normalizes a column
+    of it in place; the new trajectories are views of it. An observed cell
+    of a binary feature that is not 0 or 1, in any split, raises
+    IntegrityError naming the column and the value.
     """
     stats = fit_norm_stats(cohort)
     binning = fit_binning(cohort)
     binary = _binary_mask(cohort)
+    first, lengths = cohort.rows()
     trajs = cohort.trajectories
-    lengths = [tr.T for tr in trajs]
-    states = np.concatenate([tr.states for tr in trajs])
-    actions = np.concatenate([tr.actions for tr in trajs])
-    for j in range(states.shape[1]):
-        col = states[:, j]
+    starts = np.cumsum(lengths) - lengths
+    block = cohort.block.take(np.arange(lengths.sum()) + np.repeat(first - starts, lengths),
+                              axis=0)
+    M = cohort.schema.n_features
+    for j in range(M):
+        col = block[:, j]
         if binary[j]:  # raw cells only: imputation rightly leaves fractions
             bad = col[(col != 0.0) & (col != 1.0) & ~np.isnan(col)]
             if bad.size:
@@ -237,13 +240,13 @@ def preprocess_cohort(cohort: CohortDataset) -> CohortDataset:
                 np.log1p(col, out=col)
             col -= stats.means[j]
             col /= stats.stds[j]
-    bins = bin_actions_batch(actions, binning)
-    actions = normalize_actions(stats, actions)
-    ends = np.cumsum(lengths).tolist()
+    bins = bin_actions_batch(block[:, M:], binning)
+    block[:, M:] = normalize_actions(stats, block[:, M:])
     out_trajs = [PatientTrajectory(
-        id=tr.id, attributes=tr.attributes, states=states[e - tr.T:e],
-        actions=actions[e - tr.T:e], mortality_step=tr.mortality_step,
-        outcome_alive=tr.outcome_alive, action_bins=bins[e - tr.T:e])
-        for tr, e in zip(trajs, ends)]
+        id=tr.id, attributes=tr.attributes, states=block[s:s + tr.T, :M],
+        actions=block[s:s + tr.T, M:], mortality_step=tr.mortality_step,
+        outcome_alive=tr.outcome_alive, action_bins=bins[s:s + tr.T])
+        for tr, s in zip(trajs, starts.tolist())]
     return CohortDataset(schema=cohort.schema, trajectories=out_trajs,
-                         split=dict(cohort.split), norm_stats=stats, binning=binning)
+                         split=dict(cohort.split), norm_stats=stats, binning=binning,
+                         block=block, bins=bins)

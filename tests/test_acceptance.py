@@ -237,7 +237,7 @@ def test_criterion_5_bc_learnability(big_proc):
     auroc, _, _ = eval_auroc(clf, big_proc, split="test")
     reg = train_bc(big_proc, None, "regression", hp)
     f_r, v_r = eval_rmse(reg, big_proc, split="test")
-    _, Y = build_dataset(big_proc, "test", "regression")
+    Y = np.asarray(build_dataset(big_proc, "test", "regression")[1])
     zero = np.sqrt(np.mean(Y * Y, axis=0))
     improve = (1 - f_r / zero[0], 1 - v_r / zero[1])
     elapsed = time.perf_counter() - t0

@@ -128,6 +128,6 @@ def test_regression_training_beats_zero_on_train_split(proc_cohort):
     hp = BcHyperParams(epochs=10, seed=0, max_windows=1500)
     reg = train_bc(proc_cohort, None, "regression", hp)
     f_rmse, v_rmse = eval_rmse(reg, proc_cohort, "train")
-    _, Y = build_dataset(proc_cohort, "train", "regression")
+    Y = np.asarray(build_dataset(proc_cohort, "train", "regression")[1])
     zero = np.sqrt(np.mean(Y * Y, axis=0))
     assert f_rmse < zero[0] and v_rmse < zero[1]

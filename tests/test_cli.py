@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import xml.dom.minidom
 from dataclasses import replace
 from pathlib import Path
 
@@ -99,6 +100,33 @@ def test_report_rerender(pipeline_dirs, tmp_path):
                      str(pipeline_dirs["cf"] / "report.json"), "--out", str(out)])
     assert code == 0
     assert (out / "report.csv").exists()
+
+
+def _svg_text(path) -> list:
+    """The text of every ``text`` element of an SVG file, which must parse."""
+    dom = xml.dom.minidom.parse(str(path))
+    return [node.firstChild.data for node in dom.getElementsByTagName("text")]
+
+
+def test_every_written_svg_parses_and_labels_are_escaped(pipeline_dirs, tmp_path):
+    svgs = sorted(pipeline_dirs["cf"].glob("*.svg"))
+    assert [p.name for p in svgs] == ["mean_fluid.svg", "mean_vaso.svg",
+                                      "metrics_per_timestep.svg"]
+    for path in svgs:
+        _svg_text(path)
+    # a subgroup label of a foreign attribute vocabulary may hold & < >
+    report = json.loads((pipeline_dirs["cf"] / "report.json").read_text())
+    report["mean_actions"] = {"A&B<C>" + k: v for k, v in report["mean_actions"].items()}
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    out = tmp_path / "rendered"
+    assert cli.main(["report", "--report", str(tmp_path / "report.json"),
+                     "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.svg")) == [p.name for p in svgs]
+    for path in out.glob("*.svg"):
+        _svg_text(path)
+    labels = _svg_text(out / "mean_vaso.svg")
+    assert [k for k in report["mean_actions"] if "vaso" in k] == \
+        [t for t in labels if t.startswith("A&B<C>")]
 
 
 def _run_twice(tmp_path, argv, side):
@@ -597,6 +625,27 @@ def test_non_binary_cell_in_a_binary_column_is_config_error_at_preprocess(tmp_pa
     assert (f"binary column {cohort.schema.names[j]!r} holds 3.5, not 0 or 1"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["eval", "--model", "{proc}", "--cohort", "{proc}"], "{proc}"),
+    (["counterfactual", "--model", "{proc}", "--cohort", "{proc}", "--target", "gender=F",
+      "--out", "{tmp}/cf"], "{proc}"),
+    (["report", "--report", "{proc}", "--out", "{tmp}/report"], "{proc}"),
+    (["train-gail", "--cohort", "{proc}", "--dynamics", "{proc}", "--out", "{tmp}/g.npz"],
+     "{proc}"),
+    (["train-dyn", "--cohort", "{model}", "--out", "{tmp}/d.npz"], "{model}"),
+    (["preprocess", "--cohort", "{raw}/cohort.csv", "--out", "{tmp}/proc"],
+     "{raw}/cohort.csv"),
+], ids=["eval", "counterfactual", "report", "train-gail", "train-dyn", "preprocess"])
+def test_input_path_of_the_wrong_kind_is_config_error(pipeline_dirs, tmp_path, capsys,
+                                                      argv, named):
+    # a directory where a file is expected, or a file given as a cohort directory
+    paths = {name: str(pipeline_dirs[name]) for name in ("proc", "model", "raw")}
+    assert cli.main([a.format(tmp=tmp_path, **paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named.format(**paths) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_cohort_is_config_error(tmp_path):

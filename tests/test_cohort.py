@@ -642,6 +642,26 @@ def _shares_one_block(cohort) -> bool:
                                      for a in (tr.states, tr.actions))
 
 
+def test_rows_are_read_from_the_trajectories_views(proc_cohort):
+    cohort = replace(proc_cohort, trajectories=list(proc_cohort.trajectories))
+    assert cohort.block is proc_cohort.block  # the views were kept, not copied
+    lengths = np.array([tr.T for tr in cohort.trajectories])
+    first, got = cohort.rows()
+    assert np.array_equal(got, lengths) and np.array_equal(first, np.cumsum(lengths) - lengths)
+    cohort.trajectories.reverse()  # a reordered list keeps its rows
+    assert np.array_equal(cohort.rows()[0], first[::-1])
+    # a trajectory replaced by one with its own arrays: packed into a new block
+    cohort.trajectories[0] = replace(cohort.trajectories[0],
+                                     states=cohort.trajectories[0].states.copy())
+    first, _ = cohort.rows()
+    assert cohort.block is not proc_cohort.block
+    assert np.array_equal(first, np.cumsum(lengths[::-1]) - lengths[::-1])
+    for tr, want in zip(cohort.trajectories, proc_cohort.trajectories[::-1]):
+        assert np.shares_memory(tr.states, cohort.block)
+        assert tr.states.tobytes() == want.states.tobytes()
+        assert tr.action_bins.tobytes() == want.action_bins.tobytes()
+
+
 @pytest.mark.parametrize("companion", [True, False])
 def test_written_cohort_loads_in_place_and_a_shuffled_one_loads_the_same(
         tmp_path, companion):

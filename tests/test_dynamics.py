@@ -1,7 +1,9 @@
 """Transition model: history windows, training, rollout safety, storage."""
 
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfpolicy.bc import BcHyperParams, build_dataset, train_bc
-from cfpolicy.cohort import assign_splits
+from cfpolicy.cohort import (SubgroupKey, assign_splits, filter_subgroup, load_cohort_dir,
+                             save_cohort_dir)
 from cfpolicy.dynamics import (STATE_CLIP, WINDOW, DynHyperParams, TransitionModel,
                                _collect_windows, eval_dynamics_mse, load_dynamics,
                                rollout, save_dynamics, state_window, train_dynamics,
                                window_arrays)
 from cfpolicy.errors import EmptySubgroupError, RolloutBlowupError
+from cfpolicy.numcore import infer, mse_loss
 from cfpolicy.preprocess import preprocess_cohort
 from cfpolicy.synth import SynthConfig, generate
 
@@ -34,19 +38,26 @@ def reference_window(states, actions, t):
     return s, a
 
 
+def split_window(states, actions, t):
+    """``window_arrays`` of the states and doses side by side, split back
+    into its state and dose windows."""
+    w = window_arrays(np.concatenate([states, actions], axis=1), t)
+    return w[..., :-2], w[..., -2:]
+
+
 def test_window_padding_rule(rng):
     states = rng.normal(size=(6, 4))
     actions = rng.normal(size=(6, 2))
     # t=0: earliest state repeated, actions zero except the current slot
-    s, a = window_arrays(states, actions, 0)
+    s, a = split_window(states, actions, 0)
     assert np.array_equal(s, np.stack([states[0]] * 3))
     assert np.array_equal(a, np.stack([np.zeros(2), np.zeros(2), actions[0]]))
     # t=1: one pad row
-    s, a = window_arrays(states, actions, 1)
+    s, a = split_window(states, actions, 1)
     assert np.array_equal(s, np.stack([states[0], states[0], states[1]]))
     assert np.array_equal(a, np.stack([np.zeros(2), actions[0], actions[1]]))
     # t>=2: plain slice
-    s, a = window_arrays(states, actions, 4)
+    s, a = split_window(states, actions, 4)
     assert np.array_equal(s, states[2:5])
     assert np.array_equal(a, actions[2:5])
 
@@ -57,7 +68,7 @@ def test_state_window_matches_window_arrays(rng):
         every = state_window(states, np.arange(T))
         assert every.shape == (T, 3, 3)
         for t in range(T):
-            s, _ = window_arrays(states, np.zeros((T, 2)), t)
+            s, _ = split_window(states, np.zeros((T, 2)), t)
             assert np.array_equal(state_window(states, t), s)
             assert np.array_equal(every[t], s)
 
@@ -84,11 +95,11 @@ def test_windows_equal_loop_reference_bytewise(arrays):
     T = len(states)
     ref = [reference_window(states, actions, t) for t in range(T)]
     for t in range(T):
-        s, a = window_arrays(states, actions, t)
+        s, a = split_window(states, actions, t)
         assert s.tobytes() == ref[t][0].tobytes()
         assert a.tobytes() == ref[t][1].tobytes()
         assert state_window(states, t).tobytes() == ref[t][0].tobytes()
-    s, a = window_arrays(states, actions, np.arange(T))
+    s, a = split_window(states, actions, np.arange(T))
     assert s.tobytes() == np.stack([r[0] for r in ref]).tobytes()
     assert a.tobytes() == np.stack([r[1] for r in ref]).tobytes()
     assert state_window(states, np.arange(T)).tobytes() == s.tobytes()
@@ -117,48 +128,89 @@ def _assert_gathers(X, ref, rng):
             assert got.shape == ref[key].shape and got.tobytes() == ref[key].tobytes()
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(1, 8), min_size=60, max_size=60), st.integers(0, 2**32 - 1))
-@example([1] * 60, 0)  # every encounter T=1: no transitions at all
-def test_cohort_windows_equal_reference_concatenation(proc_cohort, lengths, seed):
-    cohort = _ragged(proc_cohort, lengths)
-    trajs = cohort.by_split("train")
+def _assert_split_gathers(cohort, tag, rng, seed):
+    """The windows and targets of one split, gathered from the cohort's
+    block, equal the concatenation of its trajectories' own windows."""
+    trajs = cohort.by_split(tag)
+    if not trajs:
+        with pytest.raises(EmptySubgroupError, match=repr(tag)):
+            build_dataset(cohort, tag, "regression")
+        return
     refs = [[reference_window(tr.states, tr.actions, t) for t in range(tr.T)] for tr in trajs]
-    rng = np.random.default_rng(seed)
     ref_x = np.stack([r[0].reshape(-1) for rs in refs for r in rs])
-    X, Y = build_dataset(cohort, "train", "regression")
+    X, Y = build_dataset(cohort, tag, "regression")
     _assert_gathers(X, ref_x, rng)
-    assert Y.tobytes() == np.concatenate([tr.actions for tr in trajs]).tobytes()
-    Xc, labels = build_dataset(cohort, "train", "classification")
+    _assert_gathers(Y, np.concatenate([tr.actions for tr in trajs]), rng)
+    Xc, labels = build_dataset(cohort, tag, "classification")
     _assert_gathers(Xc, ref_x, rng)
-    assert labels.dtype == np.int64
-    assert np.array_equal(labels, np.concatenate([tr.action_bins for tr in trajs]))
+    ref_bins = np.concatenate([tr.action_bins for tr in trajs])
+    _assert_gathers(labels, ref_bins, rng)
     keep = rng.choice(len(ref_x), int(rng.integers(1, len(ref_x) + 1)), replace=False)
     _assert_gathers(X.select(keep), ref_x[keep], rng)  # train_bc's max_windows subset
+    _assert_gathers(labels.select(keep), ref_bins[keep], rng)
 
     pairs = [(np.concatenate(rs[t], axis=1), tr.states[t + 1] - tr.states[t])
              for tr, rs in zip(trajs, refs) for t in range(tr.T - 1)]
     if not pairs:
-        with pytest.raises(EmptySubgroupError, match="'train'"):
-            _collect_windows(cohort, "train")
+        with pytest.raises(EmptySubgroupError, match=repr(tag)):
+            _collect_windows(cohort, tag)
         return
     ref_xd, ref_yd = np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
-    Xd, Yd = _collect_windows(cohort, "train")
+    Xd, Yd = _collect_windows(cohort, tag)
     _assert_gathers(Xd, ref_xd, rng)
-    assert Yd.tobytes() == ref_yd.tobytes()
+    _assert_gathers(Yd, ref_yd, rng)
     # a max_windows subset is the same rng.choice draw of the same windows
     k = int(rng.integers(1, len(pairs) + 1))
-    Xs, Ys = _collect_windows(cohort, "train", k, np.random.default_rng(seed))
+    Xs, Ys = _collect_windows(cohort, tag, k, np.random.default_rng(seed))
     keep = (np.random.default_rng(seed).choice(len(pairs), k, replace=False)
             if k < len(pairs) else np.arange(len(pairs)))
     _assert_gathers(Xs, ref_xd[keep], rng)
-    assert Ys.tobytes() == ref_yd[keep].tobytes()
+    _assert_gathers(Ys, ref_yd[keep], rng)
+
+
+def _loaded_out_of_order(cohort, seed):
+    """``cohort`` written to a cohort directory and loaded back from a CSV
+    whose rows were shuffled, with no companion: the load copies the rows
+    into (first appearance, timestep) order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        save_cohort_dir(cohort, out)
+        (out / "cohort.csv.npz").unlink()
+        header, *rows = (out / "cohort.csv").read_text(encoding="utf-8").splitlines(True)
+        order = np.random.default_rng(seed).permutation(len(rows))
+        (out / "cohort.csv").write_text(header + "".join(rows[i] for i in order),
+                                        encoding="utf-8")
+        return load_cohort_dir(out)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=60, max_size=60), st.integers(0, 2**32 - 1))
+@example([1] * 60, 0)  # every encounter T=1: no transitions at all
+def test_cohort_windows_equal_reference_concatenation(small_cohort, proc_cohort, lengths,
+                                                       seed):
+    # the cohort paths: views of a preprocessed block with rows left out
+    # between encounters; the same trajectories copied (packed into a new
+    # block); loaded out of row order; and preprocessed in memory
+    ragged = _ragged(proc_cohort, lengths)
+    packed = replace(ragged, trajectories=[
+        replace(tr, states=tr.states.copy(), actions=tr.actions.copy(),
+                action_bins=tr.action_bins.copy()) for tr in ragged.trajectories])
+    assert not np.shares_memory(packed.block, ragged.block)
+    raw = replace(small_cohort, trajectories=[
+        replace(tr, states=tr.states[:T], actions=tr.actions[:T], mortality_step=None,
+                outcome_alive=True) for tr, T in zip(small_cohort.trajectories, lengths)])
+    rng = np.random.default_rng(seed)
+    for cohort in (ragged, packed, _loaded_out_of_order(ragged, seed), preprocess_cohort(raw)):
+        subgroup = [filter_subgroup(cohort, SubgroupKey("gender", "F"))] if any(
+            tr.attributes["gender"] == "F" for tr in cohort.trajectories) else []
+        for data in (cohort, *subgroup):
+            for tag in ("train", "val", "test"):
+                _assert_split_gathers(data, tag, rng, seed)
 
 
 # Per model: an allowance in bytes for the memory that does not grow with
 # the cohort (the model, its optimizer and workspaces, one inference
-# block), and a 1-epoch training run. BC trains in regression mode, since a
-# classification val loss holds 25 probabilities per row, more than a state row.
+# block), and a 1-epoch training run.
 TRAINING_RUNS = {
     "bc": (3 << 20, lambda c: train_bc(c, None, "regression", BcHyperParams(epochs=1))),
     "dynamics": (7 << 20, lambda c: train_dynamics(
@@ -166,23 +218,43 @@ TRAINING_RUNS = {
 }
 
 
+@pytest.fixture(scope="module")
+def memory_cohort():
+    cohort, _ = generate(SynthConfig(n_patients=800, T=72, n_features=12, seed=3))
+    return preprocess_cohort(assign_splits(cohort, seed=3))
+
+
 @pytest.mark.parametrize("model", sorted(TRAINING_RUNS))
-def test_training_memory_is_bounded_by_the_split_states(model):
+def test_training_memory_is_bounded_by_the_split_states(memory_cohort, model):
     # windows are gathered per minibatch and per inference block, so the
     # training and validation splits are held about once, as one state row
     # block, not as three copies in their windows
-    cohort, _ = generate(SynthConfig(n_patients=800, T=72, n_features=12, seed=3))
-    cohort = preprocess_cohort(assign_splits(cohort, seed=3))
     split_bytes = sum(tr.states.nbytes for tag in ("train", "val")
-                      for tr in cohort.by_split(tag))
+                      for tr in memory_cohort.by_split(tag))
     allowance, run = TRAINING_RUNS[model]
     tracemalloc.start()
     try:
-        run(cohort)
+        run(memory_cohort)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * split_bytes + allowance
+
+
+def test_bc_training_memory_is_a_fraction_of_the_cohort_block(memory_cohort):
+    # windows, labels and the per-block validation loss all read the
+    # cohort's float block (112 bytes per row here) by row index, so beside
+    # it training holds 16 bytes of indices per train and val row, one
+    # epoch's shuffle and memory of fixed size: 2.8 MB at n=800, against a
+    # 6.5 MB block. Holding a split's windows and the validation logits
+    # with their softmax would take 11.5 MB.
+    tracemalloc.start()
+    try:
+        train_bc(memory_cohort, None, "classification", BcHyperParams(epochs=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * memory_cohort.block.nbytes
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +273,10 @@ def test_eval_returns_model_and_zero_baseline(tiny_dyn, proc_cohort):
     mse_model, mse_zero = eval_dynamics_mse(tiny_dyn, proc_cohort, "test")
     assert mse_model > 0 and mse_zero > 0
     assert mse_model < mse_zero  # even a lightly trained model beats zero
+    # the same bits as the losses of the whole split's predictions and deltas
+    X, Y = (np.asarray(a) for a in _collect_windows(proc_cohort, "test"))
+    assert (mse_model, mse_zero) == (mse_loss(infer(tiny_dyn.net, X), Y)[0],
+                                     mse_loss(np.zeros_like(Y), Y)[0])
 
 
 def test_rollout_structure_and_clipping(tiny_dyn, proc_cohort):

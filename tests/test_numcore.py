@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from cfpolicy.errors import SchemaMismatchError, TrainingDivergenceError
 from cfpolicy.gail import GailConfig, StochasticPolicy, mean_entropy, policy_update
 from cfpolicy.numcore import (Adam, BatchNorm, Dense, Mlp, MlpSpec, ParamTensor,
-                              RecurrentRegressor, Relu, fit, infer, load_checkpoint,
+                              RecurrentRegressor, Relu, blocked_loss, fit, infer,
+                              load_checkpoint,
                               mse_loss, nll_loss, rmse_loss, save_checkpoint, softmax)
 from cfpolicy.numcore.layers import BN_EPS, BN_MOMENTUM, Workspace
 from cfpolicy.numcore.training import BLOCK
@@ -86,6 +87,9 @@ def test_nll_loss_and_softmax_match_reference_bytes(n, classes, log_scale, seed)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert grad.tobytes() == want_grad.tobytes()
     assert softmax(logits).tobytes() == reference_softmax(logits).tobytes()
+    in_place = logits.copy()
+    assert softmax(in_place, out=in_place) is in_place
+    assert in_place.tobytes() == reference_softmax(logits).tobytes()
     assert softmax(logits[0]).tobytes() == reference_softmax(logits[0]).tobytes()
     assert logits.tobytes() == before.tobytes()  # the input is not written
 
@@ -490,6 +494,35 @@ def test_infer_rows_do_not_depend_on_the_other_rows(kind, n_in, hidden, blocks, 
     assert infer(model, X[subset]).tobytes() == ref[subset].tobytes()
 
 
+# the outputs and targets each loss takes: (model kind, outputs, targets of n rows)
+BLOCKED_LOSSES = {
+    "nll": ("mlp", 25, lambda rng, n: rng.integers(0, 25, n)),
+    "rmse": ("mlp", 2, lambda rng, n: rng.normal(size=(n, 2))),
+    "mse": ("lstm", 12, lambda rng, n: rng.normal(size=(n, 12))),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(loss=st.sampled_from(sorted(BLOCKED_LOSSES)), blocks=st.integers(0, 3),
+       offset=st.sampled_from([-1, 0, 1]), scale=st.sampled_from([1e-3, 1.0, 30.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_loss_equals_the_loss_of_the_whole_inference(loss, blocks, offset, scale,
+                                                            seed):
+    # validation sizes just below, at and just above a multiple of BLOCK
+    n = max(blocks * BLOCK + offset, 1)
+    rng = np.random.default_rng(seed)
+    kind, n_out, targets = BLOCKED_LOSSES[loss]
+    loss_fn = {"nll": nll_loss, "rmse": rmse_loss, "mse": mse_loss}[loss]
+    if kind == "mlp":
+        model, row = Mlp(MlpSpec(widths=(14, 16, n_out), batch_norm=True), rng), (14,)
+    else:
+        model, row = _inference_model(kind, 14, 8, rng)
+    X, Y = scale * rng.normal(size=(n,) + row), targets(rng, n)
+    want, _ = loss_fn(infer(model, X), Y)
+    assert np.float64(blocked_loss(model, loss_fn, X, Y)).tobytes() == \
+        np.float64(want).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["mlp", "lstm"])
 def test_infer_memory_does_not_grow_with_rows(kind, rng):
     model, row = _inference_model(kind, 36, 64, rng)
@@ -793,8 +826,8 @@ class _NoOpOptimizer:
 def test_fit_patience_and_best_snapshot(patience, epochs_run, best):
     model = _ScriptedModel([3.0, 2.0, 2.5, 2.4, 2.6, 1.0])
     X = np.zeros((5, 1))
-    history = fit(model, _NoOpOptimizer(), lambda pred, y: (float(pred[0, 0]), pred * 0),
-                  X, X, X[:1], X[:1], epochs=6, batch=2,
+    # against zero targets, the RMSE of one prediction c > 0 is sqrt(c * c) == c
+    history = fit(model, _NoOpOptimizer(), rmse_loss, X, X, X[:1], X[:1], epochs=6, batch=2,
                   rng=np.random.default_rng(0), patience=patience)
     assert [val for _, val in history] == model.val_losses[:epochs_run]
     assert model.loaded == best
