@@ -66,7 +66,7 @@ def build_dataset(cohort: CohortDataset, split: str, mode: str):
         raise EmptySubgroupError(f"split {split!r} has no trajectories")
     if mode == "regression":
         return X, X.targets("dose")
-    if any(tr.action_bins is None for tr in cohort.by_split(split)):
+    if not cohort.binned[cohort.in_split(split)].all():
         raise IntegrityError(f"split {split!r} holds trajectories without action bins")
     return X, X.targets("bin")
 

@@ -139,7 +139,7 @@ def cmd_preprocess(args) -> int:
 def _load_preprocessed(path: str):
     cohort = load_cohort_dir(path)
     if (cohort.split is None or cohort.norm_stats is None or cohort.binning is None
-            or any(tr.action_bins is None for tr in cohort.trajectories)):
+            or not cohort.binned.all()):
         raise CfPolicyError(
             f"{path} is not a preprocessed cohort directory (run `preprocess` first)")
     return cohort

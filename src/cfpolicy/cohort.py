@@ -134,99 +134,102 @@ class PatientTrajectory:
 
 @dataclass
 class CohortDataset:
-    """A set of trajectories plus schema, split tags, and fitted statistics.
+    """Encounters as columns, plus schema, split tags and fitted statistics.
 
     Every encounter's rows live in one float block, ``block`` (rows, M + 2):
-    a trajectory whose first row is block row s has the states
-    ``block[s:s + T, :M]`` and the doses ``block[s:s + T, M:]``, and its
-    action bins, when it has them, are ``bins[s:s + T]``. A block may hold
-    rows of no trajectory (those a subgroup or a shortened trajectory left
-    out). Trajectories that are not such views of the given block (built
-    in memory, or replaced) have their rows copied into a new block, back
-    to back, and are replaced by views of it.
+    encounter i has the states ``block[s:s + T, :M]``, the doses
+    ``block[s:s + T, M:]`` and, if ``binned[i]``, the action bins
+    ``bins[s:s + T]``, with s = ``first[i]`` and T = ``lengths[i]``. A
+    block may hold rows of no encounter (those a subgroup left out): a
+    split or a subgroup selects encounters of the same block.
     """
 
     schema: FeatureSchema
-    trajectories: list
-    split: Optional[dict] = None  # trajectory id -> 'train' | 'val' | 'test'
+    block: np.ndarray = field(repr=False)  # (rows, M + 2) float64, NaN = missing
+    bins: Optional[np.ndarray] = field(repr=False)  # (rows,) int64; None if nothing is binned
+    first: np.ndarray  # (E,) int64
+    lengths: np.ndarray  # (E,) int64
+    ids: np.ndarray  # (E,) object
+    attributes: dict  # attribute name -> (E,) object array of labels
+    mortality_step: np.ndarray  # (E,) int64, -1 = none
+    outcome_alive: np.ndarray  # (E,) bool
+    binned: np.ndarray  # (E,) bool
+    split: Optional[dict] = None  # encounter id -> 'train' | 'val' | 'test'
     norm_stats: Optional["NormStats"] = None
     binning: Optional["ActionBinning"] = None
-    block: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    bins: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if _first_rows(self.trajectories, self.block, self.bins) is None:
-            self.block, self.bins, self.trajectories = _pack(
-                self.trajectories, self.schema.n_features)
+    @classmethod
+    def from_trajectories(cls, schema: FeatureSchema, trajectories, **fields) -> "CohortDataset":
+        """A cohort holding the rows of ``trajectories`` back to back in a new
+        block (and bins, if any of them has bins); ``fields`` are the
+        optional split and statistics."""
+        trajs = list(trajectories)
+        M = schema.n_features
+        lengths = np.array([tr.T for tr in trajs], dtype=np.int64)
+        first = np.cumsum(lengths) - lengths
+        block = np.empty((int(lengths.sum()), M + 2))
+        binned = np.array([tr.action_bins is not None for tr in trajs], dtype=bool)
+        bins = np.zeros(len(block), np.int64) if binned.any() else None
+        for tr, s in zip(trajs, first.tolist()):
+            rows = slice(s, s + tr.T)
+            block[rows, :M], block[rows, M:] = tr.states, tr.actions
+            if tr.action_bins is not None:
+                bins[rows] = tr.action_bins
+        return cls(schema=schema, block=block, bins=bins, first=first, lengths=lengths,
+                   ids=np.array([tr.id for tr in trajs], dtype=object),
+                   attributes={a: np.array([tr.attributes[a] for tr in trajs], dtype=object)
+                               for a in schema.attributes},
+                   mortality_step=np.array([-1 if tr.mortality_step is None
+                                            else tr.mortality_step for tr in trajs], np.int64),
+                   outcome_alive=np.array([tr.outcome_alive for tr in trajs], dtype=bool),
+                   binned=binned, **fields)
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.ids)
+
+    @property
+    def trajectories(self) -> list:
+        """Every encounter as a ``PatientTrajectory`` whose arrays are views
+        of ``block`` and ``bins``, built on each read."""
+        return self._views(self.in_split())
 
     def by_split(self, tag: str) -> list:
+        """The encounters of split ``tag``, as ``trajectories`` gives them."""
+        return self._views(self.in_split(tag))
+
+    def in_split(self, tag: Optional[str] = None) -> np.ndarray:
+        """Whether each encounter is in split ``tag`` (every one if None)."""
+        if tag is None:
+            return np.ones(len(self), bool)
         if self.split is None:
             raise IntegrityError("cohort has no split assignment")
         if tag not in SPLIT_TAGS:
             raise ValueError(f"unknown split tag {tag!r}")
-        return [tr for tr in self.trajectories if self.split[tr.id] == tag]
+        return np.array([self.split[i] == tag for i in self.ids.tolist()], dtype=bool)
 
     def rows(self, tag: Optional[str] = None):
-        """The first block row and the length of each trajectory, or of
-        each in split ``tag``, in order. Trajectories replaced since the
-        cohort was made are packed into a new block first."""
-        trajs = self.trajectories if tag is None else self.by_split(tag)
-        first = _first_rows(trajs, self.block, self.bins)
-        if first is None:
-            self.__post_init__()
-            return self.rows(tag)
-        return first, np.array([tr.T for tr in trajs], dtype=np.int64)
+        """The first block row and the length of each encounter, or of each
+        in split ``tag``, in order (new arrays)."""
+        keep = self.in_split(tag)
+        return self.first[keep], self.lengths[keep]
 
+    def row_index(self, tag: Optional[str] = None) -> np.ndarray:
+        """The block row of every row of each encounter, or of each in
+        split ``tag``, in order."""
+        first, lengths = self.rows(tag)
+        return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths),
+                                                    lengths)
 
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
-
-
-def _first_rows(trajs, block, bins) -> Optional[np.ndarray]:
-    """The block row at which each trajectory's views of ``block`` (and
-    ``bins``) start, as ``CohortDataset`` describes them; None if some
-    trajectory's arrays are not such views."""
-    if (block is None or block.ndim != 2 or block.dtype != np.float64
-            or not block.flags.c_contiguous):
-        return None
-    M, (row, cell) = block.shape[1] - 2, block.strides
-    base = _address(block)
-    binned = bins is not None and bins.dtype == np.int64 and bins.flags.c_contiguous
-    first = np.empty(len(trajs), np.int64)
-    for i, tr in enumerate(trajs):
-        s, off = divmod(_address(tr.states) - base, row)
-        if not (off == 0 and 0 <= s and s + tr.T <= len(block) and tr.states.shape[1] == M
-                and tr.states.strides == tr.actions.strides == block.strides
-                and _address(tr.actions) == _address(tr.states) + M * cell):
-            return None
-        if tr.action_bins is not None and not (
-                binned and s + tr.T <= len(bins) and tr.action_bins.strides == bins.strides
-                and tr.action_bins.dtype == np.int64
-                and _address(tr.action_bins) == _address(bins) + s * bins.strides[0]):
-            return None
-        first[i] = s
-    return first
-
-
-def _pack(trajs, M: int):
-    """A new block (and bins, if any trajectory has them) holding the rows
-    of ``trajs`` back to back, and the trajectories as views of them."""
-    ends = np.cumsum([tr.T for tr in trajs], dtype=np.int64)
-    block = np.empty((int(ends[-1]) if len(ends) else 0, M + 2))
-    binned = any(tr.action_bins is not None for tr in trajs)
-    bins = np.zeros(len(block), np.int64) if binned else None
-    views = []
-    for tr, e in zip(trajs, ends.tolist()):
-        rows = slice(e - tr.T, e)
-        block[rows, :M], block[rows, M:] = tr.states, tr.actions
-        if tr.action_bins is not None:
-            bins[rows] = tr.action_bins
-        views.append(replace(tr, states=block[rows, :M], actions=block[rows, M:],
-                             action_bins=None if tr.action_bins is None else bins[rows]))
-    return block, bins, views
+    def _views(self, keep: np.ndarray) -> list:
+        M, attrs = self.schema.n_features, list(self.attributes)
+        columns = (self.first, self.lengths, self.ids, self.mortality_step, self.outcome_alive,
+                   self.binned, *self.attributes.values())
+        return [PatientTrajectory(
+            id=tid, attributes=dict(zip(attrs, labels)), states=self.block[s:s + T, :M],
+            actions=self.block[s:s + T, M:], mortality_step=None if mort < 0 else mort,
+            outcome_alive=alive, action_bins=self.bins[s:s + T] if binned else None)
+            for s, T, tid, mort, alive, binned, *labels in zip(*(
+                c[keep].tolist() for c in columns))]
 
 
 def _factorize(cells):
@@ -363,10 +366,9 @@ def load_cohort(path, schema: FeatureSchema,
     ``csv.reader`` pass with ``float()`` on each feature and dose cell, and
     checked as whole arrays (text columns through their distinct cells); of
     several faults, the one a row-by-row parser meets first is raised.
-    Each trajectory's states and actions are row slices of the cohort's
-    ``block``: the loaded block itself when its rows are already in (first
-    appearance, timestep) order, as in every file ``write_cohort`` writes,
-    else a copy in that order.
+    The cohort's ``block`` is the loaded block itself when its rows are
+    already in (first appearance, timestep) order, as in every file
+    ``write_cohort`` writes, else a copy in that order.
     """
     from .preprocess import N_ACTIONS  # preprocess imports this module
     path = Path(path)
@@ -392,7 +394,7 @@ def load_cohort(path, schema: FeatureSchema,
     if n == 0:
         if error is not None:
             raise error
-        return CohortDataset(schema=schema, trajectories=[])
+        return CohortDataset.from_trajectories(schema, [])
 
     def flag(bad, make):
         nonlocal n, error
@@ -473,24 +475,28 @@ def load_cohort(path, schema: FeatureSchema,
         traj_flag(differs(codes[2 + j]), lambda i: IntegrityError(
             f"trajectory {cell(0, order[i])}: inconsistent attribute {a!r}"))
 
+    # the checks ``PatientTrajectory`` makes, per trajectory, before its fault
+    rows = order[starts]  # each trajectory's timestep 0
+    ids = cells[0][codes[0][rows]]
+    dead, alive = ~survived[rows], alive[rows]
+    mort = np.where(dead, mort[rows], -1)
+    out_of_range = dead & ((mort < 0) | (mort >= lengths))
+    at = np.flatnonzero((out_of_range | (dead & alive))[:g])
+    if at.size:
+        raise IntegrityError(f"trajectory {ids[at[0]]}: " + (
+            "mortality_step out of range" if out_of_range[at[0]]
+            else "mortality_step set but outcome_alive"))
+    if error is not None:
+        raise error
+
     if not np.array_equal(order, np.arange(n)):  # rows are gathered only when out of order
         values, bins, unbinned = values[order], bins[order], unbinned[order]
-    states, actions = values[:, :M], values[:, M:]
-    complete = ~np.logical_or.reduceat(unbinned, starts)
-    rows = order[starts]  # each trajectory's timestep 0
-    ids, *attr_cells = (cells[j][codes[j][rows]].tolist() for j in (0, *range(2, 2 + k)))
-    survived, mort, alive = survived[rows].tolist(), mort[rows].tolist(), alive[rows].tolist()
-    trajectories = []
-    for i, (s, e) in enumerate(zip(starts.tolist(), (starts + lengths).tolist())):
-        if i == g:
-            raise error
-        trajectories.append(PatientTrajectory(
-            id=ids[i], attributes={a: attr_cells[j][i] for j, a in enumerate(attrs)},
-            states=states[s:e], actions=actions[s:e],
-            mortality_step=None if survived[i] else mort[i], outcome_alive=alive[i],
-            action_bins=bins[s:e] if complete[i] else None))
-    return CohortDataset(schema=schema, trajectories=trajectories, block=values,
-                         bins=bins if complete.any() else None)
+    binned = ~np.logical_or.reduceat(unbinned, starts)
+    return CohortDataset(
+        schema=schema, block=values, bins=bins if binned.any() else None, first=starts,
+        lengths=lengths, ids=ids,
+        attributes={a: cells[2 + j][codes[2 + j][rows]] for j, a in enumerate(attrs)},
+        mortality_step=mort, outcome_alive=alive, binned=binned)
 
 
 def _quoted(column) -> list:
@@ -510,54 +516,54 @@ def _quoted(column) -> list:
 def write_cohort(cohort: CohortDataset, path) -> None:
     """Emit the cohort CSV; inverse of ``load_cohort`` (bit-exact round trip).
 
-    The float cells are copied into one preallocated block. Cells are built
-    a column at a time (floats as ``repr``, NaN as an empty cell, each
-    encounter's text cells quoted once as ``csv.writer`` would),
-    and the lines of 16 encounters are joined into one string and written
-    at once, which bounds the memory strings take. Float, timestep and bin
-    cells never need quotes. The column companion is written after the CSV
-    is closed."""
+    The rows are read from ``cohort.block`` itself when the encounters fill
+    it back to back (as every ``synth``, ``preprocess`` and loaded cohort
+    does), and gathered by row index otherwise. Cells are built a column at
+    a time (floats as ``repr``, NaN as an empty cell, each encounter's text
+    cells quoted once as ``csv.writer`` would), and the lines of 16
+    encounters are joined into one string and written at once, which bounds
+    the memory strings take. Float, timestep and bin cells never need
+    quotes. The column companion is written after the CSV is closed."""
     path = Path(path)
-    trajs = cohort.trajectories
     attrs = list(cohort.schema.attributes)
-    has_bins = all(tr.action_bins is not None for tr in trajs)
+    has_bins = bool(cohort.binned.all())
     header = (["id", "timestep"] + attrs + list(cohort.schema.names)
               + ["action_fluid", "action_vaso", "mortality_step", "outcome_alive"]
               + (["action_bin"] if has_bins else []))
     # one cell per encounter: id, attributes, mortality_step, outcome_alive
-    cells = [[str(tr.id) for tr in trajs], *([str(tr.attributes[a]) for tr in trajs]
-                                             for a in attrs),
-             ["" if tr.mortality_step is None else str(tr.mortality_step) for tr in trajs],
-             ["1" if tr.outcome_alive else "0" for tr in trajs]]
-    lengths = np.array([tr.T for tr in trajs], dtype=np.int64)
+    cells = [[str(c) for c in column.tolist()]
+             for column in (cohort.ids, *(cohort.attributes[a] for a in attrs))]
+    cells += [["" if m < 0 else str(m) for m in cohort.mortality_step.tolist()],
+              ["1" if alive else "0" for alive in cohort.outcome_alive.tolist()]]
+    lengths = cohort.lengths
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    M = cohort.schema.n_features
-    values = np.empty((int(offsets[-1]), M + 2))
-    for tr, lo, hi in zip(trajs, offsets[:-1].tolist(), offsets[1:].tolist()):
-        values[lo:hi, :M], values[lo:hi, M:] = tr.states, tr.actions
-    bins = np.concatenate([np.empty(0, np.int64)]
-                          + [tr.action_bins for tr in trajs if has_bins]).astype(np.int64)
+    values, bins = cohort.block, cohort.bins
+    if not (np.array_equal(cohort.first, offsets[:-1]) and offsets[-1] == len(values)):
+        index = cohort.row_index()
+        values, bins = values[index], None if bins is None else bins[index]
+    if not has_bins or bins is None:  # None: a cohort of no encounters
+        bins = np.empty(0, np.int64)
 
     quoted = [_quoted(column) for column in cells]
     digits = [str(t) for t in range(int(lengths.max(initial=0)))]
 
-    def per_row(chunk, column):  # one cell per trajectory -> one per row
-        return [cell for cell, tr in zip(column, chunk) for _ in range(tr.T)]
-
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, len(trajs), 16):
-            chunk = trajs[lo:lo + 16]
+        for lo in range(0, len(lengths), 16):
+            chunk = lengths[lo:lo + 16].tolist()
             rows = slice(offsets[lo], offsets[lo + len(chunk)])
             floats = [list(map(repr, col.tolist())) for col in values[rows].T]
             for r, j in zip(*np.nonzero(np.isnan(values[rows]))):
                 floats[j][r] = ""
-            text = [per_row(chunk, column[lo:lo + 16]) for column in quoted]
+            text = [[cell for cell, T in zip(column[lo:lo + 16], chunk) for _ in range(T)]
+                    for column in quoted]  # one cell per encounter -> one per row
             fh.write("\r\n".join(map(",".join, zip(
-                text[0], [d for tr in chunk for d in digits[:tr.T]], *text[1:-2], *floats,
+                text[0], [d for T in chunk for d in digits[:T]], *text[1:-2], *floats,
                 *text[-2:], *([list(map(str, bins[rows].tolist()))] if has_bins else [])))))
             fh.write("\r\n")
-    np.copyto(values, np.nan, where=np.isnan(values))  # as an empty cell parses
+    # every NaN as an empty cell parses; a copy only if some NaN has other bits
+    if (values.view(np.int64)[np.isnan(values)] != np.array(np.nan).view(np.int64)).any():
+        values = np.where(np.isnan(values), np.nan, values)
     _write_companion(path, [h.strip() for h in header], values, lengths, cells, bins)
 
 
@@ -605,7 +611,7 @@ def load_cohort_dir(path) -> CohortDataset:
     cohort = load_cohort(path / _CSV, schema,
                          allow_negative_actions=(path / _SIDECARS["norm_stats"]).exists())
     sidecars = {
-        "split": (dict, {tr.id: SPLIT_TAGS for tr in cohort.trajectories}),
+        "split": (dict, dict.fromkeys(cohort.ids.tolist(), SPLIT_TAGS)),
         "norm_stats": (NormStats.from_json, NormStats.spec(schema.n_features)),
         "binning": (ActionBinning.from_json, ActionBinning.SPEC),
     }
@@ -623,20 +629,22 @@ def assign_splits(cohort: CohortDataset, seed: int) -> CohortDataset:
     order = np.random.default_rng(seed).permutation(n).tolist()
     n_train, n_val = round(0.6 * n), round(0.2 * n)
     tags = [SPLIT_TAGS[(r >= n_train) + (r >= n_train + n_val)] for r in range(n)]
-    return replace(cohort, split={cohort.trajectories[i].id: tag for i, tag in zip(order, tags)})
+    ids = cohort.ids.tolist()
+    return replace(cohort, split={ids[i]: tag for i, tag in zip(order, tags)})
 
 
 def filter_subgroup(cohort: CohortDataset, key: SubgroupKey) -> CohortDataset:
-    """Restrict to one subgroup, whose trajectories keep their rows in the
+    """Restrict to one subgroup, whose encounters keep their rows in the
     cohort's block; normalization statistics are inherited."""
     if key.attribute not in cohort.schema.attributes:
         raise IntegrityError(f"attribute {key.attribute!r} not declared in cohort")
-    kept = [tr for tr in cohort.trajectories if tr.attributes[key.attribute] == key.value]
-    if not kept:
+    keep = cohort.attributes[key.attribute] == key.value
+    if not keep.any():
         raise EmptySubgroupError(f"no trajectories match {key}")
-    split = None
-    if cohort.split is not None:
-        split = {tr.id: cohort.split[tr.id] for tr in kept}
-    return CohortDataset(schema=cohort.schema, trajectories=kept, split=split,
-                         norm_stats=cohort.norm_stats, binning=cohort.binning,
-                         block=cohort.block, bins=cohort.bins)
+    ids = cohort.ids[keep]
+    return replace(
+        cohort, first=cohort.first[keep], lengths=cohort.lengths[keep], ids=ids,
+        attributes={a: v[keep] for a, v in cohort.attributes.items()},
+        mortality_step=cohort.mortality_step[keep], outcome_alive=cohort.outcome_alive[keep],
+        binned=cohort.binned[keep],
+        split=None if cohort.split is None else {i: cohort.split[i] for i in ids.tolist()})

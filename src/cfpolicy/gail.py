@@ -265,7 +265,7 @@ def train_gail(cohort: CohortDataset, dyn_model: TransitionModel,
     state-action pairs, alternating on-policy rollouts against the
     environment model, discriminator steps and policy steps."""
     data = cohort if subgroup is None else filter_subgroup(cohort, subgroup)
-    if not data.by_split("train"):
+    if not data.in_split("train").any():
         where = "the cohort" if subgroup is None else f"subgroup {subgroup}"
         raise EmptySubgroupError(f"{where} has no train-split trajectories")
     expert_obs, expert_actions = build_dataset(data, "train", "classification")

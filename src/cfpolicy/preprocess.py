@@ -9,11 +9,11 @@ last observation, train-split mean before the first.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cohort import CohortDataset, PatientTrajectory
+from .cohort import CohortDataset
 from .errors import DegenerateBinningError, IntegrityError, MissingFeatureError
 from .kernels import fill_series
 
@@ -100,19 +100,17 @@ def fit_norm_stats(cohort: CohortDataset) -> NormStats:
     """Mean/std per feature over observed train-split cells (population std).
     A column whose mean or std is not finite (values so large that it
     overflows) raises IntegrityError naming the column."""
-    train = cohort.by_split("train")
-    if not train:
+    train = cohort.row_index("train")
+    if train.size == 0:
         raise IntegrityError("train split is empty")
     M = cohort.schema.n_features
     log_flags = np.array(cohort.schema.log_normalized, dtype=bool)
     binary = _binary_mask(cohort)
-    all_states = np.concatenate([tr.states for tr in train], axis=0)
-    all_actions = np.concatenate([tr.actions for tr in train], axis=0)
 
     means, stds, raw_means = np.zeros(M), np.ones(M), np.zeros(M)  # binary: mean 0, std 1
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for j in range(M):
-            col = all_states[:, j]
+            col = cohort.block[train, j]
             obs = col[~np.isnan(col)]
             if obs.size == 0:
                 raise MissingFeatureError(
@@ -121,7 +119,8 @@ def fit_norm_stats(cohort: CohortDataset) -> NormStats:
             if not binary[j]:
                 vals = np.log1p(obs) if log_flags[j] else obs
                 means[j], stds[j] = vals.mean(), vals.std()  # population (ddof=0)
-        action_mean, action_std = all_actions.mean(axis=0), all_actions.std(axis=0)
+        actions = cohort.block[train, M:]
+        action_mean, action_std = actions.mean(axis=0), actions.std(axis=0)
     finite = np.append(np.isfinite([raw_means, means, stds]).all(axis=0),
                        np.isfinite([action_mean, action_std]).all(axis=0))
     if not finite.all():
@@ -163,18 +162,18 @@ def norepi_equivalent(drug: str, dose: float) -> float:
 
 def fit_binning(cohort: CohortDataset) -> ActionBinning:
     """25/50/75% quantile cutoffs of nonzero train doses, plus bin levels."""
-    train = cohort.by_split("train")
-    doses = np.concatenate([tr.actions for tr in train], axis=0)
+    train = cohort.row_index("train")
     cutoffs, levels = [], []
     for d, name in ((0, "fluid"), (1, "vaso")):
-        nonzero = doses[:, d][doses[:, d] > 0]
+        dose = cohort.block[train, cohort.schema.n_features + d]
+        nonzero = dose[dose > 0]
         if nonzero.size == 0:
             raise DegenerateBinningError(f"no nonzero {name} doses in train split")
         cuts = np.quantile(nonzero, [0.25, 0.5, 0.75], method="linear")
         lv = np.zeros(N_BINS_PER_DRUG)
-        bins = _bin_dose(doses[:, d], cuts)
+        bins = _bin_dose(dose, cuts)
         for b in range(1, N_BINS_PER_DRUG):  # a bin that collapsed cutoffs empty: its cutoff
-            members = doses[:, d][bins == b]
+            members = dose[bins == b]
             lv[b] = np.median(members) if members.size else cuts[min(b - 1, len(cuts) - 1)]
         cutoffs.append(cuts)
         levels.append(lv)
@@ -208,22 +207,18 @@ def preprocess_cohort(cohort: CohortDataset) -> CohortDataset:
     """Full pipeline: fit stats + binning on train, impute, bin, normalize.
 
     Requires split tags. Returns a new cohort whose states/actions are
-    normalized, with ``action_bins`` attached and statistics stored on the
+    normalized, with action bins attached and statistics stored on the
     dataset for serialization alongside trained models. The input's rows
     are gathered, encounter by encounter, into the output's one block, and
     one pass per feature imputes, log-transforms and z-normalizes a column
-    of it in place; the new trajectories are views of it. An observed cell
-    of a binary feature that is not 0 or 1, in any split, raises
-    IntegrityError naming the column and the value.
+    of it in place. An observed cell of a binary feature that is not 0 or
+    1, in any split, raises IntegrityError naming the column and the value.
     """
     stats = fit_norm_stats(cohort)
     binning = fit_binning(cohort)
     binary = _binary_mask(cohort)
-    first, lengths = cohort.rows()
-    trajs = cohort.trajectories
-    starts = np.cumsum(lengths) - lengths
-    block = cohort.block.take(np.arange(lengths.sum()) + np.repeat(first - starts, lengths),
-                              axis=0)
+    block = cohort.block.take(cohort.row_index(), axis=0)
+    lengths = cohort.lengths
     M = cohort.schema.n_features
     for j in range(M):
         col = block[:, j]
@@ -242,11 +237,6 @@ def preprocess_cohort(cohort: CohortDataset) -> CohortDataset:
             col /= stats.stds[j]
     bins = bin_actions_batch(block[:, M:], binning)
     block[:, M:] = normalize_actions(stats, block[:, M:])
-    out_trajs = [PatientTrajectory(
-        id=tr.id, attributes=tr.attributes, states=block[s:s + tr.T, :M],
-        actions=block[s:s + tr.T, M:], mortality_step=tr.mortality_step,
-        outcome_alive=tr.outcome_alive, action_bins=bins[s:s + tr.T])
-        for tr, s in zip(trajs, starts.tolist())]
-    return CohortDataset(schema=cohort.schema, trajectories=out_trajs,
-                         split=dict(cohort.split), norm_stats=stats, binning=binning,
-                         block=block, bins=bins)
+    return replace(cohort, block=block, bins=bins, first=np.cumsum(lengths) - lengths,
+                   binned=np.ones(len(cohort), bool), split=dict(cohort.split),
+                   norm_stats=stats, binning=binning)

@@ -10,12 +10,12 @@ a test oracle, not a physiological model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .cohort import CohortDataset, FeatureSchema, PatientTrajectory
+from .cohort import CohortDataset, FeatureSchema
 from .numcore import sigmoid
 
 MIN_FEATURES = 8
@@ -158,10 +158,10 @@ def generate(config: SynthConfig):
     No random variate depends on the state, so generation runs in three
     phases. Draw: one pass over the encounters takes every variate in the
     stream order of stepping them one at a time; the emission noise goes
-    straight into its state column. Step: one loop over t advances the
-    severity recursion, the expert doses and the balance labs of every
-    encounter at once. Emit: each state column gets its deterministic part
-    for all encounters together.
+    straight into its state column of the cohort's block. Step: one loop
+    over t advances the severity recursion, the expert doses and the
+    balance labs of every encounter at once, in the block. Emit: each state
+    column gets its deterministic part for all encounters together.
     """
     rng = np.random.default_rng(config.seed)
     schema = make_schema(config.n_features)
@@ -174,7 +174,9 @@ def generate(config: SynthConfig):
     # column 0: initial severity; then per step the fluid and vasopressor
     # dose noise and the severity noise (the last step has none: column 3T)
     z = np.zeros((n, 3 * T + 1))
-    states = np.empty((n, T, M))
+    block = np.empty((n * T, M + 2))
+    encounter_rows = block.reshape(n, T, M + 2)  # views: the draw fills the block
+    states, actions = encounter_rows[..., :M], encounter_rows[..., M:]
     phase = np.empty((n, M))
     surv_u = np.empty(n)
     for p in range(n):
@@ -189,12 +191,11 @@ def generate(config: SynthConfig):
             states[p, :, j] = rng.normal(0, coeffs[j][-1], T)
         surv_u[p] = rng.random()
 
-    attrs = [{"gender": "M" if g < config.p_male else "F",
-              "ethnicity": "White" if e < config.p_white else "Black"}
-             for g, e in attr_u]
-    vaso_offset = np.array([
-        -config.disparity_delta if a.get(config.disparity_attribute) == config.disparity_value
-        else 0.0 for a in attrs])
+    attributes = {"gender": np.where(attr_u[:, 0] < config.p_male, "M", "F").astype(object),
+                  "ethnicity": np.where(attr_u[:, 1] < config.p_white, "White", "Black")
+                  .astype(object)}
+    planted = attributes.get(config.disparity_attribute, np.full(n, None))
+    vaso_offset = np.where(planted == config.disparity_value, -config.disparity_delta, 0.0)
     # rng.normal(loc, scale) is loc + scale * standard_normal, bit for bit
     step_z = z[:, 1:].reshape(n, T, 3)
     noise_mult = np.exp(-0.5 * config.dose_noise_sd ** 2
@@ -204,7 +205,6 @@ def generate(config: SynthConfig):
     # step
     sev = np.empty((n, T))
     sev[:, 0] = np.maximum(0.35 + 0.15 * z[:, 0], 0.0)
-    actions = np.empty((n, T, 2))
     max_doses = (FLUID_POLICY.max_dose, VASO_POLICY.max_dose)
     balance = [(j,) + coeffs[j][1:4] for j in labs if coeffs[j][0] == "balance"]
     for t in range(T):
@@ -245,10 +245,10 @@ def generate(config: SynthConfig):
     p_death = sigmoid(config.mortality_slope * (sev[:, -1] - config.mortality_threshold))
     alive = surv_u >= p_death
     ids = [f"enc{p:06d}" for p in range(n)]
-    trajectories = [PatientTrajectory(
-        id=ids[p], attributes=attrs[p], states=states[p], actions=actions[p],
-        mortality_step=None, outcome_alive=bool(alive[p])) for p in range(n)]
-    cohort = CohortDataset(schema=schema, trajectories=trajectories)
+    cohort = CohortDataset(
+        schema=schema, block=block, bins=None, first=np.arange(n, dtype=np.int64) * T,
+        lengths=np.full(n, T, np.int64), ids=np.array(ids, dtype=object), attributes=attributes,
+        mortality_step=np.full(n, -1, np.int64), outcome_alive=alive, binned=np.zeros(n, bool))
     truth = GroundTruth(
         severity=dict(zip(ids, sev)),
         disparity_delta=config.disparity_delta,
@@ -260,26 +260,24 @@ def generate(config: SynthConfig):
 def inject_missingness(cohort: CohortDataset, rate: float, seed: int) -> CohortDataset:
     """Mask non-demographic cells independently with probability ``rate``,
     keeping at least one observation per (trajectory, feature) when possible:
-    a feature the mask would wipe out keeps one drawn with ``rng.choice``."""
+    a feature the mask would wipe out keeps one drawn with ``rng.choice``.
+    The encounters are masked one at a time in a copy of the cohort's block;
+    the result has no action bins."""
     if not 0 <= rate < 1:
         raise ValueError("rate must be in [0, 1)")
     rng = np.random.default_rng(seed)
     maskable = np.array([k != "demographic" for k in cohort.schema.kinds])
-    out = []
-    for tr in cohort.trajectories:
-        states = tr.states.copy()
-        if rate > 0:
-            mask = rng.random(states.shape) < rate
-            mask[:, ~maskable] = False
-            observed = ~np.isnan(states)  # wiped out: observed, but no observation kept
-            for j in np.flatnonzero(observed.any(axis=0) & ~(observed & ~mask).any(axis=0)):
-                mask[rng.choice(np.flatnonzero(observed[:, j])), j] = False
-            states[mask] = np.nan
-        out.append(PatientTrajectory(
-            id=tr.id, attributes=tr.attributes, states=states, actions=tr.actions,
-            mortality_step=tr.mortality_step, outcome_alive=tr.outcome_alive))
-    return CohortDataset(schema=cohort.schema, trajectories=out, split=cohort.split,
-                         norm_stats=cohort.norm_stats, binning=cohort.binning)
+    block = cohort.block.copy()
+    M = cohort.schema.n_features
+    for s, T in zip(cohort.first.tolist(), cohort.lengths.tolist()) if rate > 0 else ():
+        states = block[s:s + T, :M]
+        mask = rng.random(states.shape) < rate
+        mask[:, ~maskable] = False
+        observed = ~np.isnan(states)  # wiped out: observed, but no observation kept
+        for j in np.flatnonzero(observed.any(axis=0) & ~(observed & ~mask).any(axis=0)):
+            mask[rng.choice(np.flatnonzero(observed[:, j])), j] = False
+        states[mask] = np.nan
+    return replace(cohort, block=block, bins=None, binned=np.zeros(len(cohort), bool))
 
 
 def save_ground_truth(truth: GroundTruth, path) -> None:

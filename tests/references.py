@@ -55,8 +55,8 @@ def preprocess_cohort(cohort: CohortDataset) -> CohortDataset:
         normed = apply_norm(filled, stats, binary=binary)
         normed.action_bins = bins
         out_trajs.append(normed)
-    return CohortDataset(schema=cohort.schema, trajectories=out_trajs,
-                         split=dict(cohort.split), norm_stats=stats, binning=binning)
+    return CohortDataset.from_trajectories(cohort.schema, out_trajs, split=dict(cohort.split),
+                                           norm_stats=stats, binning=binning)
 
 
 def inject_missingness(cohort: CohortDataset, rate: float, seed: int) -> CohortDataset:
@@ -77,4 +77,6 @@ def inject_missingness(cohort: CohortDataset, rate: float, seed: int) -> CohortD
                     col_mask[rng.choice(np.flatnonzero(observed))] = False
                 states[col_mask, j] = np.nan
         out.append(replace(tr, states=states, action_bins=None))
-    return replace(cohort, trajectories=out)
+    return CohortDataset.from_trajectories(cohort.schema, out, split=cohort.split,
+                                           norm_stats=cohort.norm_stats,
+                                           binning=cohort.binning)

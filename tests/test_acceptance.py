@@ -187,7 +187,7 @@ def test_criterion_4_preprocessing_properties():
             id=f"p{i}", attributes={"gender": "F", "ethnicity": "group_a"},
             states=states, actions=actions, mortality_step=None,
             outcome_alive=True))
-    cohort = assign_splits(CohortDataset(schema=schema, trajectories=trajs), seed=0)
+    cohort = assign_splits(CohortDataset.from_trajectories(schema, trajs), seed=0)
     binning = fit_binning(cohort)
     for cuts in (binning.fluid_cutoffs, binning.vaso_cutoffs):
         doses = np.concatenate([tr.actions for tr in trajs])[:, 0 if cuts is

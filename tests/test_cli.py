@@ -600,8 +600,9 @@ def test_overflowing_dose_column_is_config_error_at_preprocess(tmp_path, capsys)
     assert cli.main(["synth", "--n", "60", "--t", "12", "--features", "8", "--seed", "3",
                      "--out", str(raw)]) == 0
     cohort = load_cohort_dir(raw)
-    save_cohort_dir(replace(cohort, trajectories=[replace(tr, actions=tr.actions * [1e300, 1.0])
-                                                  for tr in cohort.trajectories]), raw)
+    block = cohort.block.copy()
+    block[:, -2] *= 1e300  # action_fluid
+    save_cohort_dir(replace(cohort, block=block), raw)
     capsys.readouterr()
     assert cli.main(["preprocess", "--cohort", str(raw), "--seed", "3", "--out", str(out)]) == 2
     assert ("column 'action_fluid': train-split mean or std is not finite"
@@ -615,11 +616,9 @@ def test_non_binary_cell_in_a_binary_column_is_config_error_at_preprocess(tmp_pa
                      "--out", str(raw)]) == 0
     cohort = load_cohort_dir(raw)
     j = cohort.schema.kinds.index("binary")
-    trajs = list(cohort.trajectories)
-    states = trajs[-1].states.copy()
-    states[0, j] = 3.5
-    trajs[-1] = replace(trajs[-1], states=states)
-    save_cohort_dir(replace(cohort, trajectories=trajs), raw)
+    block = cohort.block.copy()
+    block[cohort.first[-1], j] = 3.5  # the last encounter's first row
+    save_cohort_dir(replace(cohort, block=block), raw)
     capsys.readouterr()
     assert cli.main(["preprocess", "--cohort", str(raw), "--seed", "3", "--out", str(out)]) == 2
     assert (f"binary column {cohort.schema.names[j]!r} holds 3.5, not 0 or 1"
@@ -681,8 +680,7 @@ def test_cohort_without_action_bins_is_not_preprocessed(pipeline_dirs, tmp_path,
     # every sidecar present, but the CSV has no action_bin column
     cohort = load_cohort_dir(pipeline_dirs["proc"])
     d = tmp_path / "proc"
-    save_cohort_dir(replace(cohort, trajectories=[replace(tr, action_bins=None)
-                                                  for tr in cohort.trajectories]), d)
+    save_cohort_dir(replace(cohort, binned=np.zeros(len(cohort), bool)), d)
     assert (d / "binning.json").exists()
     assert "action_bin" not in (d / "cohort.csv").read_text(encoding="utf-8").splitlines()[0]
     out = tmp_path / "m.npz"
@@ -810,12 +808,11 @@ def test_ragged_cohort_runs_through_every_command(tmp_path, capsys, lengths, see
     # encounters of 1..8 steps with missing cells, written as a raw cohort
     cohort, _ = generate(SynthConfig(n_patients=40, T=8, n_features=8, seed=seed,
                                      disparity_delta=0.5, onset_t=2))
-    trajs = [replace(tr, states=tr.states[:T], actions=tr.actions[:T],
-                     mortality_step=tr.mortality_step if (tr.mortality_step or T) < T else None)
-             for tr, T in zip(cohort.trajectories, lengths)]
+    lengths = np.array(lengths, dtype=np.int64)  # rows left out between encounters
+    ragged = replace(cohort, lengths=lengths, mortality_step=np.where(
+        cohort.mortality_step < lengths, cohort.mortality_step, -1))
     root = Path(tempfile.mkdtemp(dir=tmp_path))
-    save_cohort_dir(inject_missingness(replace(cohort, trajectories=trajs), 0.2, seed),
-                    root / "raw")
+    save_cohort_dir(inject_missingness(ragged, 0.2, seed), root / "raw")
     proc, bc_model = root / "proc", root / "bc.npz"
     commands = (
         ["preprocess", "--cohort", str(root / "raw"), "--seed", str(seed), "--out", str(proc)],

@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from cfpolicy.cohort import (CohortDataset, FeatureSchema, PatientTrajectory,
                              write_cohort)
 from cfpolicy.errors import (CfPolicyError, EmptySubgroupError, IntegrityError, ParseError,
                              check)
+from cfpolicy.preprocess import preprocess_cohort
+from cfpolicy.synth import SynthConfig, generate, inject_missingness
 
 SCHEMA = FeatureSchema(
     names=("hr", "lact"), kinds=("vital", "lab"), log_normalized=(False, True),
@@ -122,7 +125,7 @@ def reference_load_cohort(path, schema: FeatureSchema,
             id=tid, attributes=attrs0, states=states, actions=actions,
             mortality_step=morts.pop(), outcome_alive=alives.pop(),
             action_bins=action_bins))
-    return CohortDataset(schema=schema, trajectories=trajectories)
+    return CohortDataset.from_trajectories(schema, trajectories)
 
 
 def reference_write_cohort(cohort: CohortDataset, path) -> None:
@@ -180,7 +183,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     t2 = _traj("b", gender="F", T=4)
     t2.outcome_alive = False
     t2.mortality_step = 2
-    cohort = CohortDataset(schema=SCHEMA, trajectories=[t1, t2])
+    cohort = CohortDataset.from_trajectories(SCHEMA, [t1, t2])
     path = tmp_path / "c.csv"
     write_cohort(cohort, path)
     back = load_cohort(path, SCHEMA)
@@ -275,8 +278,7 @@ def test_mortality_step_requires_death():
 
 
 def test_assign_splits_proportions_and_determinism():
-    cohort = CohortDataset(schema=SCHEMA,
-                           trajectories=[_traj(f"t{i}") for i in range(100)])
+    cohort = CohortDataset.from_trajectories(SCHEMA, [_traj(f"t{i}") for i in range(100)])
     a = assign_splits(cohort, seed=5)
     b = assign_splits(cohort, seed=5)
     assert a.split == b.split
@@ -348,7 +350,7 @@ def test_out_of_range_bin_in_companion_is_parse_error(tmp_path, monkeypatch, bad
         id="a", attributes={"gender": "M"}, states=np.ones((2, 2)), actions=np.ones((2, 2)),
         mortality_step=None, outcome_alive=True, action_bins=np.array([3, bad_bin]))
     path = tmp_path / "c.csv"
-    write_cohort(CohortDataset(schema=SCHEMA, trajectories=[traj]), path)
+    write_cohort(CohortDataset.from_trajectories(SCHEMA, [traj]), path)
     monkeypatch.setattr(cohort_module, "_parse_csv", _no_text_parse)
     with pytest.raises(ParseError, match=f"bad action_bin '{bad_bin}'") as exc:
         load_cohort(path, SCHEMA)
@@ -389,6 +391,12 @@ def test_inconsistent_attribute_rejected(tmp_path):
     ["a,0,M,70,1.0,10,0.1,,1", "a,1,M,70,1.0,-10,0.1,,1", "a,2,M,x,1.0,10,0.1,,1"],
     # a negative dose above a duplicate
     ["a,0,M,70,1.0,10,0.1,,1", "a,1,M,70,1.0,-10,0.1,,1", "a,0,M,70,1.0,10,0.1,,1"],
+    # trajectory a: a gap; trajectory b: mortality_step out of range (negative)
+    ["a,0,M,70,1.0,10,0.1,,1", "b,0,F,70,1.0,10,0.1,-1,0", "a,2,M,70,1.0,10,0.1,,1"],
+    # trajectory a: mortality_step set but alive; trajectory b: inconsistent outcome
+    ["b,0,F,70,1.0,10,0.1,,1", "a,0,M,70,1.0,10,0.1,0,1", "b,1,F,70,1.0,10,0.1,,0"],
+    # trajectory a: mortality_step out of range and a gap
+    ["a,0,M,70,1.0,10,0.1,5,0", "a,2,M,70,1.0,10,0.1,5,0"],
 ])
 def test_first_of_several_faults_matches_reference(tmp_path, rows):
     path = tmp_path / "faults.csv"
@@ -404,22 +412,25 @@ REF_SCHEMA = FeatureSchema(
     log_normalized=(False, True, False),
     attributes={"gender": ("M", "F"), "site": ("a,b", 'say "hi"', "c")})
 ID_TEXT = st.text(st.sampled_from('ab ,"#é\r\n'), max_size=5)
-CELL = st.one_of(st.just(float("nan")), st.floats(allow_nan=False, allow_infinity=False))
+# missing cells: NaN, and NaNs with another sign or payload, which load back as NaN
+NANS = (float("nan"), -float("nan"), float(np.uint64(0x7FF8_0000_0BAD_0000).view(np.float64)))
+CELL = st.one_of(st.sampled_from(NANS), st.floats(allow_nan=False, allow_infinity=False))
 DOSE = st.floats(0, 1e6, allow_nan=False)
 CORRUPTIONS = ("fields", "number", "gap", "duplicate", "negative", "attribute", "outcome",
                "blank")
 
 
 @st.composite
-def ragged_cohorts(draw):
+def ragged_trajectories(draw):
     """Encounters of 1..8 steps with missing cells, quoted ids and
-    attributes, and with or without action bins."""
+    attributes, and with action bins for all, none or some of them."""
     ids = draw(st.lists(ID_TEXT, min_size=1, max_size=5, unique=True))
-    with_bins = draw(st.booleans())
+    with_bins = draw(st.sampled_from((True, False, None)))  # None: drawn per encounter
     trajs = []
     for tid in ids:
         T = draw(st.integers(1, 8))
         died = draw(st.booleans())
+        binned = draw(st.booleans()) if with_bins is None else with_bins
         trajs.append(PatientTrajectory(
             id=tid, attributes={a: draw(st.sampled_from(v))
                                 for a, v in REF_SCHEMA.attributes.items()},
@@ -428,8 +439,13 @@ def ragged_cohorts(draw):
             mortality_step=draw(st.one_of(st.none(), st.integers(0, T - 1))) if died else None,
             outcome_alive=not died,
             action_bins=np.array(draw(st.lists(st.integers(0, 24), min_size=T, max_size=T)))
-            if with_bins else None))
-    return CohortDataset(schema=REF_SCHEMA, trajectories=trajs)
+            if binned else None))
+    return trajs
+
+
+def ragged_cohorts():
+    return ragged_trajectories().map(lambda trajs: CohortDataset.from_trajectories(REF_SCHEMA,
+                                                                                  trajs))
 
 
 def _corrupt(data, rows, header):
@@ -473,14 +489,19 @@ def _assert_same_load(got, want):
         return
     assert [tr.id for tr in got.trajectories] == [tr.id for tr in want.trajectories]
     for g, w in zip(got.trajectories, want.trajectories):
-        assert g.states.tobytes() == w.states.tobytes()
-        assert g.actions.tobytes() == w.actions.tobytes()
-        assert (g.attributes, g.mortality_step, g.outcome_alive) == \
-            (w.attributes, w.mortality_step, w.outcome_alive)
-        assert (g.action_bins is None) == (w.action_bins is None)
-        if w.action_bins is not None:
-            assert g.action_bins.dtype == w.action_bins.dtype
-            assert g.action_bins.tobytes() == w.action_bins.tobytes()
+        _assert_same_trajectory(g, w)
+
+
+def _assert_same_trajectory(g, w):
+    """Equal encounters, bit for bit."""
+    assert g.states.tobytes() == w.states.tobytes()
+    assert g.actions.tobytes() == w.actions.tobytes()
+    assert (g.id, g.attributes, g.mortality_step, g.outcome_alive) == \
+        (w.id, w.attributes, w.mortality_step, w.outcome_alive)
+    assert (g.action_bins is None) == (w.action_bins is None)
+    if w.action_bins is not None:
+        assert g.action_bins.dtype == w.action_bins.dtype
+        assert g.action_bins.tobytes() == w.action_bins.tobytes()
 
 
 @settings(max_examples=300, deadline=None,
@@ -524,7 +545,7 @@ def test_writer_quotes_text_cells_as_the_row_reference(tmp_path, with_bins):
                                            ('a"b', "F", 'say "hi"', 2, None),
                                            (" x ", "M", "c", 4, 0))]
     trajs[0].states[1, 2] = np.nan
-    cohort = CohortDataset(schema=REF_SCHEMA, trajectories=trajs)
+    cohort = CohortDataset.from_trajectories(REF_SCHEMA, trajs)
     path = tmp_path / "c.csv"
     write_cohort(cohort, path)
     reference_write_cohort(cohort, tmp_path / "ref.csv")
@@ -597,7 +618,7 @@ def test_damaged_companion_falls_back_to_text_parse(tmp_path, monkeypatch, how):
     t1, t2 = _traj("a"), _traj("b", gender="F", T=4)
     t2.states[2, 1] = np.nan
     t1.action_bins, t2.action_bins = np.array([0, 3, 24]), np.array([7, 7, 1, 0])
-    cohort = CohortDataset(schema=SCHEMA, trajectories=[t1, t2])
+    cohort = CohortDataset.from_trajectories(SCHEMA, [t1, t2])
     path = tmp_path / "c.csv"
     write_cohort(cohort, path)
     _damage(tmp_path / "c.csv.npz", how)
@@ -615,7 +636,7 @@ def test_companion_holds_nan_as_the_text_parse_does(tmp_path, monkeypatch):
     tr.states[0, 0] = np.uint64(0x7FF8_0000_0BAD_0000).view(np.float64)  # a NaN payload
     tr.states[1, 1] = -np.nan
     path = tmp_path / "c.csv"
-    write_cohort(CohortDataset(schema=SCHEMA, trajectories=[tr]), path)
+    write_cohort(CohortDataset.from_trajectories(SCHEMA, [tr]), path)
     with monkeypatch.context() as patch:
         patch.setattr(cohort_module, "_parse_csv", _no_text_parse)
         got = load_cohort(path, SCHEMA)
@@ -627,7 +648,7 @@ def test_cell_longer_than_the_csv_field_limit_loads(tmp_path):
     # csv.reader rejects a field over 131,072 characters by default; the
     # parse raises its limit for the pass only
     limit = csv.field_size_limit()
-    cohort = CohortDataset(schema=SCHEMA, trajectories=[_traj("x" * 200_000), _traj("b")])
+    cohort = CohortDataset.from_trajectories(SCHEMA, [_traj("x" * 200_000), _traj("b")])
     path = tmp_path / "c.csv"
     write_cohort(cohort, path)
     (tmp_path / "c.csv.npz").unlink()
@@ -642,52 +663,110 @@ def _shares_one_block(cohort) -> bool:
                                      for a in (tr.states, tr.actions))
 
 
-def test_rows_are_read_from_the_trajectories_views(proc_cohort):
-    cohort = replace(proc_cohort, trajectories=list(proc_cohort.trajectories))
-    assert cohort.block is proc_cohort.block  # the views were kept, not copied
+def test_rows_and_trajectories_share_the_cohort_block(proc_cohort):
+    cohort = replace(proc_cohort, split=dict(proc_cohort.split))
+    assert cohort.block is proc_cohort.block  # the rows were kept, not copied
     lengths = np.array([tr.T for tr in cohort.trajectories])
     first, got = cohort.rows()
     assert np.array_equal(got, lengths) and np.array_equal(first, np.cumsum(lengths) - lengths)
-    cohort.trajectories.reverse()  # a reordered list keeps its rows
-    assert np.array_equal(cohort.rows()[0], first[::-1])
-    # a trajectory replaced by one with its own arrays: packed into a new block
-    cohort.trajectories[0] = replace(cohort.trajectories[0],
-                                     states=cohort.trajectories[0].states.copy())
-    first, _ = cohort.rows()
-    assert cohort.block is not proc_cohort.block
-    assert np.array_equal(first, np.cumsum(lengths[::-1]) - lengths[::-1])
-    for tr, want in zip(cohort.trajectories, proc_cohort.trajectories[::-1]):
-        assert np.shares_memory(tr.states, cohort.block)
-        assert tr.states.tobytes() == want.states.tobytes()
-        assert tr.action_bins.tobytes() == want.action_bins.tobytes()
+    assert _shares_one_block(cohort) and cohort.trajectories[0].states.base is cohort.block
+
+
+def _as_written(cohort):
+    """The cohort as ``write_cohort`` writes it: every NaN as
+    ``float("nan")``, and action bins only if every encounter has them."""
+    return CohortDataset.from_trajectories(cohort.schema, [
+        replace(tr, states=np.where(np.isnan(tr.states), np.nan, tr.states),
+                action_bins=tr.action_bins if cohort.binned.all() else None)
+        for tr in cohort.trajectories])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ragged_trajectories(), st.integers(0, 2**32 - 1))
+def test_split_and_subgroup_select_what_the_views_hold(trajs, seed):
+    cohort = assign_splits(CohortDataset.from_trajectories(REF_SCHEMA, trajs), seed)
+    views = cohort.trajectories
+    for view, tr in zip(views, trajs, strict=True):
+        _assert_same_trajectory(view, tr)
+    M = REF_SCHEMA.n_features
+    subgroups = [(None, cohort)]
+    for a, labels in REF_SCHEMA.attributes.items():
+        for label in labels:
+            key = SubgroupKey(a, label)
+            if not any(v.attributes[a] == label for v in views):
+                with pytest.raises(EmptySubgroupError):
+                    filter_subgroup(cohort, key)
+                continue
+            subgroups.append((key, filter_subgroup(cohort, key)))
+    for key, sub in subgroups:
+        assert sub.block is cohort.block and sub.bins is cohort.bins
+        members = [v for v in views if key is None or v.attributes[key.attribute] == key.value]
+        assert sub.split == {v.id: cohort.split[v.id] for v in members}
+        for tag in (None, "train", "val", "test"):
+            want = [v for v in members if tag is None or cohort.split[v.id] == tag]
+            first, lengths = sub.rows(tag)
+            assert lengths.tolist() == [v.T for v in want]
+            for s, v in zip(first.tolist(), want):
+                assert cohort.block[s:s + v.T].tobytes() == np.hstack(
+                    [v.states, v.actions]).tobytes()
+                assert np.shares_memory(v.states, cohort.block[s:s + v.T, :M])
+            assert sub.row_index(tag).tolist() == [
+                r for s, v in zip(first.tolist(), want) for r in range(s, s + v.T)]
+            for got, w in zip(sub.trajectories if tag is None else sub.by_split(tag), want,
+                              strict=True):
+                _assert_same_trajectory(got, w)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ragged_cohorts(), st.sampled_from((None, "M", "F")))
+def test_written_cohort_loads_back_bit_for_bit(tmp_path, monkeypatch, cohort, gender):
+    # a subgroup leaves rows of no encounter between its encounters' rows
+    if gender is not None:
+        try:
+            cohort = filter_subgroup(cohort, SubgroupKey("gender", gender))
+        except EmptySubgroupError:
+            return
+    path = Path(tempfile.mkdtemp(dir=tmp_path)) / "c.csv"
+    block = cohort.block.tobytes()
+    write_cohort(cohort, path)
+    assert cohort.block.tobytes() == block
+    with monkeypatch.context() as patch:
+        patch.setattr(cohort_module, "_parse_csv", _no_text_parse)
+        from_companion = load_cohort(path, REF_SCHEMA)
+    _assert_same_load(from_companion, _as_written(cohort))
+    path.with_name("c.csv.npz").unlink()
+    _assert_same_load(load_cohort(path, REF_SCHEMA), _as_written(cohort))
 
 
 @pytest.mark.parametrize("companion", [True, False])
 def test_written_cohort_loads_in_place_and_a_shuffled_one_loads_the_same(
         tmp_path, companion):
-    cohort = CohortDataset(schema=SCHEMA, trajectories=[
+    cohort = CohortDataset.from_trajectories(SCHEMA, [
         _traj(tid, gender, T) for tid, gender, T in
         (("a", "M", 3), ("b", "F", 1), ("c", "F", 5), ("d", "M", 4))])
-    path = tmp_path / "c.csv"
-    write_cohort(cohort, path)
-    if not companion:
-        (tmp_path / "c.csv.npz").unlink()
-    ordered = load_cohort(path, SCHEMA)
-    _assert_same_load(ordered, cohort)
-    assert _shares_one_block(ordered)  # rows already in order: no copy
-    # a foreign file with the same rows in another order: grouped and sorted
-    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    order = np.random.default_rng(0).permutation(len(rows))
-    shuffled = tmp_path / "shuffled.csv"
-    shuffled.write_text(header + "".join(rows[i] for i in order), encoding="utf-8")
-    got = load_cohort(shuffled, SCHEMA)
-    got.trajectories.sort(key=lambda tr: tr.id)  # they come in order of first appearance
-    _assert_same_load(got, ordered)
+    # back to back, and a subgroup whose rows have gaps between them
+    for written in (cohort, filter_subgroup(cohort, SubgroupKey("gender", "F"))):
+        path = tmp_path / "c.csv"
+        write_cohort(written, path)
+        if not companion:
+            (tmp_path / "c.csv.npz").unlink()
+        ordered = load_cohort(path, SCHEMA)
+        _assert_same_load(ordered, written)
+        assert _shares_one_block(ordered)  # rows already in order: no copy
+        # a foreign file with the same rows in another order: grouped and sorted
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        order = np.random.default_rng(0).permutation(len(rows))
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(rows[i] for i in order), encoding="utf-8")
+        got = load_cohort(shuffled, SCHEMA)  # encounters in order of first appearance
+        _assert_same_load(CohortDataset.from_trajectories(
+            SCHEMA, sorted(got.trajectories, key=lambda tr: tr.id)), ordered)
 
 
 def test_csv_with_a_byte_order_mark_loads(tmp_path):
     # spreadsheet and database exports often start with a UTF-8 BOM
-    cohort = CohortDataset(schema=SCHEMA, trajectories=[_traj("a"), _traj("b", "F", 4)])
+    cohort = CohortDataset.from_trajectories(SCHEMA, [_traj("a"), _traj("b", "F", 4)])
     path = tmp_path / "c.csv"
     write_cohort(cohort, path)
     marked = tmp_path / "marked.csv"
@@ -697,9 +776,9 @@ def test_csv_with_a_byte_order_mark_loads(tmp_path):
 
 def test_cell_ending_in_nul_gets_no_companion(tmp_path):
     path = tmp_path / "c.csv"
-    write_cohort(CohortDataset(schema=SCHEMA, trajectories=[_traj("b")]), path)
+    write_cohort(CohortDataset.from_trajectories(SCHEMA, [_traj("b")]), path)
     assert (tmp_path / "c.csv.npz").exists()
-    write_cohort(CohortDataset(schema=SCHEMA, trajectories=[_traj("a\0")]), path)
+    write_cohort(CohortDataset.from_trajectories(SCHEMA, [_traj("a\0")]), path)
     assert not (tmp_path / "c.csv.npz").exists()  # a <U array would drop the NUL
     assert load_cohort(path, SCHEMA).trajectories[0].id == "a\0"
 
@@ -715,6 +794,35 @@ def test_bad_split_tag_names_its_encounter(tmp_path, small_cohort):
     assert str(exc.value) == (f"{tmp_path / 'splits.json'}: {tid}: "
                               "expected one of 'train', 'val', 'test', got 'Train'")
 
+
+
+def _traced_peak(run):
+    """``run()`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cohort_stages_memory_is_bounded_by_the_float_block(tmp_path):
+    # at n=800, T=72 and 12 features the float block is 6.45 MB. Each stage
+    # holds it about once beside what it makes: synth's block and the
+    # masked copy; preprocess's output block and one column's imputation;
+    # the writer's strings and companion bytes, but no copy of the rows;
+    # the loader's decode and checks.
+    n, T, M = 800, 72, 12
+    block = n * T * (M + 2) * 8
+    raw, peak = _traced_peak(lambda: inject_missingness(
+        generate(SynthConfig(n_patients=n, T=T, n_features=M, seed=3))[0], 0.1, 3))
+    assert raw.block.nbytes == block and peak < 2.5 * block
+    raw = assign_splits(raw, seed=3)
+    proc, peak = _traced_peak(lambda: preprocess_cohort(raw))
+    assert peak < 1.75 * block
+    _, peak = _traced_peak(lambda: save_cohort_dir(proc, tmp_path))
+    assert peak < 1.5 * block
+    _, peak = _traced_peak(lambda: load_cohort_dir(tmp_path))
+    assert peak < 2.6 * block
 
 # (value, tuple of alternatives, what check returns or the message it raises)
 ALTERNATIVES = [

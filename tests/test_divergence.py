@@ -436,14 +436,9 @@ def test_disparity_visible_in_report(subgroup_policy, proc_cohort):
 
 def _truncated(cohort, rng, shortest, longest):
     """The cohort with each encounter cut to a random length."""
-    trajs = []
-    for tr in cohort.trajectories:
-        T = int(rng.integers(shortest, longest + 1))
-        death = tr.mortality_step
-        trajs.append(replace(tr, states=tr.states[:T], actions=tr.actions[:T],
-                             action_bins=tr.action_bins[:T],
-                             mortality_step=death if death is not None and death < T else None))
-    return replace(cohort, trajectories=trajs)
+    T = np.array([rng.integers(shortest, longest + 1) for _ in range(len(cohort))])
+    death = cohort.mortality_step
+    return replace(cohort, lengths=T, mortality_step=np.where(death < T, death, -1))
 
 
 def test_ragged_cohort_report(subgroup_policy, proc_cohort):

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfpolicy.bc import BcHyperParams, build_dataset, train_bc
-from cfpolicy.cohort import (SubgroupKey, assign_splits, filter_subgroup, load_cohort_dir,
-                             save_cohort_dir)
+from cfpolicy.cohort import (CohortDataset, SubgroupKey, assign_splits, filter_subgroup,
+                             load_cohort_dir, save_cohort_dir)
 from cfpolicy.dynamics import (STATE_CLIP, WINDOW, DynHyperParams, TransitionModel,
                                _collect_windows, eval_dynamics_mse, load_dynamics,
                                rollout, save_dynamics, state_window, train_dynamics,
@@ -106,11 +106,9 @@ def test_windows_equal_loop_reference_bytewise(arrays):
 
 
 def _ragged(cohort, lengths):
-    trajs = [replace(tr, states=tr.states[:T], actions=tr.actions[:T],
-                     action_bins=tr.action_bins[:T], mortality_step=None,
-                     outcome_alive=True)
-             for tr, T in zip(cohort.trajectories, lengths)]
-    return replace(cohort, trajectories=trajs)
+    E = len(cohort)
+    return replace(cohort, lengths=np.array(lengths, dtype=np.int64),
+                   mortality_step=np.full(E, -1), outcome_alive=np.ones(E, bool))
 
 
 def _assert_gathers(X, ref, rng):
@@ -192,13 +190,10 @@ def test_cohort_windows_equal_reference_concatenation(small_cohort, proc_cohort,
     # between encounters; the same trajectories copied (packed into a new
     # block); loaded out of row order; and preprocessed in memory
     ragged = _ragged(proc_cohort, lengths)
-    packed = replace(ragged, trajectories=[
-        replace(tr, states=tr.states.copy(), actions=tr.actions.copy(),
-                action_bins=tr.action_bins.copy()) for tr in ragged.trajectories])
+    packed = CohortDataset.from_trajectories(ragged.schema, ragged.trajectories,
+                                             split=ragged.split)
     assert not np.shares_memory(packed.block, ragged.block)
-    raw = replace(small_cohort, trajectories=[
-        replace(tr, states=tr.states[:T], actions=tr.actions[:T], mortality_step=None,
-                outcome_alive=True) for tr, T in zip(small_cohort.trajectories, lengths)])
+    raw = _ragged(small_cohort, lengths)
     rng = np.random.default_rng(seed)
     for cohort in (ragged, packed, _loaded_out_of_order(ragged, seed), preprocess_cohort(raw)):
         subgroup = [filter_subgroup(cohort, SubgroupKey("gender", "F"))] if any(

@@ -62,7 +62,7 @@ def test_zero_variance_feature_maps_to_zero():
                                                        np.arange(4.0) + i]),
                                actions=np.ones((4, 2)))
              for i in range(5)]
-    cohort = CohortDataset(schema=schema, trajectories=trajs,
+    cohort = CohortDataset.from_trajectories(schema, trajs,
                            split={str(i): "train" for i in range(5)})
     stats = fit_norm_stats(cohort)
     normed = apply_norm(trajs[0], stats)
@@ -74,7 +74,7 @@ def test_missing_feature_error():
                            log_normalized=(False,), attributes={})
     tr = PatientTrajectory(id="a", attributes={},
                            states=np.full((3, 1), np.nan), actions=np.ones((3, 2)))
-    cohort = CohortDataset(schema=schema, trajectories=[tr], split={"a": "train"})
+    cohort = CohortDataset.from_trajectories(schema, [tr], split={"a": "train"})
     with pytest.raises(MissingFeatureError):
         fit_norm_stats(cohort)
 
@@ -165,7 +165,7 @@ def test_quantile_mass_within_tolerance(rng):
              for i in range(100)]
     schema = FeatureSchema(names=("x",), kinds=("lab",), log_normalized=(False,),
                            attributes={})
-    cohort = CohortDataset(schema=schema, trajectories=trajs,
+    cohort = CohortDataset.from_trajectories(schema, trajs,
                            split={str(i): "train" for i in range(100)})
     binning = fit_binning(cohort)
     bins = _bin_dose(doses[doses > 0], binning.fluid_cutoffs)
@@ -179,7 +179,7 @@ def test_degenerate_binning():
                            attributes={})
     tr = PatientTrajectory(id="a", attributes={}, states=np.zeros((5, 1)),
                            actions=np.zeros((5, 2)))
-    cohort = CohortDataset(schema=schema, trajectories=[tr], split={"a": "train"})
+    cohort = CohortDataset.from_trajectories(schema, [tr], split={"a": "train"})
     with pytest.raises(DegenerateBinningError):
         fit_binning(cohort)
 
@@ -271,7 +271,7 @@ def ragged_raw_cohorts(draw):
         actions = np.array(draw(st.lists(doses, min_size=2 * T, max_size=2 * T))).reshape(T, 2)
         trajs.append(PatientTrajectory(id=f"e{i}", attributes={}, states=states, actions=actions))
         split[f"e{i}"] = "train" if i == 0 else draw(st.sampled_from(SPLIT_TAGS))
-    return CohortDataset(schema=BLOCK_SCHEMA, trajectories=trajs, split=split)
+    return CohortDataset.from_trajectories(BLOCK_SCHEMA, trajs, split=split)
 
 
 def _run(preprocess, cohort):

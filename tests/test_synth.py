@@ -123,7 +123,7 @@ def reference_generate(config):
             id=tid, attributes=attrs, states=states, actions=actions,
             mortality_step=None, outcome_alive=bool(alive)))
 
-    cohort = CohortDataset(schema=schema, trajectories=trajectories)
+    cohort = CohortDataset.from_trajectories(schema, trajectories)
     truth = GroundTruth(
         severity=severity_paths,
         disparity_delta=config.disparity_delta,
@@ -276,7 +276,7 @@ def _premasked_cohorts(draw):
                .reshape(T, 4)] = np.nan
         trajs.append(PatientTrajectory(id=f"e{i}", attributes={}, states=states,
                                        actions=np.ones((T, 2))))
-    return CohortDataset(schema=MASK_SCHEMA, trajectories=trajs)
+    return CohortDataset.from_trajectories(MASK_SCHEMA, trajs)
 
 
 def _with_recorded_generators(run, *args):
@@ -303,7 +303,7 @@ def test_inject_missingness_equals_per_feature_reference(cohort, rate, seed):
 def test_inject_missingness_wipe_keeps_one_observation_per_feature(T):
     # at rate 0.95 the mask takes every cell of most features; each keeps one
     states = np.arange(4.0 * T).reshape(T, 4)
-    cohort = CohortDataset(schema=MASK_SCHEMA, trajectories=[
+    cohort = CohortDataset.from_trajectories(MASK_SCHEMA, [
         PatientTrajectory(id=f"e{i}", attributes={}, states=states + i,
                           actions=np.ones((T, 2))) for i in range(40)])
     got, (rng,) = _with_recorded_generators(inject_missingness, cohort, 0.95, 3)
@@ -324,7 +324,7 @@ def test_inject_missingness_skips_a_feature_with_no_observation():
     trajs = [PatientTrajectory(id="a", attributes={}, states=states, actions=np.ones((3, 2))),
              PatientTrajectory(id="b", attributes={}, states=np.ones((3, 4)),
                                actions=np.ones((3, 2)))]
-    cohort = CohortDataset(schema=MASK_SCHEMA, trajectories=trajs)
+    cohort = CohortDataset.from_trajectories(MASK_SCHEMA, trajs)
     masked = inject_missingness(cohort, rate=0.9, seed=0)
     a, b = masked.trajectories
     assert np.isnan(a.states[:, 1]).all()
