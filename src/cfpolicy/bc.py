@@ -61,12 +61,12 @@ def build_dataset(cohort: CohortDataset, split: str, mode: str):
     """Flattened observation windows and their targets (dose pairs or
     action bins) for one split, in (trajectory, t) order, each a
     ``Windows`` gathered from the cohort's block on demand."""
-    X = Windows.of(cohort, split)
+    X = Windows.of(part := cohort.split_of(split))
     if len(X) == 0:
         raise EmptySubgroupError(f"split {split!r} has no trajectories")
     if mode == "regression":
         return X, X.targets("dose")
-    if not cohort.binned[cohort.in_split(split)].all():
+    if not part.binned.all():
         raise IntegrityError(f"split {split!r} holds trajectories without action bins")
     return X, X.targets("bin")
 

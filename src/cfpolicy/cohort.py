@@ -134,7 +134,7 @@ class PatientTrajectory:
 
 @dataclass
 class CohortDataset:
-    """Encounters as columns, plus schema, split tags and fitted statistics.
+    """Encounters as columns (split tags included), plus schema and statistics.
 
     Every encounter's rows live in one float block, ``block`` (rows, M + 2):
     encounter i has the states ``block[s:s + T, :M]``, the doses
@@ -154,7 +154,7 @@ class CohortDataset:
     mortality_step: np.ndarray  # (E,) int64, -1 = none
     outcome_alive: np.ndarray  # (E,) bool
     binned: np.ndarray  # (E,) bool
-    split: Optional[dict] = None  # encounter id -> 'train' | 'val' | 'test'
+    split: Optional[np.ndarray] = None  # (E,) object: 'train' | 'val' | 'test'
     norm_stats: Optional["NormStats"] = None
     binning: Optional["ActionBinning"] = None
 
@@ -191,36 +191,6 @@ class CohortDataset:
     def trajectories(self) -> list:
         """Every encounter as a ``PatientTrajectory`` whose arrays are views
         of ``block`` and ``bins``, built on each read."""
-        return self._views(self.in_split())
-
-    def by_split(self, tag: str) -> list:
-        """The encounters of split ``tag``, as ``trajectories`` gives them."""
-        return self._views(self.in_split(tag))
-
-    def in_split(self, tag: Optional[str] = None) -> np.ndarray:
-        """Whether each encounter is in split ``tag`` (every one if None)."""
-        if tag is None:
-            return np.ones(len(self), bool)
-        if self.split is None:
-            raise IntegrityError("cohort has no split assignment")
-        if tag not in SPLIT_TAGS:
-            raise ValueError(f"unknown split tag {tag!r}")
-        return np.array([self.split[i] == tag for i in self.ids.tolist()], dtype=bool)
-
-    def rows(self, tag: Optional[str] = None):
-        """The first block row and the length of each encounter, or of each
-        in split ``tag``, in order (new arrays)."""
-        keep = self.in_split(tag)
-        return self.first[keep], self.lengths[keep]
-
-    def row_index(self, tag: Optional[str] = None) -> np.ndarray:
-        """The block row of every row of each encounter, or of each in
-        split ``tag``, in order."""
-        first, lengths = self.rows(tag)
-        return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths),
-                                                    lengths)
-
-    def _views(self, keep: np.ndarray) -> list:
         M, attrs = self.schema.n_features, list(self.attributes)
         columns = (self.first, self.lengths, self.ids, self.mortality_step, self.outcome_alive,
                    self.binned, *self.attributes.values())
@@ -228,8 +198,34 @@ class CohortDataset:
             id=tid, attributes=dict(zip(attrs, labels)), states=self.block[s:s + T, :M],
             actions=self.block[s:s + T, M:], mortality_step=None if mort < 0 else mort,
             outcome_alive=alive, action_bins=self.bins[s:s + T] if binned else None)
-            for s, T, tid, mort, alive, binned, *labels in zip(*(
-                c[keep].tolist() for c in columns))]
+            for s, T, tid, mort, alive, binned, *labels in zip(*(c.tolist() for c in columns))]
+
+    def select(self, keep) -> "CohortDataset":
+        """The encounters at ``keep`` (a mask or an index array over the
+        encounters), in that order; their rows stay in this cohort's block."""
+        return replace(
+            self, first=self.first[keep], lengths=self.lengths[keep], ids=self.ids[keep],
+            attributes={a: v[keep] for a, v in self.attributes.items()},
+            mortality_step=self.mortality_step[keep], outcome_alive=self.outcome_alive[keep],
+            binned=self.binned[keep], split=None if self.split is None else self.split[keep])
+
+    def split_of(self, tag: str) -> "CohortDataset":
+        """The encounters of split ``tag``, as ``select`` gives them."""
+        if self.split is None:
+            raise IntegrityError("cohort has no split assignment")
+        if tag not in SPLIT_TAGS:
+            raise ValueError(f"unknown split tag {tag!r}")
+        return self.select(self.split == tag)
+
+    def row_index(self) -> np.ndarray:
+        """The block row of every row of each encounter, in order."""
+        return block_rows(self.first, self.lengths)
+
+
+def block_rows(first, lengths) -> np.ndarray:
+    """The block row of every row of encounters that start at block rows
+    ``first`` and have ``lengths`` rows, in order."""
+    return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
 
 
 def _factorize(cells):
@@ -343,7 +339,7 @@ def _read_companion(path: Path, M: int, k: int):
             and np.array_equal(digest, _sha256(path))):
         return None
     encounter = np.repeat(np.arange(len(lengths)), lengths)
-    t = np.arange(len(values)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    t = block_rows(0, lengths)
     columns = [(cell, code[encounter]) for cell, code in map(_factorize, cells.T.tolist())]
     columns.insert(1, (np.arange(int(lengths.max(initial=0))).astype(object), t))
     labels, code = np.unique(bins, return_inverse=True)
@@ -585,8 +581,8 @@ def save_cohort_dir(cohort: CohortDataset, out_dir) -> None:
     (out_dir / _SCHEMA).write_text(
         json.dumps(cohort.schema.to_json(), indent=2), encoding="utf-8")
     sidecars = {
-        "split": None if cohort.split is None
-        else json.dumps(cohort.split, indent=2, sort_keys=True),
+        "split": None if cohort.split is None else json.dumps(
+            dict(zip(cohort.ids.tolist(), cohort.split.tolist())), indent=2, sort_keys=True),
         "norm_stats": None if cohort.norm_stats is None
         else json.dumps(cohort.norm_stats.to_json()),
         "binning": None if cohort.binning is None else json.dumps(cohort.binning.to_json()),
@@ -610,8 +606,9 @@ def load_cohort_dir(path) -> CohortDataset:
     # a norm-stats sidecar marks a preprocessed cohort: actions are z-scored
     cohort = load_cohort(path / _CSV, schema,
                          allow_negative_actions=(path / _SIDECARS["norm_stats"]).exists())
-    sidecars = {
-        "split": (dict, dict.fromkeys(cohort.ids.tolist(), SPLIT_TAGS)),
+    sidecars = {  # the split sidecar maps ids to tags; the column holds them in id order
+        "split": (lambda split: np.array([split[i] for i in cohort.ids.tolist()], dtype=object),
+                  dict.fromkeys(cohort.ids.tolist(), SPLIT_TAGS)),
         "norm_stats": (NormStats.from_json, NormStats.spec(schema.n_features)),
         "binning": (ActionBinning.from_json, ActionBinning.SPEC),
     }
@@ -626,11 +623,11 @@ def assign_splits(cohort: CohortDataset, seed: int) -> CohortDataset:
     if len(cohort) == 0:
         raise IntegrityError("cannot split an empty cohort")
     n = len(cohort)
-    order = np.random.default_rng(seed).permutation(n).tolist()
+    order = np.random.default_rng(seed).permutation(n)
     n_train, n_val = round(0.6 * n), round(0.2 * n)
-    tags = [SPLIT_TAGS[(r >= n_train) + (r >= n_train + n_val)] for r in range(n)]
-    ids = cohort.ids.tolist()
-    return replace(cohort, split={ids[i]: tag for i, tag in zip(order, tags)})
+    split = np.empty(n, dtype=object)
+    split[order] = [SPLIT_TAGS[(r >= n_train) + (r >= n_train + n_val)] for r in range(n)]
+    return replace(cohort, split=split)
 
 
 def filter_subgroup(cohort: CohortDataset, key: SubgroupKey) -> CohortDataset:
@@ -641,10 +638,4 @@ def filter_subgroup(cohort: CohortDataset, key: SubgroupKey) -> CohortDataset:
     keep = cohort.attributes[key.attribute] == key.value
     if not keep.any():
         raise EmptySubgroupError(f"no trajectories match {key}")
-    ids = cohort.ids[keep]
-    return replace(
-        cohort, first=cohort.first[keep], lengths=cohort.lengths[keep], ids=ids,
-        attributes={a: v[keep] for a, v in cohort.attributes.items()},
-        mortality_step=cohort.mortality_step[keep], outcome_alive=cohort.outcome_alive[keep],
-        binned=cohort.binned[keep],
-        split=None if cohort.split is None else {i: cohort.split[i] for i in ids.tolist()})
+    return cohort.select(keep)

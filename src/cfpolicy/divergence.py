@@ -149,7 +149,7 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
     timestep of each, and entry t of the per-timestep list (t below the
     longest length) takes the trajectories that reach t.
     """
-    X = Windows.of(cohort, split)
+    X = Windows.of(cohort.split_of(split))
     if len(X) == 0:
         raise EmptySubgroupError(f"split {split!r} has no trajectories")
     stats = cohort.norm_stats

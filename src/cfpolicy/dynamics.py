@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cohort import CohortDataset
+from .cohort import CohortDataset, block_rows
 from .errors import EmptySubgroupError, RolloutBlowupError, check
 from .numcore import (Adam, RecurrentRegressor, blocked_loss, fit, load_checkpoint,
                       mse_loss, save_checkpoint)
@@ -51,8 +51,8 @@ def window_arrays(rows: np.ndarray, t, first=0) -> np.ndarray:
 
 
 class Windows:
-    """One row per window of a cohort split, gathered on demand from the
-    cohort's ``block`` (and ``bins``).
+    """One row per window of a cohort (a split of one, say), gathered on
+    demand from the cohort's ``block`` (and ``bins``).
 
     Row i is read at block row ``t[i]``, the time row of a window whose
     encounter starts at block row ``first[i]``. ``kind`` says what a row
@@ -70,17 +70,13 @@ class Windows:
         self.block, self.bins, self.t, self.first, self.kind = block, bins, t, first, kind
 
     @classmethod
-    def of(cls, cohort: CohortDataset, split: str, transitions: bool = False) -> "Windows":
-        """The policy windows at every timestep of the split's trajectories,
-        in (trajectory, t) order; with ``transitions``, the dynamics windows
+    def of(cls, cohort: CohortDataset, transitions: bool = False) -> "Windows":
+        """The policy windows at every timestep of the cohort's encounters,
+        in (encounter, t) order; with ``transitions``, the dynamics windows
         at every timestep that has a next one."""
-        first, counts = cohort.rows(split)
-        counts -= transitions
-        t = np.repeat(first - (np.cumsum(counts) - counts), counts)
-        first = np.repeat(first, counts)
-        t += np.arange(len(t))
-        return cls(cohort.block, cohort.bins, t, first,
-                   "transition" if transitions else "policy")
+        counts = cohort.lengths - transitions
+        return cls(cohort.block, cohort.bins, block_rows(cohort.first, counts),
+                   np.repeat(cohort.first, counts), "transition" if transitions else "policy")
 
     def targets(self, kind: str) -> "Windows":
         """The rows of ``kind`` at the same time rows."""
@@ -149,7 +145,7 @@ class TransitionModel:
 def _collect_windows(cohort: CohortDataset, split: str, max_windows=None, rng=None):
     """The dynamics windows of one split, in (trajectory, t) order, or
     ``max_windows`` of them drawn by ``rng``, and their next-state deltas."""
-    X = Windows.of(cohort, split, transitions=True)
+    X = Windows.of(cohort.split_of(split), transitions=True)
     if len(X) == 0:
         raise EmptySubgroupError(f"split {split!r} has no state transitions")
     if max_windows is not None and len(X) > max_windows:

@@ -265,7 +265,7 @@ def train_gail(cohort: CohortDataset, dyn_model: TransitionModel,
     state-action pairs, alternating on-policy rollouts against the
     environment model, discriminator steps and policy steps."""
     data = cohort if subgroup is None else filter_subgroup(cohort, subgroup)
-    if not data.in_split("train").any():
+    if len(data.split_of("train")) == 0:
         where = "the cohort" if subgroup is None else f"subgroup {subgroup}"
         raise EmptySubgroupError(f"{where} has no train-split trajectories")
     expert_obs, expert_actions = build_dataset(data, "train", "classification")
@@ -350,7 +350,7 @@ def make_episode_sampler(cohort: CohortDataset, dyn_model: TransitionModel,
     """
     stats = cohort.norm_stats
     binning = cohort.binning
-    first, _ = cohort.rows("train")
+    first = cohort.split_of("train").first
     starts = state_window(cohort.block, first, first)[..., :cohort.schema.n_features]
     horizon = config.horizon
 

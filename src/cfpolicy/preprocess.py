@@ -100,7 +100,7 @@ def fit_norm_stats(cohort: CohortDataset) -> NormStats:
     """Mean/std per feature over observed train-split cells (population std).
     A column whose mean or std is not finite (values so large that it
     overflows) raises IntegrityError naming the column."""
-    train = cohort.row_index("train")
+    train = cohort.split_of("train").row_index()
     if train.size == 0:
         raise IntegrityError("train split is empty")
     M = cohort.schema.n_features
@@ -162,7 +162,7 @@ def norepi_equivalent(drug: str, dose: float) -> float:
 
 def fit_binning(cohort: CohortDataset) -> ActionBinning:
     """25/50/75% quantile cutoffs of nonzero train doses, plus bin levels."""
-    train = cohort.row_index("train")
+    train = cohort.split_of("train").row_index()
     cutoffs, levels = [], []
     for d, name in ((0, "fluid"), (1, "vaso")):
         dose = cohort.block[train, cohort.schema.n_features + d]
@@ -211,8 +211,9 @@ def preprocess_cohort(cohort: CohortDataset) -> CohortDataset:
     dataset for serialization alongside trained models. The input's rows
     are gathered, encounter by encounter, into the output's one block, and
     one pass per feature imputes, log-transforms and z-normalizes a column
-    of it in place. An observed cell of a binary feature that is not 0 or
-    1, in any split, raises IntegrityError naming the column and the value.
+    of it in place. In any split, an observed binary cell not 0 or 1, an
+    observed log-normalized cell at or below -1, or a feature or dose not
+    finite once normalized raises IntegrityError naming column and value.
     """
     stats = fit_norm_stats(cohort)
     binning = fit_binning(cohort)
@@ -220,23 +221,33 @@ def preprocess_cohort(cohort: CohortDataset) -> CohortDataset:
     block = cohort.block.take(cohort.row_index(), axis=0)
     lengths = cohort.lengths
     M = cohort.schema.n_features
-    for j in range(M):
-        col = block[:, j]
-        if binary[j]:  # raw cells only: imputation rightly leaves fractions
-            bad = col[(col != 0.0) & (col != 1.0) & ~np.isnan(col)]
-            if bad.size:
-                raise IntegrityError(f"binary column {cohort.schema.names[j]!r} "
-                                     f"holds {float(bad[0])!r}, not 0 or 1")
-        col[:] = fill_series(col, stats.raw_means[j], lengths)
-        if stats.stds[j] == 0:  # never binary: those have mean 0, std 1
-            col[:] = np.where(np.isnan(col), np.nan, 0.0)
-        elif not binary[j]:
+
+    def reject(label, values, bad, what="not finite once normalized"):  # the first bad value
+        if bad.any():
+            raise IntegrityError(f"{label} holds {float(values[np.argmax(bad)])!r}, {what}")
+
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for j, name in enumerate(cohort.schema.names):
+            col = block[:, j]
+            if binary[j]:  # raw cells only: imputation rightly leaves fractions
+                reject(f"binary column {name!r}", col,
+                       (col != 0.0) & (col != 1.0) & ~np.isnan(col), "not 0 or 1")
             if stats.log_flags[j]:
-                np.log1p(col, out=col)
-            col -= stats.means[j]
-            col /= stats.stds[j]
-    bins = bin_actions_batch(block[:, M:], binning)
-    block[:, M:] = normalize_actions(stats, block[:, M:])
+                reject(f"log-normalized column {name!r}", col, col <= -1.0, "not above -1")
+            col[:] = filled = fill_series(col, stats.raw_means[j], lengths)
+            if stats.stds[j] == 0:  # never binary: those have mean 0, std 1
+                col[:] = np.where(np.isnan(col), np.nan, 0.0)
+            elif not binary[j]:
+                if stats.log_flags[j]:
+                    np.log1p(col, out=col)
+                col -= stats.means[j]
+                col /= stats.stds[j]
+            reject(f"column {name!r}", filled, ~np.isfinite(col))
+            del filled  # not held through the next column's imputation
+        bins = bin_actions_batch(block[:, M:], binning)
+        actions = normalize_actions(stats, block[:, M:])
+    for d, name in enumerate(("action_fluid", "action_vaso")):
+        reject(f"column {name!r}", block[:, M + d], ~np.isfinite(actions[:, d]))
+    block[:, M:] = actions
     return replace(cohort, block=block, bins=bins, first=np.cumsum(lengths) - lengths,
-                   binned=np.ones(len(cohort), bool), split=dict(cohort.split),
-                   norm_stats=stats, binning=binning)
+                   binned=np.ones(len(cohort), bool), norm_stats=stats, binning=binning)

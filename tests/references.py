@@ -55,7 +55,7 @@ def preprocess_cohort(cohort: CohortDataset) -> CohortDataset:
         normed = apply_norm(filled, stats, binary=binary)
         normed.action_bins = bins
         out_trajs.append(normed)
-    return CohortDataset.from_trajectories(cohort.schema, out_trajs, split=dict(cohort.split),
+    return CohortDataset.from_trajectories(cohort.schema, out_trajs, split=cohort.split,
                                            norm_stats=stats, binning=binning)
 
 

@@ -261,7 +261,7 @@ def test_criterion_6_dynamics(big_proc):
 
     rng = np.random.default_rng(0)
     stats, binning = big_proc.norm_stats, big_proc.binning
-    starts = np.stack([tr.states[0] for tr in big_proc.by_split("test")[:10]])
+    starts = np.stack([tr.states[0] for tr in big_proc.split_of("test").trajectories[:10]])
 
     def random_policy(s_win):
         doses = action_index_to_doses(rng.integers(0, 25, len(s_win)), binning)

@@ -54,7 +54,7 @@ def test_reference_metrics_are_fixed_constants():
 
 def test_build_dataset_window_padding(proc_cohort):
     X, Y = build_dataset(proc_cohort, "train", "classification")
-    tr = proc_cohort.by_split("train")[0]
+    tr = proc_cohort.split_of("train").trajectories[0]
     M = proc_cohort.schema.n_features
     # at t=0 the 3-step window repeats the first state three times
     assert np.array_equal(X[0], np.tile(tr.states[0], 3))
@@ -66,7 +66,7 @@ def test_build_dataset_window_padding(proc_cohort):
 
 def test_build_dataset_regression_targets(proc_cohort):
     X, Y = build_dataset(proc_cohort, "train", "regression")
-    tr = proc_cohort.by_split("train")[0]
+    tr = proc_cohort.split_of("train").trajectories[0]
     assert Y.shape[1] == 2
     assert np.array_equal(Y[1], tr.actions[1])
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import cfpolicy
 from cfpolicy import cli, gail
-from cfpolicy.cohort import load_cohort_dir, save_cohort_dir
+from cfpolicy.cohort import assign_splits, load_cohort_dir, save_cohort_dir
 from cfpolicy.errors import CfPolicyError, SchemaMismatchError, TrainingDivergenceError
 from cfpolicy.numcore import load_checkpoint, save_checkpoint
 from cfpolicy.synth import SynthConfig, generate, inject_missingness
@@ -408,8 +408,8 @@ def test_subgroup_without_train_split_is_config_error(pipeline_dirs, tmp_path, c
     proc = tmp_path / "proc"
     shutil.copytree(pipeline_dirs["proc"], proc)
     cohort = load_cohort_dir(proc)
-    split = {tr.id: ("test" if tr.attributes["gender"] == "F" else cohort.split[tr.id])
-             for tr in cohort.trajectories}
+    tags = np.where(cohort.attributes["gender"] == "F", "test", cohort.split)
+    split = dict(zip(cohort.ids.tolist(), tags.tolist()))
     (proc / "splits.json").write_text(json.dumps(split), encoding="utf-8")
     dyn = tmp_path / "dyn.npz"
     assert cli.main(["train-dyn", "--cohort", str(proc), "--epochs", "1",
@@ -426,10 +426,9 @@ def test_empty_split_is_config_error(pipeline_dirs, tmp_path, capsys):
     proc = tmp_path / "proc"
     shutil.copytree(pipeline_dirs["proc"], proc)
     cohort = load_cohort_dir(proc)
-    split = {tr.id: ("train" if cohort.split[tr.id] == "val"
-                     or (tr.attributes["gender"] == "M" and cohort.split[tr.id] == "test")
-                     else cohort.split[tr.id])
-             for tr in cohort.trajectories}
+    tags = cohort.split.copy()
+    tags[(tags == "val") | ((cohort.attributes["gender"] == "M") & (tags == "test"))] = "train"
+    split = dict(zip(cohort.ids.tolist(), tags.tolist()))
     (proc / "splits.json").write_text(json.dumps(split), encoding="utf-8")
     capsys.readouterr()
     for argv, named in (
@@ -610,19 +609,34 @@ def test_overflowing_dose_column_is_config_error_at_preprocess(tmp_path, capsys)
     assert not out.exists()
 
 
-def test_non_binary_cell_in_a_binary_column_is_config_error_at_preprocess(tmp_path, capsys):
+@pytest.mark.parametrize("column,split,value,message", [
+    ("mech_vent", None, 3.5, "binary column 'mech_vent' holds 3.5, not 0 or 1"),
+    # log1p of a cell at or below -1 is -inf or NaN, in any split
+    ("lactate", "test", -1.0, "log-normalized column 'lactate' holds -1.0, not above -1"),
+    ("lactate", "test", -5.0, "log-normalized column 'lactate' holds -5.0, not above -1"),
+    ("lactate", "train", -5.0, "column 'lactate': train-split mean or std is not finite"),
+    # finite cells whose normalized value overflows
+    ("temperature", "test", 1.7e308,
+     "column 'temperature' holds 1.7e+308, not finite once normalized"),
+    ("action_vaso", "val", 1.7e308,
+     "column 'action_vaso' holds 1.7e+308, not finite once normalized"),
+], ids=["binary", "log-minus-one", "log-below-minus-one", "log-train", "feature-overflow",
+        "dose-overflow"])
+def test_bad_cell_is_config_error_at_preprocess(tmp_path, capsys, column, split, value,
+                                                message):
     raw, out = tmp_path / "raw", tmp_path / "proc"
     assert cli.main(["synth", "--n", "60", "--t", "12", "--features", "8", "--seed", "3",
                      "--out", str(raw)]) == 0
     cohort = load_cohort_dir(raw)
-    j = cohort.schema.kinds.index("binary")
+    j = [*cohort.schema.names, "action_fluid", "action_vaso"].index(column)
+    # the last encounter, or the last of a split as ``preprocess --seed 3`` draws it
+    e = -1 if split is None else np.flatnonzero(assign_splits(cohort, 3).split == split)[-1]
     block = cohort.block.copy()
-    block[cohort.first[-1], j] = 3.5  # the last encounter's first row
+    block[cohort.first[e], j] = value  # the encounter's first row
     save_cohort_dir(replace(cohort, block=block), raw)
     capsys.readouterr()
     assert cli.main(["preprocess", "--cohort", str(raw), "--seed", "3", "--out", str(out)]) == 2
-    assert (f"binary column {cohort.schema.names[j]!r} holds 3.5, not 0 or 1"
-            in capsys.readouterr().err)
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cfpolicy import cli
 from cfpolicy import cohort as cohort_module
-from cfpolicy.cohort import (CohortDataset, FeatureSchema, PatientTrajectory,
+from cfpolicy.cohort import (SPLIT_TAGS, CohortDataset, FeatureSchema, PatientTrajectory,
                              SubgroupKey, assign_splits, filter_subgroup,
                              load_cohort, load_cohort_dir, save_cohort_dir,
                              write_cohort)
@@ -202,8 +202,12 @@ def test_cohort_dir_round_trip(tmp_path, proc_cohort):
     # preprocessed artifacts are separate files written by the CLI; here we
     # only require csv + schema + splits to reload
     back = load_cohort_dir(tmp_path)
-    assert back.split == proc_cohort.split
+    assert back.split.dtype == object and back.split.tolist() == proc_cohort.split.tolist()
     assert len(back) == len(proc_cohort)
+    # splits.json goes through save -> load -> save with the same bytes
+    save_cohort_dir(back, tmp_path / "again")
+    assert ((tmp_path / "again" / "splits.json").read_bytes()
+            == (tmp_path / "splits.json").read_bytes())
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -281,18 +285,22 @@ def test_assign_splits_proportions_and_determinism():
     cohort = CohortDataset.from_trajectories(SCHEMA, [_traj(f"t{i}") for i in range(100)])
     a = assign_splits(cohort, seed=5)
     b = assign_splits(cohort, seed=5)
-    assert a.split == b.split
-    counts = {tag: sum(1 for v in a.split.values() if v == tag)
-              for tag in ("train", "val", "test")}
+    assert a.split.tolist() == b.split.tolist()
+    counts = {tag: len(a.split_of(tag)) for tag in ("train", "val", "test")}
     assert counts == {"train": 60, "val": 20, "test": 20}
     c = assign_splits(cohort, seed=6)
-    assert c.split != a.split  # different seed shuffles differently
+    assert c.split.tolist() != a.split.tolist()  # different seed shuffles differently
+    with pytest.raises(ValueError, match="unknown split tag 'Train'"):
+        a.split_of("Train")
+    with pytest.raises(IntegrityError, match="cohort has no split assignment"):
+        cohort.split_of("train")
 
 
 def test_filter_subgroup(small_cohort):
     men = filter_subgroup(small_cohort, SubgroupKey("gender", "M"))
     assert all(tr.attributes["gender"] == "M" for tr in men.trajectories)
-    assert set(men.split) == {tr.id for tr in men.trajectories}
+    is_man = small_cohort.attributes["gender"] == "M"
+    assert men.split.tolist() == small_cohort.split[is_man].tolist()
     with pytest.raises(EmptySubgroupError):
         filter_subgroup(small_cohort, SubgroupKey("gender", "nobody"))
     with pytest.raises(IntegrityError):
@@ -664,11 +672,11 @@ def _shares_one_block(cohort) -> bool:
 
 
 def test_rows_and_trajectories_share_the_cohort_block(proc_cohort):
-    cohort = replace(proc_cohort, split=dict(proc_cohort.split))
+    cohort = replace(proc_cohort, split=proc_cohort.split.copy())
     assert cohort.block is proc_cohort.block  # the rows were kept, not copied
     lengths = np.array([tr.T for tr in cohort.trajectories])
-    first, got = cohort.rows()
-    assert np.array_equal(got, lengths) and np.array_equal(first, np.cumsum(lengths) - lengths)
+    assert np.array_equal(cohort.lengths, lengths)
+    assert np.array_equal(cohort.first, np.cumsum(lengths) - lengths)
     assert _shares_one_block(cohort) and cohort.trajectories[0].states.base is cohort.block
 
 
@@ -681,14 +689,42 @@ def _as_written(cohort):
         for tr in cohort.trajectories])
 
 
+def _assert_selects(part, cohort, picked, tags):
+    """``part`` holds the encounters ``picked`` (views of ``cohort``), in
+    order, with split tags ``tags``, and reads their rows from the cohort's
+    block and bins."""
+    assert part.block is cohort.block and part.bins is cohort.bins
+    assert part.split.tolist() == tags
+    assert part.lengths.tolist() == [v.T for v in picked]
+    for s, v in zip(part.first.tolist(), picked):
+        assert cohort.block[s:s + v.T].tobytes() == np.hstack([v.states, v.actions]).tobytes()
+    assert part.row_index().tolist() == [
+        r for s, v in zip(part.first.tolist(), picked) for r in range(s, s + v.T)]
+    for got, w in zip(part.trajectories, picked, strict=True):
+        _assert_same_trajectory(got, w)
+        assert np.shares_memory(got.states, cohort.block)
+
+
 @settings(max_examples=100, deadline=None)
-@given(ragged_trajectories(), st.integers(0, 2**32 - 1))
-def test_split_and_subgroup_select_what_the_views_hold(trajs, seed):
+@given(ragged_trajectories(), st.integers(0, 2**32 - 1), st.data())
+def test_split_and_subgroup_select_what_the_views_hold(trajs, seed, data):
     cohort = assign_splits(CohortDataset.from_trajectories(REF_SCHEMA, trajs), seed)
+    # the draw as a dict keyed by id: the r-th encounter of the permutation gets the r-th tag
+    n = len(trajs)
+    order = np.random.default_rng(seed).permutation(n)
+    n_train, n_val = round(0.6 * n), round(0.2 * n)
+    tag_of = {trajs[i].id: SPLIT_TAGS[(r >= n_train) + (r >= n_train + n_val)]
+              for r, i in enumerate(order.tolist())}
+    assert dict(zip(cohort.ids.tolist(), cohort.split.tolist())) == tag_of
     views = cohort.trajectories
     for view, tr in zip(views, trajs, strict=True):
         _assert_same_trajectory(view, tr)
-    M = REF_SCHEMA.n_features
+    # ``select`` with an index array in any order, and with a mask
+    index = np.array(data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))], int)
+    mask = np.isin(np.arange(n), index)
+    for keep, picked in ((index, [views[i] for i in index]),
+                         (mask, [v for v, m in zip(views, mask) if m])):
+        _assert_selects(cohort.select(keep), cohort, picked, [tag_of[v.id] for v in picked])
     subgroups = [(None, cohort)]
     for a, labels in REF_SCHEMA.attributes.items():
         for label in labels:
@@ -699,22 +735,11 @@ def test_split_and_subgroup_select_what_the_views_hold(trajs, seed):
                 continue
             subgroups.append((key, filter_subgroup(cohort, key)))
     for key, sub in subgroups:
-        assert sub.block is cohort.block and sub.bins is cohort.bins
         members = [v for v in views if key is None or v.attributes[key.attribute] == key.value]
-        assert sub.split == {v.id: cohort.split[v.id] for v in members}
         for tag in (None, "train", "val", "test"):
-            want = [v for v in members if tag is None or cohort.split[v.id] == tag]
-            first, lengths = sub.rows(tag)
-            assert lengths.tolist() == [v.T for v in want]
-            for s, v in zip(first.tolist(), want):
-                assert cohort.block[s:s + v.T].tobytes() == np.hstack(
-                    [v.states, v.actions]).tobytes()
-                assert np.shares_memory(v.states, cohort.block[s:s + v.T, :M])
-            assert sub.row_index(tag).tolist() == [
-                r for s, v in zip(first.tolist(), want) for r in range(s, s + v.T)]
-            for got, w in zip(sub.trajectories if tag is None else sub.by_split(tag), want,
-                              strict=True):
-                _assert_same_trajectory(got, w)
+            picked = [v for v in members if tag is None or tag_of[v.id] == tag]
+            _assert_selects(sub if tag is None else sub.split_of(tag), cohort, picked,
+                            [tag_of[v.id] for v in picked])
 
 
 @settings(max_examples=100, deadline=None,

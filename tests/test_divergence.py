@@ -278,7 +278,7 @@ def subgroup_policy(proc_cohort):
 def test_realized_distribution_is_bin_histogram(proc_cohort):
     dist = empirical_action_dist(None, proc_cohort, "test")
     labels = np.concatenate([tr.action_bins
-                             for tr in proc_cohort.by_split("test")])
+                             for tr in proc_cohort.split_of("test").trajectories])
     expected = np.bincount(labels, minlength=25) / labels.size
     assert np.allclose(dist.probs, expected)
     assert dist.n == labels.size
@@ -293,7 +293,7 @@ def test_policy_distribution_mean_probs(subgroup_policy, proc_cohort):
 
 def test_per_timestep_distributions(proc_cohort):
     pooled, dists = empirical_action_dist(None, proc_cohort, "test", per_timestep=True)
-    T = proc_cohort.by_split("test")[0].T
+    T = proc_cohort.split_of("test").trajectories[0].T
     assert len(dists) == T
     assert np.array_equal(pooled.probs, empirical_action_dist(None, proc_cohort, "test").probs)
 
@@ -321,7 +321,8 @@ def test_counterfactual_predicts_once_per_subgroup(subgroup_policy, proc_cohort,
     else:
         counterfactual_report(subgroup_policy, proc_cohort, target)
     # the target's windows, then the source subgroup's for the control
-    assert calls == [sum(tr.T for tr in filter_subgroup(proc_cohort, key).by_split("test"))
+    assert calls == [sum(tr.T for tr in
+                         filter_subgroup(proc_cohort, key).split_of("test").trajectories)
                      for key in (target, subgroup_policy.source_subgroup)]
 
 
@@ -340,7 +341,7 @@ def test_counterfactual_report_structure(subgroup_policy, proc_cohort, tmp_path)
     assert report.conventions["kl_direction"] == "realized||counterfactual"
     assert report.conventions["counterfactual_probs"] == "mean of predicted probability vectors"
     assert all(len(v) > 0 for v in report.per_timestep.values())
-    n_test_f = len(filter_subgroup(proc_cohort, SubgroupKey("gender", "F")).by_split("test"))
+    n_test_f = len(filter_subgroup(proc_cohort, SubgroupKey("gender", "F")).split_of("test"))
     assert report.sample_sizes["per_timestep"] == [n_test_f] * proc_cohort.trajectories[0].T
 
     bw = report.conventions["mmd_bandwidth"]
@@ -408,7 +409,7 @@ def _hand_binned_histogram(doses, binning):
 def test_regression_kl_measures_the_binned_predictions(proc_cohort):
     key = SubgroupKey("gender", "F")
     target = filter_subgroup(proc_cohort, key)
-    trajs = target.by_split("test")
+    trajs = target.split_of("test").trajectories
     windows = np.concatenate([state_window(tr.states, np.arange(tr.T)).reshape(tr.T, -1)
                               for tr in trajs])
     realized = np.bincount(np.concatenate([tr.action_bins for tr in trajs]), minlength=25)
@@ -444,7 +445,7 @@ def _truncated(cohort, rng, shortest, longest):
 def test_ragged_cohort_report(subgroup_policy, proc_cohort):
     key = SubgroupKey("gender", "F")
     ragged = _truncated(proc_cohort, np.random.default_rng(5), 8, 30)
-    test_trajs = filter_subgroup(ragged, key).by_split("test")
+    test_trajs = filter_subgroup(ragged, key).split_of("test").trajectories
     lengths = np.array([tr.T for tr in test_trajs])
     assert lengths.min() < lengths.max()
 

@@ -129,7 +129,7 @@ def _assert_gathers(X, ref, rng):
 def _assert_split_gathers(cohort, tag, rng, seed):
     """The windows and targets of one split, gathered from the cohort's
     block, equal the concatenation of its trajectories' own windows."""
-    trajs = cohort.by_split(tag)
+    trajs = cohort.split_of(tag).trajectories
     if not trajs:
         with pytest.raises(EmptySubgroupError, match=repr(tag)):
             build_dataset(cohort, tag, "regression")
@@ -225,7 +225,7 @@ def test_training_memory_is_bounded_by_the_split_states(memory_cohort, model):
     # training and validation splits are held about once, as one state row
     # block, not as three copies in their windows
     split_bytes = sum(tr.states.nbytes for tag in ("train", "val")
-                      for tr in memory_cohort.by_split(tag))
+                      for tr in memory_cohort.split_of(tag).trajectories)
     allowance, run = TRAINING_RUNS[model]
     tracemalloc.start()
     try:
@@ -275,7 +275,7 @@ def test_eval_returns_model_and_zero_baseline(tiny_dyn, proc_cohort):
 
 
 def test_rollout_structure_and_clipping(tiny_dyn, proc_cohort):
-    starts = np.stack([tr.states[0] for tr in proc_cohort.by_split("test")[:3]])
+    starts = np.stack([tr.states[0] for tr in proc_cohort.split_of("test").trajectories[:3]])
     init = np.stack([starts] * 3, axis=1)
     seen = []
 
@@ -298,7 +298,7 @@ def test_rollout_structure_and_clipping(tiny_dyn, proc_cohort):
 
 def test_rollout_episodes_step_independently(tiny_dyn, proc_cohort):
     """A batch of episodes gives each episode's one-episode rollout."""
-    starts = np.stack([tr.states[0] for tr in proc_cohort.by_split("test")[:4]])
+    starts = np.stack([tr.states[0] for tr in proc_cohort.split_of("test").trajectories[:4]])
     init = np.stack([starts] * 3, axis=1)
 
     def policy(s_win):

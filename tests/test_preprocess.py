@@ -23,7 +23,7 @@ from references import apply_norm, impute
 
 def test_fit_norm_stats_matches_manual_oracle(small_cohort):
     stats = fit_norm_stats(small_cohort)
-    train = small_cohort.by_split("train")
+    train = small_cohort.split_of("train").trajectories
     alls = np.concatenate([tr.states for tr in train], axis=0)
     for j, (name, kind, logf) in enumerate(zip(small_cohort.schema.names,
                                                small_cohort.schema.kinds,
@@ -63,7 +63,7 @@ def test_zero_variance_feature_maps_to_zero():
                                actions=np.ones((4, 2)))
              for i in range(5)]
     cohort = CohortDataset.from_trajectories(schema, trajs,
-                           split={str(i): "train" for i in range(5)})
+                                             split=np.full(5, "train", dtype=object))
     stats = fit_norm_stats(cohort)
     normed = apply_norm(trajs[0], stats)
     assert np.all(normed.states[:, 0] == 0.0)
@@ -74,7 +74,7 @@ def test_missing_feature_error():
                            log_normalized=(False,), attributes={})
     tr = PatientTrajectory(id="a", attributes={},
                            states=np.full((3, 1), np.nan), actions=np.ones((3, 2)))
-    cohort = CohortDataset.from_trajectories(schema, [tr], split={"a": "train"})
+    cohort = CohortDataset.from_trajectories(schema, [tr], split=np.array(["train"], object))
     with pytest.raises(MissingFeatureError):
         fit_norm_stats(cohort)
 
@@ -166,7 +166,7 @@ def test_quantile_mass_within_tolerance(rng):
     schema = FeatureSchema(names=("x",), kinds=("lab",), log_normalized=(False,),
                            attributes={})
     cohort = CohortDataset.from_trajectories(schema, trajs,
-                           split={str(i): "train" for i in range(100)})
+                                             split=np.full(100, "train", dtype=object))
     binning = fit_binning(cohort)
     bins = _bin_dose(doses[doses > 0], binning.fluid_cutoffs)
     for b in range(1, 5):
@@ -179,7 +179,7 @@ def test_degenerate_binning():
                            attributes={})
     tr = PatientTrajectory(id="a", attributes={}, states=np.zeros((5, 1)),
                            actions=np.zeros((5, 2)))
-    cohort = CohortDataset.from_trajectories(schema, [tr], split={"a": "train"})
+    cohort = CohortDataset.from_trajectories(schema, [tr], split=np.array(["train"], object))
     with pytest.raises(DegenerateBinningError):
         fit_binning(cohort)
 
@@ -237,7 +237,7 @@ def test_preprocess_cohort_end_to_end(small_cohort):
         assert tr.action_bins is not None
         assert tr.action_bins.min() >= 0 and tr.action_bins.max() < N_ACTIONS
     # train-split features should be near zero-mean unit-variance
-    train = np.concatenate([tr.states for tr in proc.by_split("train")], axis=0)
+    train = np.concatenate([tr.states for tr in proc.split_of("train").trajectories], axis=0)
     nonbinary = [j for j, k in enumerate(proc.schema.kinds)
                  if k not in ("binary",)]
     # demographic age is constant per patient but varies across; check vitals
@@ -260,7 +260,7 @@ _VALUES = (st.floats(-50, 250), st.floats(0, 1e3), st.just(3.0), st.sampled_from
 def ragged_raw_cohorts(draw):
     """Encounters of 1..6 steps whose cells are missing at random, some
     series wholly, with leading and trailing gaps; doses zero or not."""
-    trajs, split = [], {}
+    trajs, split = [], []
     for i in range(draw(st.integers(1, 6))):
         T = draw(st.integers(1, 6))
         missing = st.lists(st.booleans(), min_size=T, max_size=T)
@@ -270,8 +270,8 @@ def ragged_raw_cohorts(draw):
         doses = st.one_of(st.just(0.0), st.floats(0, 10))
         actions = np.array(draw(st.lists(doses, min_size=2 * T, max_size=2 * T))).reshape(T, 2)
         trajs.append(PatientTrajectory(id=f"e{i}", attributes={}, states=states, actions=actions))
-        split[f"e{i}"] = "train" if i == 0 else draw(st.sampled_from(SPLIT_TAGS))
-    return CohortDataset.from_trajectories(BLOCK_SCHEMA, trajs, split=split)
+        split.append("train" if i == 0 else draw(st.sampled_from(SPLIT_TAGS)))
+    return CohortDataset.from_trajectories(BLOCK_SCHEMA, trajs, split=np.array(split, object))
 
 
 def _run(preprocess, cohort):
@@ -289,7 +289,8 @@ def test_preprocess_cohort_equals_per_encounter_reference(cohort):
         assert type(got) is type(want) and str(got) == str(want)
         return
     assert got.norm_stats.to_json() == want.norm_stats.to_json()
-    assert got.binning.to_json() == want.binning.to_json() and got.split == want.split
+    assert got.binning.to_json() == want.binning.to_json()
+    assert got.split.tolist() == want.split.tolist()
     for g, w in zip(got.trajectories, want.trajectories, strict=True):
         assert (g.id, g.attributes, g.mortality_step, g.outcome_alive) == \
             (w.id, w.attributes, w.mortality_step, w.outcome_alive)
