@@ -107,6 +107,7 @@ class Windows:
             return delta[..., :M]
         if self.kind == "transition":
             return window_arrays(block, t, self.first[key])
+        # take, then drop the doses: take on the view block[:, :M] copies it whole first
         window = state_window(block, t, self.first[key])[..., :M]
         return window.reshape(np.shape(t) + (WINDOW * M,))
 
@@ -199,21 +200,19 @@ def rollout(model: TransitionModel, policy: Callable[[np.ndarray], np.ndarray],
     if init.ndim != 3 or init.shape[1] != WINDOW:
         raise ValueError(f"init_states must be (E, {WINDOW}, M), got {init.shape}")
     n_ep, _, M = init.shape
-    # the history grows in place; slot t holds the state and action of time
-    # t - (WINDOW - 1), so the initial states fill the first WINDOW slots
-    states = np.empty((n_ep, WINDOW + horizon, M))
-    states[:, :WINDOW] = init
-    actions = np.zeros((n_ep, WINDOW - 1 + horizon, 2))
+    # the history grows in place in a cohort block's layout, states then
+    # doses, one row per time from the oldest initial state on, so each
+    # step's model input is a view of WINDOW rows
+    hist = np.zeros((n_ep, WINDOW + horizon, M + 2))
+    hist[:, :WINDOW, :M] = init
     for step in range(horizon):
-        now = slice(step, step + WINDOW)
-        t = step + WINDOW - 1
-        actions[:, t] = policy(states[:, now])
-        window = np.concatenate([states[:, now], actions[:, now]], axis=2)
-        s_next = model.step(states[:, t], window)
+        window = hist[:, step:step + WINDOW]
+        window[:, -1, M:] = policy(window[..., :M])
+        s_next = model.step(window[:, -1, :M], window)
         if not np.all(np.isfinite(s_next)):
             raise RolloutBlowupError(step)
-        states[:, t + 1] = s_next
-    return states[:, WINDOW - 1:], actions[:, WINDOW - 1:]
+        hist[:, step + WINDOW, :M] = s_next
+    return hist[:, WINDOW - 1:, :M], hist[:, WINDOW - 1:-1, M:]
 
 
 def _meta_spec(M) -> dict:

@@ -71,19 +71,16 @@ class GailConfig:
             raise ValueError(f"unknown convention {self.convention!r}")
 
 
-class Discriminator:
+class Discriminator(Mlp):
     """Feed-forward scorer D(s, a) in (0, 1), output clamped away from 0/1."""
 
     def __init__(self, n_in: int, rng: np.random.Generator, hidden: tuple = (64, 64, 64)):
         spec = MlpSpec(widths=(n_in,) + tuple(hidden) + (1,), batch_norm=False)
-        self.mlp = Mlp(spec, rng)
+        super().__init__(spec, rng)
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        logits = self.mlp.forward(x, train=False)[:, 0]
+        logits = self.forward(x, train=False)[:, 0]
         return np.clip(sigmoid(logits), D_CLAMP, 1.0 - D_CLAMP)
-
-    def params(self):
-        return self.mlp.params()
 
 
 def disc_update(disc: Discriminator, expert: np.ndarray, generated: np.ndarray,
@@ -101,15 +98,15 @@ def disc_update(disc: Discriminator, expert: np.ndarray, generated: np.ndarray,
     x = np.concatenate([expert, generated], axis=0)
     y = np.concatenate([np.full(len(expert), expert_label),
                         np.full(len(generated), 1.0 - expert_label)])
-    logit = disc.mlp.forward(x, train=True)[:, 0]
+    logit = disc.forward(x, train=True)[:, 0]
     # stable BCE on logits: softplus(z) - y z
     p = sigmoid(logit)
     weights = np.concatenate([np.full(len(expert), 1.0 / len(expert)),
                               np.full(len(generated), 1.0 / len(generated))])
     dlogit = (p - y) * weights
-    disc.mlp.backward(dlogit[:, None])
+    disc.backward(dlogit[:, None])
     opt.step()
-    logit = disc.mlp.forward(x, train=False)[:, 0]
+    logit = disc.forward(x, train=False)[:, 0]
     bce = np.logaddexp(0.0, logit) - y * logit
     return float(np.sum(bce * weights))
 
@@ -136,7 +133,7 @@ def policy_reward(disc: Discriminator, pairs: np.ndarray) -> np.ndarray:
     return np.clip(-np.log(disc.score(pairs)), -REWARD_CLAMP, REWARD_CLAMP)
 
 
-class StochasticPolicy:
+class StochasticPolicy(Mlp):
     """Categorical policy over the 25 discrete actions."""
 
     def __init__(self, obs_dim: int, rng: np.random.Generator,
@@ -144,10 +141,10 @@ class StochasticPolicy:
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         spec = MlpSpec(widths=(obs_dim,) + tuple(hidden) + (n_actions,), batch_norm=False)
-        self.mlp = Mlp(spec, rng)
+        super().__init__(spec, rng)
 
     def probs(self, obs: np.ndarray) -> np.ndarray:
-        return softmax(self.mlp.forward(np.atleast_2d(obs), train=False))
+        return softmax(self.forward(np.atleast_2d(obs), train=False))
 
     def sample(self, obs: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF draw of one action per row: (E, D) observations and
@@ -159,18 +156,6 @@ class StochasticPolicy:
         cdf = np.cumsum(p, axis=1)
         cdf /= cdf[:, -1:]
         return np.count_nonzero(cdf <= np.asarray(u)[:, None], axis=1).astype(np.int64)
-
-    def params(self) -> dict:
-        return self.mlp.params()
-
-    def state(self) -> dict:
-        return self.mlp.state()
-
-    def snapshot(self) -> dict:
-        return {k: v.copy() for k, v in self.state().items()}
-
-    def load_state(self, arrays: dict) -> None:
-        self.mlp.load_state(arrays)
 
 
 def mean_entropy(p: np.ndarray) -> float:
@@ -207,7 +192,7 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
     n = len(obs)
     lam = config.entropy_coef
 
-    logits = policy.mlp.forward(obs, train=False)
+    logits = policy.forward(obs, train=False)
     p_old = softmax(logits)
     param_snap = opt.value.copy()
     opt_snap = opt.state()
@@ -219,7 +204,7 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
             # the first step of the first attempt runs on the parameters of
             # p_old, whose forward the layer caches still hold
             if attempt or step:
-                logits = policy.mlp.forward(obs, train=False)
+                logits = policy.forward(obs, train=False)
             p = softmax(logits)
             logp = np.log(np.clip(p, 1e-300, None))
             ent_rows = -np.sum(p * logp, axis=1)
@@ -227,7 +212,7 @@ def policy_update(policy: StochasticPolicy, obs: np.ndarray, actions: np.ndarray
             dz = (adv[:, None] * (p - onehot)
                   + lam * p * (logp + ent_rows[:, None])
                   + beta * (p - p_old)) / n
-            policy.mlp.backward(dz)
+            policy.backward(dz)
             opt.step(lr=config.lr * lr_scale)
         p_new = policy.probs(obs)
         kl = categorical_kl(p_old, p_new)
@@ -276,7 +261,7 @@ def train_gail(cohort: CohortDataset, dyn_model: TransitionModel,
     disc = Discriminator(obs_dim + N_ACTIONS, rng, hidden=config.disc_hidden)
     policy_opt = Adam(policy.params().values(), lr=config.lr)
     disc_opt = Adam(disc.params().values(), lr=config.disc_lr)
-    initial_state = policy.snapshot()
+    initial_state = {k: v.copy() for k, v in policy.state().items()}
     beta = config.kl_penalty
     log = []
 
@@ -390,7 +375,7 @@ _META_SPEC = {
 
 def save_gail(result: GailResult, path) -> None:
     arrays = {f"policy.{k}": v for k, v in result.policy.state().items()}
-    arrays.update({f"disc.{k}": v for k, v in result.disc.mlp.state().items()})
+    arrays.update({f"disc.{k}": v for k, v in result.disc.state().items()})
     meta = {
         "kind": "gail_bundle",
         "config": asdict(result.config),
@@ -412,5 +397,5 @@ def load_gail(path) -> GailResult:
     policy.load_state({k[7:]: v for k, v in arrays.items() if k.startswith("policy.")})
     disc = Discriminator(meta["obs_dim"] + meta["n_actions"], rng,
                          hidden=config.disc_hidden)
-    disc.mlp.load_state({k[5:]: v for k, v in arrays.items() if k.startswith("disc.")})
+    disc.load_state({k[5:]: v for k, v in arrays.items() if k.startswith("disc.")})
     return GailResult(policy=policy, disc=disc, config=config, log=meta["log"])

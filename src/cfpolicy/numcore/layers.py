@@ -70,20 +70,43 @@ class ParamTensor:
         self._value, self._grad, self._bound = value, grad, True
 
 
-def checked_arrays(arrays: dict, state: dict) -> dict:
-    """``arrays`` as float64 copies, or SchemaMismatchError unless they have
-    exactly the keys and shapes of the model ``state`` (a checkpoint that
-    does not fit the model)."""
-    for key, value in state.items():
-        if key not in arrays:
-            raise SchemaMismatchError(f"checkpoint has no array {key!r}")
-        if np.shape(arrays[key]) != value.shape:
-            raise SchemaMismatchError(f"checkpoint array {key!r} has shape "
-                                      f"{np.shape(arrays[key])}, expected {value.shape}")
-    for key in arrays:
-        if key not in state:
-            raise SchemaMismatchError(f"checkpoint array {key!r} is not one of the model's")
-    return {key: np.array(value, dtype=np.float64) for key, value in arrays.items()}
+class Model:
+    """What every network here shares: its checkpoint arrays.
+
+    A subclass names its trainable tensors in ``params()`` and any other
+    array a bit-exact reload needs in ``buffers()`` (none by default).
+    """
+
+    def buffers(self) -> dict:
+        return {}
+
+    def state(self) -> dict:
+        """All arrays needed for bit-exact reload: params, then buffers."""
+        arrays = {k: p.value for k, p in self.params().items()}
+        arrays.update(self.buffers())
+        return arrays
+
+    def load_state(self, arrays: dict) -> None:
+        """Copy ``arrays`` (as from ``state``) into the model; raises
+        SchemaMismatchError, and copies nothing, when an array is missing,
+        misshapen, not finite or not one of the model's (a checkpoint that
+        does not fit the model)."""
+        state = self.state()
+        for key, value in state.items():
+            if key not in arrays:
+                raise SchemaMismatchError(f"checkpoint has no array {key!r}")
+            if np.shape(arrays[key]) != value.shape:
+                raise SchemaMismatchError(f"checkpoint array {key!r} has shape "
+                                          f"{np.shape(arrays[key])}, expected {value.shape}")
+            if not np.all(np.isfinite(np.asarray(arrays[key], dtype=np.float64))):
+                raise SchemaMismatchError(f"checkpoint array {key!r} is not finite")
+        for key in arrays:
+            if key not in state:
+                raise SchemaMismatchError(f"checkpoint array {key!r} is not one of the model's")
+        for key, value in state.items():
+            value[...] = arrays[key]
+        for p in self.params().values():
+            p.grad.fill(0.0)
 
 
 class Workspace:
@@ -241,7 +264,7 @@ class MlpSpec:
             raise ValueError("widths must list >=2 positive integers")
 
 
-class Mlp:
+class Mlp(Model):
     """Feed-forward stack: (Dense -> [BatchNorm] -> ReLU)* -> Dense.
 
     The head Dense emits raw scores; callers (losses, predict) apply any
@@ -284,23 +307,11 @@ class Mlp:
                 out[f"layer{i}.{name}"] = p
         return out
 
-    def state(self) -> dict:
-        """All arrays needed for bit-exact reload (params + running stats)."""
-        arrays = {k: p.value for k, p in self.params().items()}
+    def buffers(self) -> dict:
+        """Each batch-norm layer's running mean and variance."""
+        arrays = {}
         for i, layer in enumerate(self.layers):
             if isinstance(layer, BatchNorm):
                 arrays[f"layer{i}.running_mean"] = layer.running_mean
                 arrays[f"layer{i}.running_var"] = layer.running_var
         return arrays
-
-    def load_state(self, arrays: dict) -> None:
-        """Copy ``arrays`` (as from ``state``) into the model; raises
-        SchemaMismatchError when an array is missing, misshapen or extra."""
-        arrays = checked_arrays(arrays, self.state())
-        for k, p in self.params().items():
-            p.value = arrays[k]
-            p.grad.fill(0.0)
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, BatchNorm):
-                layer.running_mean[...] = arrays[f"layer{i}.running_mean"]
-                layer.running_var[...] = arrays[f"layer{i}.running_var"]

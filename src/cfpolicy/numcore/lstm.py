@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SchemaMismatchError
-from .layers import Dense, ParamTensor, Workspace, checked_arrays
+from .layers import Dense, Model, ParamTensor, Workspace
 from .losses import sigmoid
 
 
-class RecurrentRegressor:
+class RecurrentRegressor(Model):
     """3-step LSTM cell followed by a linear head on the final hidden state.
 
     Gate layout along the 4H axis: input, forget, candidate, output. The
@@ -122,14 +122,3 @@ class RecurrentRegressor:
         for name, p in self.head.params().items():
             out[f"head.{name}"] = p
         return out
-
-    def state(self) -> dict:
-        return {k: p.value for k, p in self.params().items()}
-
-    def load_state(self, arrays: dict) -> None:
-        """Copy ``arrays`` (as from ``state``) into the model; raises
-        SchemaMismatchError when an array is missing, misshapen or extra."""
-        arrays = checked_arrays(arrays, self.state())
-        for k, p in self.params().items():
-            p.value = arrays[k]
-            p.grad.fill(0.0)

@@ -331,8 +331,8 @@ def test_package_import_loads_no_submodule():
     code = ("import sys, cfpolicy; "
             "print([m for m in sys.modules if m.startswith('cfpolicy.')])")
     src = str(Path(cfpolicy.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=60)
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -345,18 +345,22 @@ def test_eval_leaves_numpy_ma_unimported(pipeline_dirs):
     code = (f"import sys; from cfpolicy import cli; code = cli.main({argv!r}); "
             "print(code, 'numpy.ma' in sys.modules)")
     src = str(Path(cfpolicy.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=120)
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def _corrupt(src, dst, key, cut):
-    """Copy a checkpoint, dropping array ``key`` (adding it if absent) or
-    (``cut``) keeping only its first element."""
+def _corrupt(src, dst, key, how):
+    """Copy a checkpoint, dropping array ``key`` (``how`` False; adding it
+    if absent), keeping only its first element (True) or setting that
+    element to ``how`` (a float)."""
     arrays, meta = load_checkpoint(src)
-    if cut:
+    if how is True:
         arrays[key] = arrays[key].reshape(-1)[:1]
+    elif how is not False:
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[0] = how
     elif key in arrays:
         del arrays[key]
     else:
@@ -365,11 +369,11 @@ def _corrupt(src, dst, key, cut):
     return dst
 
 
-@pytest.mark.parametrize("key,cut", [("layer0.b", True), ("layer4.beta", False),
-                                     ("layer9.W", False)])
+@pytest.mark.parametrize("key,how", [("layer0.b", True), ("layer4.beta", False),
+                                     ("layer9.W", False), ("layer0.W", np.nan)])
 def test_malformed_bc_checkpoint_is_config_error(pipeline_dirs, tmp_path, capsys,
-                                                 key, cut):
-    bad = _corrupt(pipeline_dirs["model"], tmp_path / "bad.npz", key, cut)
+                                                 key, how):
+    bad = _corrupt(pipeline_dirs["model"], tmp_path / "bad.npz", key, how)
     capsys.readouterr()
     assert cli.main(["eval", "--model", str(bad), "--cohort", str(pipeline_dirs["proc"]),
                      "--split", "val"]) == 2
@@ -384,11 +388,12 @@ def test_malformed_dynamics_and_gail_bundles_are_rejected(pipeline_dirs, tmp_pat
     assert cli.main(["train-gail", "--cohort", proc, "--dynamics", str(dyn),
                      "--iterations", "1", "--episodes", "2", "--horizon", "3",
                      "--out", str(bundle)]) == 0
-    bad_dyn = _corrupt(dyn, tmp_path / "bad_dyn.npz", "Wh", True)
-    capsys.readouterr()
-    assert cli.main(["train-gail", "--cohort", proc, "--dynamics", str(bad_dyn),
-                     "--iterations", "1", "--out", str(tmp_path / "g.npz")]) == 2
-    assert "'Wh'" in capsys.readouterr().err
+    for how in (True, np.inf):  # cut short, or one weight not finite
+        bad_dyn = _corrupt(dyn, tmp_path / "bad_dyn.npz", "Wh", how)
+        capsys.readouterr()
+        assert cli.main(["train-gail", "--cohort", proc, "--dynamics", str(bad_dyn),
+                         "--iterations", "1", "--out", str(tmp_path / "g.npz")]) == 2
+        assert "'Wh'" in capsys.readouterr().err
     for key, cut in (("policy.layer0.W", True), ("disc.layer2.b", False)):
         with pytest.raises(SchemaMismatchError, match=key.split(".", 1)[1]):
             gail.load_gail(_corrupt(bundle, tmp_path / "bad_gail.npz", key, cut))

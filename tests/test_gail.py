@@ -51,7 +51,7 @@ def reference_policy_update(policy, obs, actions, advantages, config, opt, beta)
     lam = config.entropy_coef
 
     p_old = policy.probs(obs)
-    param_snap = policy.snapshot()
+    param_snap = {k: v.copy() for k, v in policy.state().items()}
     opt_snap = opt.state()
     onehot = np.zeros((n, policy.n_actions))
     onehot[np.arange(n), actions] = 1.0
@@ -59,14 +59,14 @@ def reference_policy_update(policy, obs, actions, advantages, config, opt, beta)
     lr_scale = 1.0
     for attempt in range(9):
         for _ in range(config.inner_steps):
-            logits = policy.mlp.forward(obs, train=False)
+            logits = policy.forward(obs, train=False)
             p = softmax(logits)
             logp = np.log(np.clip(p, 1e-300, None))
             ent_rows = -np.sum(p * logp, axis=1)
             dz = (adv[:, None] * (p - onehot)
                   + lam * p * (logp + ent_rows[:, None])
                   + beta * (p - p_old)) / n
-            policy.mlp.backward(dz)
+            policy.backward(dz)
             opt.step(lr=config.lr * lr_scale)
         p_new = policy.probs(obs)
         kl = categorical_kl(p_old, p_new)

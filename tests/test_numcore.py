@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfpolicy.errors import SchemaMismatchError, TrainingDivergenceError
-from cfpolicy.gail import GailConfig, StochasticPolicy, mean_entropy, policy_update
+from cfpolicy.gail import (Discriminator, GailConfig, StochasticPolicy, mean_entropy,
+                           policy_update)
 from cfpolicy.numcore import (Adam, BatchNorm, Dense, Mlp, MlpSpec, ParamTensor,
                               RecurrentRegressor, Relu, blocked_loss, fit, infer,
                               load_checkpoint,
@@ -717,20 +718,50 @@ def _assert_bound_and_trains(model, opt, x):
     assert not np.array_equal(model.forward(x, train=False), before)
 
 
-@pytest.mark.parametrize("kind", ["mlp", "lstm"])
-def test_load_state_keeps_parameters_bound(kind, rng):
-    def make(seed):
-        gen = np.random.default_rng(seed)
-        if kind == "mlp":
-            return Mlp(MlpSpec(widths=(4, 6, 3), batch_norm=True), gen)
-        return RecurrentRegressor(4, 5, 3, gen)
+MODELS = ["mlp", "lstm", "policy", "disc"]
 
-    model, other = make(1), make(2)
+
+def _model(kind, seed):
+    """A small network of each kind that shares numcore's state protocol."""
+    gen = np.random.default_rng(seed)
+    return {"mlp": lambda: Mlp(MlpSpec(widths=(4, 6, 3), batch_norm=True), gen),
+            "lstm": lambda: RecurrentRegressor(4, 5, 3, gen),
+            "policy": lambda: StochasticPolicy(4, gen, n_actions=3, hidden=(6,)),
+            "disc": lambda: Discriminator(4, gen, hidden=(6, 5))}[kind]()
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_load_state_keeps_parameters_bound(kind, rng):
+    model, other = _model(kind, 1), _model(kind, 2)
     opt = Adam(model.params().values(), lr=0.01)
     model.load_state(other.state())
-    x = rng.normal(size=(8, 4) if kind == "mlp" else (8, 3, 4))
+    x = rng.normal(size=(8, 3, 4) if kind == "lstm" else (8, 4))
     assert np.array_equal(model.forward(x), other.forward(x))
     _assert_bound_and_trains(model, opt, x)
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_state_round_trips_and_a_misfit_array_is_rejected(kind):
+    model, other = _model(kind, 1), _model(kind, 2)
+    model.load_state(other.state())
+    want = {k: v.tobytes() for k, v in other.state().items()}
+    assert {k: v.tobytes() for k, v in model.state().items()} == want
+    state = {k: v.copy() for k, v in model.state().items()}
+    bad = []
+    for key, value in state.items():
+        bad.append((key, {k: v for k, v in state.items() if k != key}, "no array"))
+        bad.append((key, {**state, key: np.append(value, 0.0)}, "has shape"))
+        for x in (np.nan, np.inf, -np.inf):
+            broken = value.copy()
+            broken.flat[-1] = x
+            bad.append((key, {**state, key: broken}, "not finite"))
+    bad.append(("extra", {**state, "extra": np.zeros(1)}, "not one of the model's"))
+    for key, arrays, why in bad:
+        with pytest.raises(SchemaMismatchError) as err:
+            model.load_state(arrays)
+        assert repr(key) in str(err.value) and why in str(err.value)
+    # a rejected checkpoint leaves the model as it was
+    assert {k: v.tobytes() for k, v in model.state().items()} == want
 
 
 def test_fit_restore_keeps_parameters_bound(rng):
@@ -760,7 +791,7 @@ def test_policy_update_backtracking_keeps_parameters_bound(rng):
     assert opt.value.tobytes() == before.tobytes()
     assert opt.m.tobytes() == opt_before["m"].tobytes() and opt.t == opt_before["t"]
     assert stats["entropy"] == mean_entropy(pol.probs(obs))
-    _assert_bound_and_trains(pol.mlp, opt, obs)
+    _assert_bound_and_trains(pol, opt, obs)
 
 
 def test_finite_difference_check_keeps_parameters_bound(rng):
