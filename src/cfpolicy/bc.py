@@ -14,8 +14,7 @@ import numpy as np
 
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import WINDOW, Windows
-from .errors import (EmptySubgroupError, IntegrityError, SchemaMismatchError,
-                     UndefinedMetricError, check)
+from .errors import IntegrityError, SchemaMismatchError, UndefinedMetricError, check
 from .numcore import (Adam, Mlp, MlpSpec, fit, infer, load_checkpoint, nll_loss,
                       rmse_loss, save_checkpoint, softmax)
 from .preprocess import N_ACTIONS, ActionBinning, NormStats
@@ -57,16 +56,15 @@ class BcPolicy:
         return WINDOW * self.n_features
 
 
-def build_dataset(cohort: CohortDataset, split: str, mode: str):
+def build_dataset(cohort: CohortDataset, split: str, mode: str, max_windows=None, rng=None):
     """Flattened observation windows and their targets (dose pairs or
-    action bins) for one split, in (trajectory, t) order, each a
-    ``Windows`` gathered from the cohort's block on demand."""
-    X = Windows.of(part := cohort.split_of(split))
-    if len(X) == 0:
-        raise EmptySubgroupError(f"split {split!r} has no trajectories")
+    action bins) for one split, in (trajectory, t) order, or
+    ``max_windows`` of them drawn by ``rng``, each a ``Windows`` gathered
+    from the cohort's block on demand."""
+    X = Windows.of(cohort, split).sample(max_windows, rng)
     if mode == "regression":
         return X, X.targets("dose")
-    if not part.binned.all():
+    if not cohort.binned[cohort.split == split].all():
         raise IntegrityError(f"split {split!r} holds trajectories without action bins")
     return X, X.targets("bin")
 
@@ -79,11 +77,8 @@ def train_bc(cohort: CohortDataset, subgroup: Optional[SubgroupKey], mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     data = cohort if subgroup is None else filter_subgroup(cohort, subgroup)
     rng = np.random.default_rng(hp.seed)
-    X, Y = build_dataset(data, "train", mode)
+    X, Y = build_dataset(data, "train", mode, hp.max_windows, rng)
     Xv, Yv = build_dataset(data, "val", mode)
-    if hp.max_windows is not None and len(X) > hp.max_windows:
-        keep = rng.choice(len(X), hp.max_windows, replace=False)
-        X, Y = X.select(keep), Y.select(keep)
 
     n_out = N_ACTIONS if mode == "classification" else Y.shape[1]
     spec = MlpSpec(widths=(X.shape[1],) + tuple(hp.hidden) + (n_out,), batch_norm=True)
@@ -115,22 +110,6 @@ def predict(policy: BcPolicy, window: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_split(policy: BcPolicy, cohort: CohortDataset, split: str):
-    X, Y = build_dataset(cohort, split, policy.mode)
-    return predict(policy, X), np.asarray(Y)
-
-
-def eval_rmse(policy: BcPolicy, cohort: CohortDataset, split: str = "test"):
-    """(fluid RMSE, vaso RMSE) over all (trajectory, timestep) pairs,
-    in normalized units."""
-    if policy.mode != "regression":
-        raise ValueError("eval_rmse requires a regression policy")
-    pred, Y = predict_split(policy, cohort, split)
-    err = pred - Y
-    rmse = np.sqrt(np.mean(err * err, axis=0))
-    return float(rmse[0]), float(rmse[1])
-
-
 def binary_auroc(scores: np.ndarray, positives: np.ndarray) -> float:
     """Rank-statistic AUROC with average ranks for ties."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -147,30 +126,14 @@ def binary_auroc(scores: np.ndarray, positives: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def eval_auroc(policy: BcPolicy, cohort: CohortDataset, split: str = "test"):
-    """(macro one-vs-rest AUROC over the 25 classes, per-class AUROC dict,
-    skipped classes); a class absent from the split or filling it is skipped."""
-    if policy.mode != "classification":
-        raise ValueError("eval_auroc requires a classification policy")
-    probs, labels = predict_split(policy, cohort, split)
-    if labels.size == 0 or labels.min() == labels.max():  # np.unique imports numpy.ma
-        raise UndefinedMetricError("split has fewer than 2 distinct labels")
-    per_class = {}
-    skipped = []
-    for c in range(N_ACTIONS):
-        pos = labels == c
-        if pos.sum() == 0 or pos.sum() == labels.size:
-            skipped.append(c)
-            continue
-        per_class[c] = binary_auroc(probs[:, c], pos)
-    return float(np.mean(list(per_class.values()))), per_class, skipped
-
-
 def eval_report(policy: BcPolicy, cohort: CohortDataset, split: str = "test",
                 allow_undefined: bool = False) -> dict:
-    """Metrics of ``policy`` on one split. An undefined AUROC (the split
-    holds one action class) raises UndefinedMetricError, or with
-    ``allow_undefined`` is reported as ``macro_auroc: None`` plus the
+    """Metrics of ``policy`` on one split, from one prediction of it: the
+    RMSE per drug in normalized units (regression), or the one-vs-rest
+    AUROC of each action class the split holds but does not fill and
+    their macro mean (classification; the other classes are skipped). An
+    undefined AUROC (no class qualifies) raises UndefinedMetricError, or
+    with ``allow_undefined`` is reported as ``macro_auroc: None`` plus the
     reason in ``macro_auroc_undefined``."""
     report = {
         "mode": policy.mode,
@@ -180,21 +143,25 @@ def eval_report(policy: BcPolicy, cohort: CohortDataset, split: str = "test",
         "history": policy.history,
         "reference_metrics": REFERENCE_METRICS,
     }
+    X, Y = build_dataset(cohort, split, policy.mode)
+    out, Y = predict(policy, X), np.asarray(Y)
     if policy.mode == "regression":
-        fluid, vaso = eval_rmse(policy, cohort, split)
-        report["rmse_fluid"], report["rmse_vaso"] = fluid, vaso
-    else:
-        try:
-            macro, per_class, skipped = eval_auroc(policy, cohort, split)
-        except UndefinedMetricError as exc:
-            if not allow_undefined:
-                raise
-            report["macro_auroc"] = None
-            report["macro_auroc_undefined"] = str(exc)
-        else:
-            report["macro_auroc"] = macro
-            report["per_class_auroc"] = {str(k): v for k, v in per_class.items()}
-            report["skipped_classes"] = skipped
+        err = out - Y
+        rmse = np.sqrt(np.mean(err * err, axis=0))
+        report["rmse_fluid"], report["rmse_vaso"] = float(rmse[0]), float(rmse[1])
+        return report
+    counts = np.bincount(Y, minlength=N_ACTIONS)  # np.unique imports numpy.ma
+    scored = [c for c in range(N_ACTIONS) if 0 < counts[c] < Y.size]
+    if not scored:
+        reason = "split has fewer than 2 distinct labels"
+        if not allow_undefined:
+            raise UndefinedMetricError(reason)
+        report["macro_auroc"], report["macro_auroc_undefined"] = None, reason
+        return report
+    per_class = {c: binary_auroc(out[:, c], Y == c) for c in scored}
+    report["macro_auroc"] = float(np.mean(list(per_class.values())))
+    report["per_class_auroc"] = {str(k): v for k, v in per_class.items()}
+    report["skipped_classes"] = [c for c in range(N_ACTIONS) if c not in per_class]
     return report
 
 

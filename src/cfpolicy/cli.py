@@ -186,10 +186,10 @@ def cmd_train_dyn(args) -> int:
                                  hidden=args.hidden, seed=args.seed,
                                  max_windows=args.max_windows)
     model = dynamics.train_dynamics(cohort, hp)
+    mse_model, mse_zero = dynamics.eval_dynamics_mse(model, cohort, "test")
     out, metrics_path, config_path = _outputs(args)
     out.parent.mkdir(parents=True, exist_ok=True)
     dynamics.save_dynamics(model, out)
-    mse_model, mse_zero = dynamics.eval_dynamics_mse(model, cohort, "test")
     metrics_path.write_text(json.dumps(
         {"test_mse": mse_model, "zero_delta_baseline_mse": mse_zero,
          "history": model.history}, indent=2), encoding="utf-8")
@@ -260,18 +260,19 @@ def cmd_counterfactual(args) -> int:
 
 
 def _render_report(report: divergence.DiscrepancyReport, out: Path) -> None:
-    if report.mean_actions:
-        vaso = {k: v for k, v in report.mean_actions.items() if "vaso" in k}
-        fluid = {k: v for k, v in report.mean_actions.items() if "fluid" in k}
-        if vaso:
-            line_chart_svg(vaso, "mean vasopressor dose per timestep",
-                           out / "mean_vaso.svg")
-        if fluid:
-            line_chart_svg(fluid, "mean fluid dose per timestep",
-                           out / "mean_fluid.svg")
-    if report.per_timestep:
-        line_chart_svg(report.per_timestep, "discrepancy metrics per timestep",
-                       out / "metrics_per_timestep.svg")
+    """Draw the report's charts into ``out``, and delete each chart it does
+    not draw, so that a reused directory keeps no chart of an earlier report."""
+    charts = (
+        ("mean_vaso.svg", "mean vasopressor dose per timestep",
+         {k: v for k, v in report.mean_actions.items() if k.endswith("_vaso")}),
+        ("mean_fluid.svg", "mean fluid dose per timestep",
+         {k: v for k, v in report.mean_actions.items() if k.endswith("_fluid")}),
+        ("metrics_per_timestep.svg", "discrepancy metrics per timestep", report.per_timestep))
+    for name, title, series in charts:
+        if series:
+            line_chart_svg(series, title, out / name)
+        else:
+            (out / name).unlink(missing_ok=True)
 
 
 def cmd_report(args) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 from .bc import BcPolicy, predict
 from .cohort import CohortDataset, SubgroupKey, filter_subgroup
 from .dynamics import Windows
-from .errors import EmptySubgroupError, read_json
+from .errors import read_json
 from .kernels import median_pairwise_distance, rbf_mmd2_biased
 from .preprocess import (N_ACTIONS, NormStats, action_index_to_doses, bin_actions_batch,
                          denormalize_actions, normalize_actions)
@@ -149,9 +149,7 @@ def empirical_action_dist(policy: Optional[BcPolicy], cohort: CohortDataset,
     timestep of each, and entry t of the per-timestep list (t below the
     longest length) takes the trajectories that reach t.
     """
-    X = Windows.of(cohort.split_of(split))
-    if len(X) == 0:
-        raise EmptySubgroupError(f"split {split!r} has no trajectories")
+    X = Windows.of(cohort, split)
     stats = cohort.norm_stats
     t_rows = X.t - X.first
     if policy is None:

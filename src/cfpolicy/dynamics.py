@@ -51,8 +51,9 @@ def window_arrays(rows: np.ndarray, t, first=0) -> np.ndarray:
 
 
 class Windows:
-    """One row per window of a cohort (a split of one, say), gathered on
-    demand from the cohort's ``block`` (and ``bins``).
+    """One row per window of a cohort's split (``of``), or of a subset of
+    them (``sample``), gathered on demand from the cohort's ``block`` (and
+    ``bins``).
 
     Row i is read at block row ``t[i]``, the time row of a window whose
     encounter starts at block row ``first[i]``. ``kind`` says what a row
@@ -70,20 +71,30 @@ class Windows:
         self.block, self.bins, self.t, self.first, self.kind = block, bins, t, first, kind
 
     @classmethod
-    def of(cls, cohort: CohortDataset, transitions: bool = False) -> "Windows":
-        """The policy windows at every timestep of the cohort's encounters,
-        in (encounter, t) order; with ``transitions``, the dynamics windows
-        at every timestep that has a next one."""
-        counts = cohort.lengths - transitions
-        return cls(cohort.block, cohort.bins, block_rows(cohort.first, counts),
-                   np.repeat(cohort.first, counts), "transition" if transitions else "policy")
+    def of(cls, cohort: CohortDataset, split: str, transitions: bool = False) -> "Windows":
+        """The policy windows at every timestep of the encounters of one
+        split, in (encounter, t) order; with ``transitions``, the dynamics
+        windows at every timestep that has a next one. A split without any
+        raises EmptySubgroupError."""
+        part = cohort.split_of(split)
+        counts = part.lengths - transitions
+        if counts.sum() == 0:
+            what = "state transitions" if transitions else "trajectories"
+            raise EmptySubgroupError(f"split {split!r} has no {what}")
+        return cls(part.block, part.bins, block_rows(part.first, counts),
+                   np.repeat(part.first, counts), "transition" if transitions else "policy")
 
     def targets(self, kind: str) -> "Windows":
         """The rows of ``kind`` at the same time rows."""
         return Windows(self.block, self.bins, self.t, self.first, kind)
 
-    def select(self, keep) -> "Windows":
-        """The rows at positions ``keep``, still ungathered."""
+    def sample(self, n: Optional[int], rng) -> "Windows":
+        """``n`` of the rows drawn by ``rng`` without replacement (the
+        ``--max-windows`` subset), still ungathered, or all of them when
+        ``n`` is None or not below their count."""
+        if n is None or len(self) <= n:
+            return self
+        keep = rng.choice(len(self), n, replace=False)
         return Windows(self.block, self.bins, self.t[keep], self.first[keep], self.kind)
 
     def __len__(self) -> int:
@@ -146,11 +157,7 @@ class TransitionModel:
 def _collect_windows(cohort: CohortDataset, split: str, max_windows=None, rng=None):
     """The dynamics windows of one split, in (trajectory, t) order, or
     ``max_windows`` of them drawn by ``rng``, and their next-state deltas."""
-    X = Windows.of(cohort.split_of(split), transitions=True)
-    if len(X) == 0:
-        raise EmptySubgroupError(f"split {split!r} has no state transitions")
-    if max_windows is not None and len(X) > max_windows:
-        X = X.select(rng.choice(len(X), max_windows, replace=False))
+    X = Windows.of(cohort, split, transitions=True).sample(max_windows, rng)
     return X, X.targets("delta")
 
 

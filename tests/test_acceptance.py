@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from cfpolicy.bc import (REFERENCE_METRICS, BcHyperParams, build_dataset,
-                         eval_auroc, eval_report, eval_rmse, train_bc)
+from cfpolicy.bc import (REFERENCE_METRICS, BcHyperParams, build_dataset, eval_report,
+                         train_bc)
 from cfpolicy.cohort import (CohortDataset, PatientTrajectory, SubgroupKey,
                              assign_splits)
 from cfpolicy.divergence import (DEFAULT_EPS, counterfactual_report,
@@ -234,9 +234,10 @@ def test_criterion_5_bc_learnability(big_proc):
     t0 = time.perf_counter()
     hp = BcHyperParams(epochs=30, max_windows=40000, seed=0)
     clf = train_bc(big_proc, None, "classification", hp)
-    auroc, _, _ = eval_auroc(clf, big_proc, split="test")
+    auroc = eval_report(clf, big_proc, split="test")["macro_auroc"]
     reg = train_bc(big_proc, None, "regression", hp)
-    f_r, v_r = eval_rmse(reg, big_proc, split="test")
+    report = eval_report(reg, big_proc, split="test")
+    f_r, v_r = report["rmse_fluid"], report["rmse_vaso"]
     Y = np.asarray(build_dataset(big_proc, "test", "regression")[1])
     zero = np.sqrt(np.mean(Y * Y, axis=0))
     improve = (1 - f_r / zero[0], 1 - v_r / zero[1])

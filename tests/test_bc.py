@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cfpolicy.bc import (REFERENCE_METRICS, BcHyperParams, binary_auroc,
-                         build_dataset, eval_auroc, eval_report, eval_rmse,
-                         load_policy, predict, save_policy, train_bc)
+                         build_dataset, eval_report, load_policy, predict, save_policy, train_bc)
 from cfpolicy.cohort import SubgroupKey
 from cfpolicy.errors import SchemaMismatchError, UndefinedMetricError
 
@@ -93,17 +92,20 @@ def test_predict_shapes_and_validation(tiny_clf, proc_cohort):
 
 
 def test_eval_auroc_and_report(tiny_clf, proc_cohort):
-    macro, per_class, skipped = eval_auroc(tiny_clf, proc_cohort, "test")
-    assert 0.0 <= macro <= 1.0
-    assert set(per_class).isdisjoint(skipped)
     report = eval_report(tiny_clf, proc_cohort, "test")
-    assert report["macro_auroc"] == macro
+    macro, per_class = report["macro_auroc"], report["per_class_auroc"]
+    assert 0.0 <= macro <= 1.0
+    assert macro == np.mean(list(per_class.values()))
+    # one class per window: scored where it is present but not everywhere
+    X, labels = build_dataset(proc_cohort, "test", "classification")
+    probs, labels = predict(tiny_clf, X), np.asarray(labels)
+    for c, v in per_class.items():
+        assert v == binary_auroc(probs[:, int(c)], labels == int(c))
+    assert report["skipped_classes"] == [
+        c for c in range(25) if str(c) not in per_class]
+    assert all((labels == c).all() or not (labels == c).any()
+               for c in report["skipped_classes"])
     assert report["reference_metrics"] is REFERENCE_METRICS
-
-
-def test_rmse_requires_regression(tiny_clf, proc_cohort):
-    with pytest.raises(ValueError):
-        eval_rmse(tiny_clf, proc_cohort)
 
 
 def test_subgroup_training_records_source(proc_cohort):
@@ -127,7 +129,8 @@ def test_policy_save_load_round_trip(tmp_path, tiny_clf, proc_cohort):
 def test_regression_training_beats_zero_on_train_split(proc_cohort):
     hp = BcHyperParams(epochs=10, seed=0, max_windows=1500)
     reg = train_bc(proc_cohort, None, "regression", hp)
-    f_rmse, v_rmse = eval_rmse(reg, proc_cohort, "train")
+    report = eval_report(reg, proc_cohort, "train")
+    f_rmse, v_rmse = report["rmse_fluid"], report["rmse_vaso"]
     Y = np.asarray(build_dataset(proc_cohort, "train", "regression")[1])
     zero = np.sqrt(np.mean(Y * Y, axis=0))
     assert f_rmse < zero[0] and v_rmse < zero[1]

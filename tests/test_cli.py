@@ -114,19 +114,40 @@ def test_every_written_svg_parses_and_labels_are_escaped(pipeline_dirs, tmp_path
                                       "metrics_per_timestep.svg"]
     for path in svgs:
         _svg_text(path)
-    # a subgroup label of a foreign attribute vocabulary may hold & < >
+    # a subgroup label of a foreign attribute vocabulary may hold & < >, or
+    # name a drug; each dose chart still lists only its own drug's series
+    for label in ("A&B<C>", "unit=vasofluid"):
+        report = json.loads((pipeline_dirs["cf"] / "report.json").read_text())
+        report["mean_actions"] = {label + k: v for k, v in report["mean_actions"].items()}
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        out = tmp_path / label
+        assert cli.main(["report", "--report", str(tmp_path / "report.json"),
+                         "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.svg")) == [p.name for p in svgs]
+        for path in out.glob("*.svg"):
+            _svg_text(path)
+        for drug in ("vaso", "fluid"):
+            labels = _svg_text(out / f"mean_{drug}.svg")
+            assert [k for k in report["mean_actions"] if k.endswith("_" + drug)] == \
+                [t for t in labels if t.startswith(label)]
+
+
+def test_reused_report_directory_keeps_no_stale_chart(pipeline_dirs, tmp_path):
     report = json.loads((pipeline_dirs["cf"] / "report.json").read_text())
-    report["mean_actions"] = {"A&B<C>" + k: v for k, v in report["mean_actions"].items()}
-    (tmp_path / "report.json").write_text(json.dumps(report))
-    out = tmp_path / "rendered"
-    assert cli.main(["report", "--report", str(tmp_path / "report.json"),
-                     "--out", str(out)]) == 0
-    assert sorted(p.name for p in out.glob("*.svg")) == [p.name for p in svgs]
-    for path in out.glob("*.svg"):
-        _svg_text(path)
-    labels = _svg_text(out / "mean_vaso.svg")
-    assert [k for k in report["mean_actions"] if "vaso" in k] == \
-        [t for t in labels if t.startswith("A&B<C>")]
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({**report, "per_timestep": None, "mean_actions": {}}))
+    out = tmp_path / "report"
+    for command in (["report", "--report", str(pipeline_dirs["cf"] / "report.json")],
+                    ["report", "--report", str(flat)]):
+        assert cli.main(command + ["--out", str(out)]) == 0
+    assert not list(out.glob("*.svg"))
+    # counterfactual writes its report through the same renderer
+    cf = tmp_path / "cf"
+    for extra in (["--per-timestep"], []):
+        assert cli.main(["counterfactual", "--model", str(pipeline_dirs["model"]),
+                         "--cohort", str(pipeline_dirs["proc"]), "--target", "gender=F",
+                         "--out", str(cf)] + extra) == 0
+        assert bool(list(cf.glob("*.svg"))) == bool(extra)
 
 
 def _run_twice(tmp_path, argv, side):
@@ -426,15 +447,23 @@ def test_subgroup_without_train_split_is_config_error(pipeline_dirs, tmp_path, c
     assert "subgroup gender=F has no train-split trajectories" in capsys.readouterr().err
 
 
-def test_empty_split_is_config_error(pipeline_dirs, tmp_path, capsys):
-    # no val encounters at all, and no gender=M test encounters
-    proc = tmp_path / "proc"
+def _retagged(pipeline_dirs, proc, to_train):
+    """A copy of the pipeline's cohort directory at ``proc`` whose
+    encounters where ``to_train(cohort)`` holds are moved to the train split."""
     shutil.copytree(pipeline_dirs["proc"], proc)
     cohort = load_cohort_dir(proc)
-    tags = cohort.split.copy()
-    tags[(tags == "val") | ((cohort.attributes["gender"] == "M") & (tags == "test"))] = "train"
+    tags = np.where(to_train(cohort), "train", cohort.split)
     split = dict(zip(cohort.ids.tolist(), tags.tolist()))
     (proc / "splits.json").write_text(json.dumps(split), encoding="utf-8")
+    return proc
+
+
+def test_empty_split_is_config_error(pipeline_dirs, tmp_path, capsys):
+    # no val encounters at all, and no gender=M test encounters
+    proc = _retagged(pipeline_dirs, tmp_path / "proc", lambda c: (c.split == "val") | (
+        (c.attributes["gender"] == "M") & (c.split == "test")))
+    # no test encounters: train-dyn trains, then has no test MSE to report
+    no_test = _retagged(pipeline_dirs, tmp_path / "no_test", lambda c: c.split == "test")
     capsys.readouterr()
     for argv, named in (
             (["train-bc", "--cohort", str(proc), "--subgroup", "gender=M", "--epochs", "1",
@@ -442,11 +471,16 @@ def test_empty_split_is_config_error(pipeline_dirs, tmp_path, capsys):
             (["eval", "--model", str(pipeline_dirs["model"]), "--cohort", str(proc),
               "--split", "test"], "'test'"),
             (["train-dyn", "--cohort", str(proc), "--epochs", "1",
-              "--out", str(tmp_path / "dyn.npz")], "'val'")):
+              "--out", str(tmp_path / "dyn.npz")], "'val'"),
+            (["train-dyn", "--cohort", str(no_test), "--epochs", "1",
+              "--out", str(tmp_path / "dyn.npz")], "'test'")):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert f"split {named} has no" in err
         assert "need at least one array" not in err
+        if "--out" in argv:
+            out = argv[argv.index("--out") + 1]
+            assert not any(Path(t.format(out)).exists() for t in cli.OUTPUTS[argv[0]])
 
 
 def _drop_first(obj):
@@ -844,9 +878,12 @@ def test_ragged_cohort_runs_through_every_command(tmp_path, capsys, lengths, see
     for argv in commands:
         if argv[0] == "counterfactual" and not bc_model.exists():
             continue
+        before = sorted(root.rglob("*"))
         code = cli.main(argv)
         err = capsys.readouterr().err
         assert code == 0 or (code == 2 and "has no" in err), (argv[0], code, err)
+        if code == 2:
+            assert sorted(root.rglob("*")) == before, (argv[0], err)
         if argv[0] == "train-bc" and code == 0:
             metrics = json.loads(Path(str(bc_model) + ".metrics.json").read_text())
             if metrics["macro_auroc"] is None:

@@ -138,14 +138,22 @@ def _assert_split_gathers(cohort, tag, rng, seed):
     ref_x = np.stack([r[0].reshape(-1) for rs in refs for r in rs])
     X, Y = build_dataset(cohort, tag, "regression")
     _assert_gathers(X, ref_x, rng)
-    _assert_gathers(Y, np.concatenate([tr.actions for tr in trajs]), rng)
+    ref_y = np.concatenate([tr.actions for tr in trajs])
+    _assert_gathers(Y, ref_y, rng)
     Xc, labels = build_dataset(cohort, tag, "classification")
     _assert_gathers(Xc, ref_x, rng)
     ref_bins = np.concatenate([tr.action_bins for tr in trajs])
     _assert_gathers(labels, ref_bins, rng)
-    keep = rng.choice(len(ref_x), int(rng.integers(1, len(ref_x) + 1)), replace=False)
-    _assert_gathers(X.select(keep), ref_x[keep], rng)  # train_bc's max_windows subset
-    _assert_gathers(labels.select(keep), ref_bins[keep], rng)
+    # a max_windows subset is the rng.choice draw of the same windows and targets
+    k = int(rng.integers(1, len(ref_x) + 1))
+    keep = (np.random.default_rng(seed).choice(len(ref_x), k, replace=False)
+            if k < len(ref_x) else np.arange(len(ref_x)))
+    Xs, Ys = build_dataset(cohort, tag, "regression", k, np.random.default_rng(seed))
+    _assert_gathers(Xs, ref_x[keep], rng)
+    _assert_gathers(Ys, ref_y[keep], rng)
+    Xs, labels = build_dataset(cohort, tag, "classification", k, np.random.default_rng(seed))
+    _assert_gathers(Xs, ref_x[keep], rng)
+    _assert_gathers(labels, ref_bins[keep], rng)
 
     pairs = [(np.concatenate(rs[t], axis=1), tr.states[t + 1] - tr.states[t])
              for tr, rs in zip(trajs, refs) for t in range(tr.T - 1)]
